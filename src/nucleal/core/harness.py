@@ -786,7 +786,7 @@ def check_trace_axioms(
             return _single(samp)
         out = []
         for a in objs:
-            it = tr.enum_members(a) if hasattr(tr, "enum_members") else None
+            it = tr.enum_members(a)
             if it is None:
                 def samp(rng, a=a):
                     h = tr.sample_member(rng, a)
@@ -959,7 +959,7 @@ def check_param_trace_axioms(
                                 return None
                             f = rng.choice(ms)
                             return (f, a, u, b, *[pick(rng) for _ in range(extra)])
-                        out.append((len(ms) if extra == 0 else None, None, samp))
+                        out.append((None, None, samp))
         return out
 
     def ideal_closure(f, a, u, b):
@@ -1073,7 +1073,7 @@ def check_param_trace_axioms(
         nuc_like = rng.below(2) == 0
         f = inst.sample_hom(rng, a, u)
         g = inst.sample_hom(rng, u, b)
-        if nuc_like and hasattr(tr, "nuclear") and tr.nuclear is not None:
+        if nuc_like and tr.nuclear is not None:
             f = tr.nuclear.sample_nuclear(rng, a, u)
             g = tr.nuclear.sample_nuclear(rng, u, b)
         return f, g, a, u, b

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from nucleal import cjsl
+from nucleal import cjsl, cli
 from nucleal.core.errors import InvariantViolation, ShapeMismatch
 
 
@@ -101,13 +101,13 @@ def test_criterion_values_on_two_chain():
 def test_identity_tight_iff_distributive_on_named_lattices():
     for lat in (cjsl.chain(2), cjsl.chain(5), cjsl.diamond()):
         res = cjsl.hr_nuclear(cjsl.identity_sup(lat))
-        assert res.conclusive and res.nuclear
+        assert res.nuclear
         assert cjsl.hr_values(lat, lat, res.witness_values) == tuple(
             range(lat.size)
         )
     for lat in (cjsl.m3(), cjsl.n5()):
         res = cjsl.hr_nuclear(cjsl.identity_sup(lat))
-        assert res.conclusive and not res.nuclear
+        assert not res.nuclear
 
 
 def test_const_bottom_is_tight():
@@ -119,10 +119,49 @@ def test_const_bottom_is_tight():
     assert cjsl.hr_values(m, m, (m.top,) * m.size) == (m.bot,) * m.size
 
 
-def test_search_bound_inconclusive():
-    big = cjsl.chain(cjsl.BRUTE_FORCE_BOUND + 1)
+def test_identity_on_seven_chain_is_tight():
+    # the closed form is exact at every size, not only on small lattices
+    big = cjsl.chain(7)
     res = cjsl.hr_nuclear(cjsl.identity_sup(big))
-    assert not res.conclusive and res.nuclear is None
+    assert res.nuclear is True
+    assert res.witness_values == (0, 0, 1, 2, 3, 4, 5)
+    assert cjsl.hr_values(big, big, res.witness_values) == tuple(range(7))
+
+
+def brute_force_tight(f):
+    """Oracle: try every function g: B -> A as a representing witness."""
+    a, b = f.source, f.target
+    return any(
+        cjsl.hr_values(a, b, g) == f.values
+        for g in itertools.product(range(a.size), repeat=b.size)
+    )
+
+
+def assert_matches_oracle(maps):
+    for f in maps:
+        res = cjsl.hr_nuclear(f)
+        assert res.nuclear == brute_force_tight(f), f
+        if res.nuclear:
+            w = res.witness_values
+            assert cjsl.hr_values(f.source, f.target, w) == f.values
+            cjsl.SupMap(f.target, f.source, w)  # the least witness is a sup map
+        else:
+            assert res.witness_values is None
+
+
+def test_closed_form_matches_brute_force_up_to_four_elements():
+    lats = cjsl.enumerate_lattices(4)
+    maps = [f for a in lats for b in lats for f in cjsl.enum_sup_maps(a, b)]
+    assert len(maps) == 145
+    assert_matches_oracle(maps)
+
+
+def test_closed_form_matches_brute_force_on_m3_and_n5_endomorphisms():
+    maps = [
+        f for lat in (cjsl.m3(), cjsl.n5()) for f in cjsl.enum_sup_maps(lat, lat)
+    ]
+    assert len(maps) == 93
+    assert_matches_oracle(maps)
 
 
 def test_right_adjoint_examples():
@@ -168,6 +207,18 @@ def test_closure_and_wellformed_reports():
 
 def test_galois_report():
     assert cjsl.check_galois(4).ok
+
+
+def test_cjsl_suite_outcomes_pinned():
+    got = [
+        (r.law, r.cases, r.failures, r.flags) for r in cli.run_suite("cjsl-hr")
+    ]
+    assert got == [
+        ("cjsl-higgs-rowe[<=5]", 10, [], ["lattices:10", "non-distributive:2"]),
+        ("cjsl-closure[<=4]", 11703, [], []),
+        ("cjsl-hr-wellformed[<=4]", 145, [], []),
+        ("cjsl-galois[<=5]", 2022, [], []),
+    ]
 
 
 def test_json_round_trips():

@@ -1,6 +1,7 @@
 """Command-line interface, driven in process."""
 
 import json
+import time
 from fractions import Fraction
 
 from nucleal import cjsl, cli, finstoch, pinj
@@ -120,6 +121,20 @@ def test_check_nuclear_lattice_ids(tmp_path, capsys):
     )
     assert cli.main(["check-nuclear", c2]) == 0
     assert "nuclear: yes" in capsys.readouterr().out
+
+
+def test_check_nuclear_lattice_answers_large_bound_at_once(tmp_path, capsys):
+    path = dump(
+        tmp_path, "c12.json",
+        cjsl.supmap_to_json(cjsl.identity_sup(cjsl.chain(12))), "cjsl",
+    )
+    t0 = time.perf_counter()
+    assert cli.main(["check-nuclear", path, "--bound", "12"]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    witness = [0, *range(11)]
+    assert capsys.readouterr().out == (
+        f"nuclear: yes (witness {witness}, sup-map)\n"
+    )
 
 
 def test_check_nuclear_partial_injection(tmp_path, capsys):

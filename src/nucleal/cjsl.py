@@ -288,21 +288,25 @@ def hr_nuclear(f: SupMap) -> HRResult:
     return HRResult(True, g0)
 
 
-def right_adjoint(f: SupMap) -> SupMap:
-    """Upper adjoint b |-> sup{a | f(a) <= b}, between the opposite lattices."""
+def adjoint_values(f: SupMap) -> tuple[int, ...]:
+    """Values of the upper adjoint b |-> sup{a | f(a) <= b}."""
     a, b = f.source, f.target
-    sup_values = tuple(
+    return tuple(
         a.sup(x for x in range(a.size) if b.le(f.values[x], y))
         for y in range(b.size)
     )
-    return SupMap(opposite(b), opposite(a), sup_values)
+
+
+def right_adjoint(f: SupMap) -> SupMap:
+    """Upper adjoint, as a sup map between the opposite lattices."""
+    return SupMap(opposite(f.target), opposite(f.source), adjoint_values(f))
 
 
 def galois_law_holds(f: SupMap) -> bool:
-    adj = right_adjoint(f)
+    adj = adjoint_values(f)
     a, b = f.source, f.target
     return all(
-        b.le(f.values[x], y) == a.le(x, adj.values[y])
+        b.le(f.values[x], y) == a.le(x, adj[y])
         for x in range(a.size)
         for y in range(b.size)
     )
@@ -368,14 +372,24 @@ def iso_key(lat: FinLattice) -> tuple:
     return _canonical_key(lat.size, lat.leq)
 
 
+def _lattices_upto(bound: int, lats: Optional[list[FinLattice]]) -> list[FinLattice]:
+    """`enumerate_lattices(bound)`, filtered from a larger enumeration when
+    one is given (enumeration runs by size, so the order is the same)."""
+    if lats is None:
+        return enumerate_lattices(bound)
+    return [lat for lat in lats if lat.size <= bound]
+
+
 # -- reports ----------------------------------------------------------------
 
 
-def check_characterization(max_elems: int = 5) -> AxiomReport:
+def check_characterization(
+    max_elems: int = 5, lats: Optional[list[FinLattice]] = None
+) -> AxiomReport:
     """Identity tight exactly on distributive lattices, at this scale."""
     t0 = time.perf_counter()
     rep = AxiomReport(f"cjsl-higgs-rowe[<={max_elems}]", 0)
-    lats = enumerate_lattices(max_elems)
+    lats = _lattices_upto(max_elems, lats)
     rep.flags.append(f"lattices:{len(lats)}")
     bad = 0
     for lat in lats:
@@ -393,11 +407,14 @@ def check_characterization(max_elems: int = 5) -> AxiomReport:
     return rep
 
 
-def check_closure_lemma(bound: int = 4) -> AxiomReport:
+def check_closure_lemma(
+    bound: int = 4, lats: Optional[list[FinLattice]] = None
+) -> AxiomReport:
     """Tight maps absorb composition on both sides and pass to adjoints."""
     t0 = time.perf_counter()
     rep = AxiomReport(f"cjsl-closure[<={bound}]", 0)
-    lats = enumerate_lattices(bound)
+    lats = _lattices_upto(bound, lats)
+    ops = [opposite(lat) for lat in lats]
     maps = {
         (i, j): list(enum_sup_maps(a, b))
         for i, a in enumerate(lats)
@@ -414,7 +431,8 @@ def check_closure_lemma(bound: int = 4) -> AxiomReport:
             if f.values not in tight[(i, j)]:
                 continue
             rep.cases += 1
-            if not hr_nuclear(right_adjoint(f)).nuclear:
+            adj = SupMap(ops[j], ops[i], adjoint_values(f))
+            if not hr_nuclear(adj).nuclear:
                 rep.add_failure(f"adjoint of tight {f!r} is not tight")
             for k in range(n):
                 for f2 in maps[(j, k)]:
@@ -433,14 +451,16 @@ def check_closure_lemma(bound: int = 4) -> AxiomReport:
     return rep
 
 
-def check_hr_wellformed(bound: int = 4) -> AxiomReport:
+def check_hr_wellformed(
+    bound: int = 4, lats: Optional[list[FinLattice]] = None
+) -> AxiomReport:
     """Does the criterion formula send sup maps to sup maps?
 
     Recorded, not assumed: failures become a documented finding.
     """
     t0 = time.perf_counter()
     rep = AxiomReport(f"cjsl-hr-wellformed[<={bound}]", 0)
-    lats = enumerate_lattices(bound)
+    lats = _lattices_upto(bound, lats)
     for a in lats:
         for b in lats:
             for g in enum_sup_maps(b, a):
@@ -459,11 +479,13 @@ def check_hr_wellformed(bound: int = 4) -> AxiomReport:
     return rep
 
 
-def check_galois(bound: int = 5) -> AxiomReport:
+def check_galois(
+    bound: int = 5, lats: Optional[list[FinLattice]] = None
+) -> AxiomReport:
     """Adjunction law for every sup map between enumerated lattices."""
     t0 = time.perf_counter()
     rep = AxiomReport(f"cjsl-galois[<={bound}]", 0)
-    lats = enumerate_lattices(bound)
+    lats = _lattices_upto(bound, lats)
     for a in lats:
         for b in lats:
             for f in enum_sup_maps(a, b):

@@ -362,30 +362,31 @@ def _drel_numeric_reports(n, tol):
 
 def run_suite(name, budget=200, seed=1, tol=None, n=None):
     reports = []
+    instances = _suite_instances()
     if name in ("star-laws", "all"):
-        for inst, _, _ in _suite_instances():
+        for inst, _, _ in instances:
             reports.append(harness.check_star_laws(inst, budget, seed, tol=tol))
     if name in ("nuclear", "all"):
-        for inst, nuc, _ in _suite_instances():
+        for inst, nuc, _ in instances:
             reports.append(
                 harness.check_nuclear_axioms(inst, nuc, budget, seed, tol=tol)
             )
     if name in ("sliding", "all"):
-        for inst, nuc, _ in _suite_instances():
+        for inst, nuc, _ in instances:
             reports.append(harness.check_sliding(inst, nuc, budget, seed, tol=tol))
     if name in ("traced", "all"):
-        for inst, nuc, tr in _suite_instances():
+        for inst, nuc, tr in instances:
             reports.append(
                 harness.check_tracedness(inst, nuc, tr, budget, seed, tol=tol)
             )
     if name in ("trace-axioms", "all"):
-        for inst, nuc, tr in _suite_instances():
+        for inst, nuc, tr in instances:
             reports.append(
                 harness.check_trace_axioms(inst, nuc, tr, budget, seed, tol=tol)
             )
     if name in ("param-trace", "all"):
         # exhaustive member streams explode above two-element sets
-        for inst, nuc, tr in _suite_instances():
+        for inst, nuc, tr in instances:
             if tr.has_param:
                 reports.append(
                     harness.check_param_trace_axioms(
@@ -393,10 +394,11 @@ def run_suite(name, budget=200, seed=1, tol=None, n=None):
                     )
                 )
     if name in ("cjsl-hr", "all"):
-        reports.append(cjsl.check_characterization(5))
-        reports.append(cjsl.check_closure_lemma(4))
-        reports.append(cjsl.check_hr_wellformed(4))
-        reports.append(cjsl.check_galois(5))
+        lats = cjsl.enumerate_lattices(5)
+        reports.append(cjsl.check_characterization(5, lats))
+        reports.append(cjsl.check_closure_lemma(4, lats))
+        reports.append(cjsl.check_hr_wellformed(4, lats))
+        reports.append(cjsl.check_galois(5, lats))
     if name in ("xrel-audit", "all"):
         reports.extend(_xrel_audit_reports())
     if name in ("stoch-monad", "all"):

@@ -8,12 +8,21 @@ relation between small sets stay cheap.
 Every relation is distinguished (nuclear): the transpose just re-reads
 the graph of r: X -> Y as a state I -> X (x) Y.  The induced trace of an
 endomorphism asks for a fixed point.
+
+Boundary contract: values that enter from outside are validated, values
+that model operations make are trusted.  The `FinSet` and `Relation`
+constructors, `from_pairs`, `from_json`/`finset_from_json` and the
+samplers check every invariant (distinct labels; one row per source
+element, no bit outside the target).  The operations and enumerators
+(`compose`, `converse`, `tensor`, `product`, `identity`, `theta`, ...)
+preserve those invariants by construction, so they build through the
+trusted `_mk`/`_mk_set`, which skip the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from nucleal.core import scalars
 from nucleal.core.errors import InvariantViolation, ParseError, ShapeMismatch
@@ -57,16 +66,23 @@ class FinSet:
         return f"FinSet({list(self.labels)!r})"
 
 
+def _mk_set(labels: tuple) -> FinSet:
+    """Trusted builder: `labels` must be a tuple of distinct labels."""
+    x = object.__new__(FinSet)
+    x.__dict__["labels"] = labels
+    return x
+
+
 def fin_set(n: int) -> FinSet:
     """Canonical n-element set 0..n-1."""
-    return FinSet(tuple(range(n)))
+    return _mk_set(tuple(range(n)))
 
 
 UNIT = FinSet((UNIT_LABEL,))
 
 
 def product(x: FinSet, y: FinSet) -> FinSet:
-    return FinSet(tuple((a, b) for a in x.labels for b in y.labels))
+    return _mk_set(tuple([(a, b) for a in x.labels for b in y.labels]))
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,14 @@ class Relation:
         return f"Relation({list(self.pairs())!r})"
 
 
+def _mk(source: FinSet, target: FinSet, rows: tuple) -> Relation:
+    """Trusted builder: `rows` must be a tuple of one int per source
+    element, with no bit outside the target."""
+    r = object.__new__(Relation)
+    r.__dict__.update(source=source, target=target, rows=rows)
+    return r
+
+
 def from_pairs(source: FinSet, target: FinSet, pairs: Iterable[tuple]) -> Relation:
     rows = [0] * source.size
     for x, y in pairs:
@@ -114,16 +138,16 @@ def from_pairs(source: FinSet, target: FinSet, pairs: Iterable[tuple]) -> Relati
 
 
 def empty(source: FinSet, target: FinSet) -> Relation:
-    return Relation(source, target, (0,) * source.size)
+    return _mk(source, target, (0,) * source.size)
 
 
 def full(source: FinSet, target: FinSet) -> Relation:
     mask = (1 << target.size) - 1
-    return Relation(source, target, (mask,) * source.size)
+    return _mk(source, target, (mask,) * source.size)
 
 
 def identity(x: FinSet) -> Relation:
-    return Relation(x, x, tuple(1 << i for i in range(x.size)))
+    return _mk(x, x, tuple([1 << i for i in range(x.size)]))
 
 
 def compose(r: Relation, s: Relation) -> Relation:
@@ -141,7 +165,7 @@ def compose(r: Relation, s: Relation) -> Relation:
             acc |= s.rows[j]
             rr &= rr - 1
         out.append(acc)
-    return Relation(r.source, s.target, tuple(out))
+    return _mk(r.source, s.target, tuple(out))
 
 
 def converse(r: Relation) -> Relation:
@@ -152,7 +176,7 @@ def converse(r: Relation) -> Relation:
             j = (rr & -rr).bit_length() - 1
             rows[j] |= 1 << i
             rr &= rr - 1
-    return Relation(r.target, r.source, tuple(rows))
+    return _mk(r.target, r.source, tuple(rows))
 
 
 def tensor(r: Relation, s: Relation) -> Relation:
@@ -171,13 +195,13 @@ def tensor(r: Relation, s: Relation) -> Relation:
                 acc |= si << (j1 * nt)
                 rr &= rr - 1
             rows.append(acc)
-    return Relation(src, tgt, tuple(rows))
+    return _mk(src, tgt, tuple(rows))
 
 
 def reindex(a: FinSet, b: FinSet, index_map: Sequence[int]) -> Relation:
     if a.size != b.size or sorted(index_map) != list(range(a.size)):
         raise ShapeMismatch("reindex needs a bijection of equal-sized sets")
-    return Relation(a, b, tuple(1 << j for j in index_map))
+    return _mk(a, b, tuple([1 << j for j in index_map]))
 
 
 def nu(x: FinSet) -> Relation:
@@ -186,7 +210,7 @@ def nu(x: FinSet) -> Relation:
     row = 0
     for i in range(n):
         row |= 1 << (i * n + i)
-    return Relation(UNIT, product(x, x), (row,))
+    return _mk(UNIT, product(x, x), (row,))
 
 
 def psi(x: FinSet) -> Relation:
@@ -196,7 +220,7 @@ def psi(x: FinSet) -> Relation:
     for i in range(n):
         for j in range(n):
             rows.append(1 if i == j else 0)
-    return Relation(product(x, x), UNIT, tuple(rows))
+    return _mk(product(x, x), UNIT, tuple(rows))
 
 
 def trace_endo(r: Relation) -> bool:
@@ -224,14 +248,14 @@ def param_trace(r: Relation, a: FinSet, u: FinSet, b: FinSet) -> Relation:
                 if row >> (j * nu_ + k) & 1:
                     acc |= 1 << j
         rows.append(acc)
-    return Relation(a, b, tuple(rows))
+    return _mk(a, b, tuple(rows))
 
 
 def enum_relations(source: FinSet, target: FinSet) -> Iterator[Relation]:
     ns, nt = source.size, target.size
     for mask in range(1 << (ns * nt)):
         rows = tuple((mask >> (i * nt)) & ((1 << nt) - 1) for i in range(ns))
-        yield Relation(source, target, rows)
+        yield _mk(source, target, rows)
 
 
 # -- serialization ----------------------------------------------------------
@@ -377,7 +401,7 @@ class FinRelNuclear(NuclearStructure):
         acc = 0
         for i, row in enumerate(f.rows):
             acc |= row << (i * nt)
-        return Relation(UNIT, product(f.source, f.target), (acc,))
+        return _mk(UNIT, product(f.source, f.target), (acc,))
 
     def theta_inv(self, m: Relation, a: FinSet, b: FinSet) -> Relation:
         if m.source.size != 1 or m.target.size != a.size * b.size:
@@ -385,7 +409,7 @@ class FinRelNuclear(NuclearStructure):
         nt = b.size
         row = m.rows[0]
         rows = tuple((row >> (i * nt)) & ((1 << nt) - 1) for i in range(a.size))
-        return Relation(a, b, rows)
+        return _mk(a, b, rows)
 
     def sample_nuclear(self, rng, a, b):
         return self.inst.sample_hom(rng, a, b)

@@ -9,6 +9,14 @@ its one assignment is a fixed point, and the parameter-erasing trace
 keeps an assignment (x,u) -> (y,u') only when u = u'.
 
 Objects and serialization conventions are shared with `nucleal.finrel`.
+
+Boundary contract: the `PartialInjection` constructor, `from_map`,
+`from_json` and the samplers validate (indices in range, single-valued,
+injective) and sort the pairs into normal form.  Operations and
+enumerators (`compose`, `converse`, `tensor`, `theta`, `param_trace`,
+`enum_pinj`, ...) keep both the invariants and the sorted normal form
+by construction, so they build through the trusted `_mk`, which checks
+nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from nucleal.core.errors import (
     InvariantViolation,
@@ -66,12 +74,6 @@ class PartialInjection:
             raise InvariantViolation("graph is not injective", witness=cods)
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
 
-    def apply_index(self, i: int) -> Optional[int]:
-        for x, y in self.pairs:
-            if x == i:
-                return y
-        return None
-
     def dom_size(self) -> int:
         return len(self.pairs)
 
@@ -88,6 +90,14 @@ class PartialInjection:
         return f"PartialInjection({{{body}}})"
 
 
+def _mk(source: FinSet, target: FinSet, pairs: tuple) -> PartialInjection:
+    """Trusted builder: `pairs` must be a sorted tuple of in-range pairs,
+    single-valued and injective."""
+    f = object.__new__(PartialInjection)
+    f.__dict__.update(source=source, target=target, pairs=pairs)
+    return f
+
+
 def from_map(source: FinSet, target: FinSet, mapping: dict) -> PartialInjection:
     pairs = tuple(
         (source.index(x), target.index(y)) for x, y in mapping.items()
@@ -96,27 +106,25 @@ def from_map(source: FinSet, target: FinSet, mapping: dict) -> PartialInjection:
 
 
 def empty(source: FinSet, target: FinSet) -> PartialInjection:
-    return PartialInjection(source, target, ())
+    return _mk(source, target, ())
 
 
 def identity(x: FinSet) -> PartialInjection:
-    return PartialInjection(x, x, tuple((i, i) for i in range(x.size)))
+    return _mk(x, x, tuple([(i, i) for i in range(x.size)]))
 
 
 def compose(f: PartialInjection, g: PartialInjection) -> PartialInjection:
     """Diagrammatic composite: first f, then g."""
     if f.target != g.source:
         raise ShapeMismatch(f"cannot chain {f.target} into {g.source}")
-    pairs = []
-    for i, j in f.pairs:
-        k = g.apply_index(j)
-        if k is not None:
-            pairs.append((i, k))
-    return PartialInjection(f.source, g.target, tuple(pairs))
+    gmap = dict(g.pairs)
+    # f's pairs are sorted by source index, and filtering keeps that order
+    pairs = tuple([(i, gmap[j]) for i, j in f.pairs if j in gmap])
+    return _mk(f.source, g.target, pairs)
 
 
 def converse(f: PartialInjection) -> PartialInjection:
-    return PartialInjection(f.target, f.source, tuple((j, i) for i, j in f.pairs))
+    return _mk(f.target, f.source, tuple(sorted([(j, i) for i, j in f.pairs])))
 
 
 def tensor(f: PartialInjection, g: PartialInjection) -> PartialInjection:
@@ -124,12 +132,13 @@ def tensor(f: PartialInjection, g: PartialInjection) -> PartialInjection:
     tgt = product(f.target, g.target)
     nt2 = g.target.size
     ns2 = g.source.size
-    pairs = tuple(
+    # lexicographic in (i1, i2) and i2 < ns2, so already sorted
+    pairs = tuple([
         (i1 * ns2 + i2, j1 * nt2 + j2)
         for i1, j1 in f.pairs
         for i2, j2 in g.pairs
-    )
-    return PartialInjection(src, tgt, pairs)
+    ])
+    return _mk(src, tgt, pairs)
 
 
 def reindex(a: FinSet, b: FinSet, index_map: Sequence[int]) -> PartialInjection:
@@ -139,7 +148,7 @@ def reindex(a: FinSet, b: FinSet, index_map: Sequence[int]) -> PartialInjection:
             f"index map of length {len(index_map)} is not a bijection "
             f"{a.size} -> {b.size}"
         )
-    return PartialInjection(a, b, tuple(enumerate(index_map)))
+    return _mk(a, b, tuple(enumerate(index_map)))
 
 
 def is_nuclear(f: PartialInjection) -> bool:
@@ -154,7 +163,7 @@ def theta(f: PartialInjection) -> PartialInjection:
     if not f.pairs:
         return empty(UNIT, tgt)
     (i, j), = f.pairs
-    return PartialInjection(UNIT, tgt, ((0, i * f.target.size + j),))
+    return _mk(UNIT, tgt, ((0, i * f.target.size + j),))
 
 
 def theta_inv(m: PartialInjection, a: FinSet, b: FinSet) -> PartialInjection:
@@ -163,7 +172,7 @@ def theta_inv(m: PartialInjection, a: FinSet, b: FinSet) -> PartialInjection:
     if not m.pairs:
         return empty(a, b)
     (_, k), = m.pairs
-    return PartialInjection(a, b, ((k // b.size, k % b.size),))
+    return _mk(a, b, ((k // b.size, k % b.size),))
 
 
 def trace_endo(f: PartialInjection) -> bool:
@@ -209,9 +218,10 @@ def param_trace(
         y, u2 = divmod(j, nu)
         if u == u2:
             pairs.append((x, y))
-    # injectivity of the result is a theorem here; assert it anyway
-    out = PartialInjection(left, right, tuple(pairs))
-    return out
+    # The parameter condition makes the result a partial injection: each
+    # x (each y) meets one parameter value, so it keeps at most one pair.
+    # Kept pairs follow f's source order, so they stay sorted.
+    return _mk(left, right, tuple(pairs))
 
 
 def enum_pinj(source: FinSet, target: FinSet) -> Iterator[PartialInjection]:
@@ -219,7 +229,7 @@ def enum_pinj(source: FinSet, target: FinSet) -> Iterator[PartialInjection]:
     for k in range(min(ns, nt) + 1):
         for dom in itertools.combinations(range(ns), k):
             for cod in itertools.permutations(range(nt), k):
-                yield PartialInjection(source, target, tuple(zip(dom, cod)))
+                yield _mk(source, target, tuple(zip(dom, cod)))
 
 
 def count_pinj(ns: int, nt: int) -> int:
@@ -389,7 +399,7 @@ class PInjNuclear(NuclearStructure):
             yield empty(a, b)
             for i in range(a.size):
                 for j in range(b.size):
-                    yield PartialInjection(a, b, ((i, j),))
+                    yield _mk(a, b, ((i, j),))
 
         return gen()
 
@@ -416,8 +426,8 @@ class PInjNuclear(NuclearStructure):
         mid = h.source
         return FactorizationResult(
             True,
-            left=PartialInjection(h.source, mid, ((i, i),)),
-            right=PartialInjection(mid, h.target, ((i, j),)),
+            left=_mk(h.source, mid, ((i, i),)),
+            right=_mk(mid, h.target, ((i, j),)),
             middle=mid,
         )
 

@@ -11,6 +11,18 @@ product is trivial while neither square is.  `theta_bijectivity_report`
 audits exactly that, and over the four-element cyclic monoid it
 reproduces the expected degree-(1,3) counterexample as a documented
 finding rather than an error.
+
+Boundary contract: the `CrossedMSet` and `XRelMorphism` constructors,
+`trivial_object`, `from_pairs`, the JSON readers and the samplers check
+every invariant.  Operations whose results are valid by theorem build
+through the trusted `_mk_obj`/`_mk`, which check nothing: the unit and
+tensor objects, `compose`, `converse`, `tensor`, `identity`, `theta`
+(the degrees of a nuclear relation square to the identity) and
+`enum_morphisms`.  `theta_inv` and the instance's `reindex` are not
+valid by theorem (a state may pair degrees whose squares are not
+trivial, and an arbitrary bijection need not be equivariant), and
+`empty` may be handed objects over different monoids, so these keep
+validating.
 """
 
 from __future__ import annotations
@@ -34,7 +46,14 @@ from nucleal.core.instance import (
     TraceStructure,
 )
 from nucleal.core.report import AxiomReport
-from nucleal.finrel import FinSet, fin_set, finset_from_json, finset_to_json, product
+from nucleal.finrel import (
+    UNIT,
+    FinSet,
+    fin_set,
+    finset_from_json,
+    finset_to_json,
+    product,
+)
 
 
 @dataclass(frozen=True)
@@ -151,8 +170,17 @@ def trivial_object(monoid: CommMonoid, labels: Sequence, degrees=None) -> Crosse
     )
 
 
+def _mk_obj(
+    monoid: CommMonoid, carrier: FinSet, action: tuple, degree: tuple
+) -> CrossedMSet:
+    """Trusted builder: the arguments must satisfy `CrossedMSet`'s checks."""
+    x = object.__new__(CrossedMSet)
+    x.__dict__.update(monoid=monoid, carrier=carrier, action=action, degree=degree)
+    return x
+
+
 def unit_object(monoid: CommMonoid) -> CrossedMSet:
-    return trivial_object(monoid, ("*",))
+    return _mk_obj(monoid, UNIT, ((0,),) * monoid.size, (monoid.e,))
 
 
 def tensor_object(x: CrossedMSet, y: CrossedMSet) -> CrossedMSet:
@@ -172,7 +200,7 @@ def tensor_object(x: CrossedMSet, y: CrossedMSet) -> CrossedMSet:
         for i in range(x.size)
         for j in range(ny)
     )
-    return CrossedMSet(x.monoid, product(x.carrier, y.carrier), action, degree)
+    return _mk_obj(x.monoid, product(x.carrier, y.carrier), action, degree)
 
 
 @dataclass(frozen=True)
@@ -209,6 +237,14 @@ class XRelMorphism:
         return f"XRel({body})"
 
 
+def _mk(source: CrossedMSet, target: CrossedMSet, pairs: frozenset) -> XRelMorphism:
+    """Trusted builder: `pairs` must be in range, degree-respecting and
+    closed under the action."""
+    r = object.__new__(XRelMorphism)
+    r.__dict__.update(source=source, target=target, pairs=pairs)
+    return r
+
+
 def from_pairs(source: CrossedMSet, target: CrossedMSet, pairs) -> XRelMorphism:
     return XRelMorphism(source, target, frozenset(pairs))
 
@@ -218,7 +254,7 @@ def empty(source: CrossedMSet, target: CrossedMSet) -> XRelMorphism:
 
 
 def identity(x: CrossedMSet) -> XRelMorphism:
-    return XRelMorphism(x, x, frozenset((i, i) for i in range(x.size)))
+    return _mk(x, x, frozenset([(i, i) for i in range(x.size)]))
 
 
 def compose(r: XRelMorphism, s: XRelMorphism) -> XRelMorphism:
@@ -231,23 +267,23 @@ def compose(r: XRelMorphism, s: XRelMorphism) -> XRelMorphism:
     out = {
         (x, z) for x, y in r.pairs for z in mids.get(y, ())
     }
-    return XRelMorphism(r.source, s.target, frozenset(out))
+    return _mk(r.source, s.target, frozenset(out))
 
 
 def converse(r: XRelMorphism) -> XRelMorphism:
-    return XRelMorphism(r.target, r.source, frozenset((y, x) for x, y in r.pairs))
+    return _mk(r.target, r.source, frozenset([(y, x) for x, y in r.pairs]))
 
 
 def tensor(r: XRelMorphism, s: XRelMorphism) -> XRelMorphism:
     src = tensor_object(r.source, s.source)
     tgt = tensor_object(r.target, s.target)
     ns2, nt2 = s.source.size, s.target.size
-    pairs = frozenset(
+    pairs = frozenset([
         (x1 * ns2 + x2, y1 * nt2 + y2)
         for x1, y1 in r.pairs
         for x2, y2 in s.pairs
-    )
-    return XRelMorphism(src, tgt, pairs)
+    ])
+    return _mk(src, tgt, pairs)
 
 
 def orbit_closure(source: CrossedMSet, target: CrossedMSet, seed_pairs):
@@ -279,10 +315,10 @@ def theta(r: XRelMorphism) -> XRelMorphism:
         raise InvariantViolation("transpose needs degrees squaring to the identity")
     tgt = tensor_object(r.source, r.target)
     nt = r.target.size
-    return XRelMorphism(
+    return _mk(
         unit_object(r.source.monoid),
         tgt,
-        frozenset((0, x * nt + y) for x, y in r.pairs),
+        frozenset([(0, x * nt + y) for x, y in r.pairs]),
     )
 
 
@@ -307,7 +343,7 @@ def enum_morphisms(a: CrossedMSet, b: CrossedMSet) -> Iterator[XRelMorphism]:
     for mask in range(1 << n):
         chosen = {candidates[k] for k in range(n) if (mask >> k) & 1}
         if orbit_closure(a, b, chosen) == chosen:
-            yield XRelMorphism(a, b, frozenset(chosen))
+            yield _mk(a, b, frozenset(chosen))
 
 
 def theta_bijectivity_report(a: CrossedMSet, b: CrossedMSet) -> AxiomReport:

@@ -160,6 +160,18 @@ def test_disintegrate_diagonal(tmp_path, capsys):
     assert fwd[0] == ["1", "0"] and fwd[1] == ["0", "1"]
 
 
+def test_finrel_duplicate_labels_exit_invariant(tmp_path, capsys):
+    doc = {"source": ["a", "a"], "target": ["b"], "pairs": [[True], [False]]}
+    assert cli.main(["trace", dump(tmp_path, "r.json", doc, "finrel")]) == 4
+    assert "invariant violation" in capsys.readouterr().err
+
+
+def test_pinj_non_injective_graph_exits_parse(tmp_path, capsys):
+    doc = {"source": ["x", "y"], "target": ["z"], "graph": {"x": "z", "y": "z"}}
+    assert cli.main(["trace", dump(tmp_path, "f.json", doc, "pinj")]) == 2
+    assert "not injective" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "nonsense"]) == 2
 

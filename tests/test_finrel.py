@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nucleal import finrel
-from nucleal.core.errors import ShapeMismatch
+from nucleal.core.errors import InvariantViolation, ShapeMismatch
 from nucleal.core.rng import Lcg
 
 
@@ -50,6 +50,22 @@ def test_compose_matches_oracle_on_random_pairs():
         r = random_relation(rng, a, b)
         s = random_relation(rng, b, c)
         assert finrel.compose(r, s) == bool_matmul(r, s)
+
+
+def test_relation_rejects_wrong_row_count():
+    with pytest.raises(InvariantViolation):
+        finrel.Relation(finrel.fin_set(2), finrel.fin_set(2), (1,))
+
+
+@pytest.mark.parametrize("row", [0b100, -1])
+def test_relation_rejects_bits_outside_target(row):
+    with pytest.raises(InvariantViolation):
+        finrel.Relation(finrel.fin_set(1), finrel.fin_set(2), (row,))
+
+
+def test_finset_rejects_duplicate_labels():
+    with pytest.raises(InvariantViolation):
+        finrel.FinSet(("a", "b", "a"))
 
 
 def test_compose_shape_mismatch():

@@ -15,6 +15,8 @@ raw operations.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from typing import Callable, Optional, Sequence
 
@@ -116,24 +118,34 @@ def _single(sample) -> list[Stream]:
     return [(None, None, sample)]
 
 
-def _streams_mor(inst, objs) -> list[Stream]:
+def _streams(inst, objs, n_objs: int, specs) -> list[Stream]:
+    """Tuples of morphisms between `n_objs` object slots, one per spec.
+
+    A spec (homs, i, j) draws a morphism from slot i to slot j, where
+    homs is (count, enum, sample) over one family of hom-sets.  Listed
+    objects give one stream per object tuple; otherwise the objects are
+    sampled first and then the morphisms in spec order.
+    """
+    def draw(rng, xs):
+        return tuple(sample(rng, xs[i], xs[j]) for (_, _, sample), i, j in specs)
+
     if objs is None:
-        def samp(rng):
-            a, b = inst.sample_object(rng), inst.sample_object(rng)
-            return (inst.sample_hom(rng, a, b),)
-        return _single(samp)
+        return _single(
+            lambda rng: draw(rng, [inst.sample_object(rng) for _ in range(n_objs)])
+        )
     out = []
-    for a in objs:
-        for b in objs:
-            count = inst.count_hom(a, b)
+    for xs in itertools.product(objs, repeat=n_objs):
+        counts = [count(xs[i], xs[j]) for (count, _, _), i, j in specs]
 
-            def enum(a=a, b=b):
-                return ((f,) for f in inst.enum_hom(a, b))
+        def enum(xs=xs):
+            return itertools.product(
+                *(enum_hom(xs[i], xs[j]) for (_, enum_hom, _), i, j in specs)
+            )
 
-            def samp(rng, a=a, b=b):
-                return (inst.sample_hom(rng, a, b),)
-
-            out.append((count, enum, samp))
+        out.append(
+            (None if None in counts else math.prod(counts), enum,
+             lambda rng, xs=xs: draw(rng, xs))
+        )
     return out
 
 
@@ -148,200 +160,6 @@ def _streams_scalar(inst) -> list[Stream]:
     count = inst.count_hom(i, i)
     enum = (lambda: ((s,) for s in inst.enum_hom(i, i))) if count is not None else None
     return [(count, enum, lambda rng: (inst.sample_scalar(rng),))]
-
-
-def _streams_pair(inst, objs) -> list[Stream]:
-    if objs is None:
-        def samp(rng):
-            a, b, c = (inst.sample_object(rng) for _ in range(3))
-            return inst.sample_hom(rng, a, b), inst.sample_hom(rng, b, c)
-        return _single(samp)
-    out = []
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                ca, cb = inst.count_hom(a, b), inst.count_hom(b, c)
-                count = None if ca is None or cb is None else ca * cb
-
-                def enum(a=a, b=b, c=c):
-                    return (
-                        (f, g)
-                        for f in inst.enum_hom(a, b)
-                        for g in inst.enum_hom(b, c)
-                    )
-
-                def samp(rng, a=a, b=b, c=c):
-                    return inst.sample_hom(rng, a, b), inst.sample_hom(rng, b, c)
-
-                out.append((count, enum, samp))
-    return out
-
-
-def _streams_triple(inst, objs) -> list[Stream]:
-    if objs is None:
-        def samp(rng):
-            a, b, c, d = (inst.sample_object(rng) for _ in range(4))
-            return (
-                inst.sample_hom(rng, a, b),
-                inst.sample_hom(rng, b, c),
-                inst.sample_hom(rng, c, d),
-            )
-        return _single(samp)
-    out = []
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                for d in objs:
-                    cs = (inst.count_hom(a, b), inst.count_hom(b, c), inst.count_hom(c, d))
-                    count = None
-                    if all(x is not None for x in cs):
-                        count = cs[0] * cs[1] * cs[2]
-
-                    def enum(a=a, b=b, c=c, d=d):
-                        return (
-                            (f, g, h)
-                            for f in inst.enum_hom(a, b)
-                            for g in inst.enum_hom(b, c)
-                            for h in inst.enum_hom(c, d)
-                        )
-
-                    def samp(rng, a=a, b=b, c=c, d=d):
-                        return (
-                            inst.sample_hom(rng, a, b),
-                            inst.sample_hom(rng, b, c),
-                            inst.sample_hom(rng, c, d),
-                        )
-
-                    out.append((count, enum, samp))
-    return out
-
-
-def _streams_indep(inst, objs, second=None) -> list[Stream]:
-    """Pairs of unrelated morphisms f: A -> B, h: C -> D."""
-    other = second or inst
-    if objs is None:
-        def samp(rng):
-            a, b = inst.sample_object(rng), inst.sample_object(rng)
-            c, d = other.sample_object(rng), other.sample_object(rng)
-            return inst.sample_hom(rng, a, b), other.sample_hom(rng, c, d)
-        return _single(samp)
-    out = []
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                for d in objs:
-                    ca, cb = inst.count_hom(a, b), other.count_hom(c, d)
-                    count = None if ca is None or cb is None else ca * cb
-
-                    def enum(a=a, b=b, c=c, d=d):
-                        return (
-                            (f, h)
-                            for f in inst.enum_hom(a, b)
-                            for h in other.enum_hom(c, d)
-                        )
-
-                    def samp(rng, a=a, b=b, c=c, d=d):
-                        return inst.sample_hom(rng, a, b), other.sample_hom(rng, c, d)
-
-                    out.append((count, enum, samp))
-    return out
-
-
-class _NucView:
-    """Expose a nuclear structure through the hom-stream interface."""
-
-    def __init__(self, nuc: NuclearStructure):
-        self.nuc = nuc
-        self.inst = nuc.inst
-
-    def sample_object(self, rng):
-        return self.inst.sample_object(rng)
-
-    def sample_hom(self, rng, a, b):
-        return self.nuc.sample_nuclear(rng, a, b)
-
-    def enum_hom(self, a, b):
-        return self.nuc.enum_nuclear(a, b)
-
-    def count_hom(self, a, b):
-        return self.nuc.count_nuclear(a, b)
-
-
-def _streams_nuclear(nuc, objs) -> list[Stream]:
-    return _streams_mor(_NucView(nuc), objs)
-
-
-def _streams_nuclear_pair(nuc, objs, loop: bool) -> list[Stream]:
-    """Nuclear f: A -> B with nuclear g: B -> A (loop) or g: B -> C."""
-    view = _NucView(nuc)
-    if objs is None:
-        def samp(rng):
-            a, b = view.sample_object(rng), view.sample_object(rng)
-            c = a if loop else view.sample_object(rng)
-            return view.sample_hom(rng, a, b), view.sample_hom(rng, b, c)
-        return _single(samp)
-    out = []
-    for a in objs:
-        for b in objs:
-            thirds = [a] if loop else objs
-            for c in thirds:
-                ca, cb = view.count_hom(a, b), view.count_hom(b, c)
-                count = None if ca is None or cb is None else ca * cb
-
-                def enum(a=a, b=b, c=c):
-                    return (
-                        (f, g)
-                        for f in view.enum_hom(a, b)
-                        for g in view.enum_hom(b, c)
-                    )
-
-                def samp(rng, a=a, b=b, c=c):
-                    return view.sample_hom(rng, a, b), view.sample_hom(rng, b, c)
-
-                out.append((count, enum, samp))
-    return out
-
-
-def _streams_nuclear_nat(nuc, objs) -> list[Stream]:
-    """Nuclear h: A -> B with arbitrary f: A -> C, g: B -> D."""
-    inst = nuc.inst
-    view = _NucView(nuc)
-    if objs is None:
-        def samp(rng):
-            a, b, c, d = (inst.sample_object(rng) for _ in range(4))
-            return (
-                view.sample_hom(rng, a, b),
-                inst.sample_hom(rng, a, c),
-                inst.sample_hom(rng, b, d),
-            )
-        return _single(samp)
-    out = []
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                for d in objs:
-                    cs = (view.count_hom(a, b), inst.count_hom(a, c), inst.count_hom(b, d))
-                    count = None
-                    if all(x is not None for x in cs):
-                        count = cs[0] * cs[1] * cs[2]
-
-                    def enum(a=a, b=b, c=c, d=d):
-                        return (
-                            (h, f, g)
-                            for h in view.enum_hom(a, b)
-                            for f in inst.enum_hom(a, c)
-                            for g in inst.enum_hom(b, d)
-                        )
-
-                    def samp(rng, a=a, b=b, c=c, d=d):
-                        return (
-                            view.sample_hom(rng, a, b),
-                            inst.sample_hom(rng, a, c),
-                            inst.sample_hom(rng, b, d),
-                        )
-
-                    out.append((count, enum, samp))
-    return out
 
 
 def _streams_states(nuc, objs) -> list[Stream]:
@@ -393,6 +211,9 @@ def check_star_laws(
     objs = inst.objects(max_size)
     eq = lambda f, g: inst.mor_eq(f, g, tol)
     d = inst.describe
+    hom = (inst.count_hom, inst.enum_hom, inst.sample_hom)
+    mor = _streams(inst, objs, 2, [(hom, 0, 1)])
+    indep = _streams(inst, objs, 4, [(hom, 0, 1), (hom, 2, 3)])
 
     def unary(f):
         out = []
@@ -404,7 +225,7 @@ def check_star_laws(
             out.append(f"conj/star do not commute for f={d(f)}")
         return out
 
-    run.sweep("unary", _streams_mor(inst, objs), unary)
+    run.sweep("unary", mor, unary)
 
     def antihomo(f, g):
         out = []
@@ -415,7 +236,8 @@ def check_star_laws(
             out.append(f"conj not functorial for f={d(f)} g={d(g)}")
         return out
 
-    run.sweep("antihomomorphism", _streams_pair(inst, objs), antihomo)
+    run.sweep("antihomomorphism", _streams(inst, objs, 3, [(hom, 0, 1), (hom, 1, 2)]),
+              antihomo)
 
     def identities(a):
         out = []
@@ -438,7 +260,7 @@ def check_star_laws(
             out.append(f"id.f != f for f={d(f)}")
         return out
 
-    run.sweep("unit-laws", _streams_mor(inst, objs), unit_laws,
+    run.sweep("unit-laws", mor, unit_laws,
               enabled=inst.has_identity, note="no identities")
 
     def assoc(f, g, h):
@@ -447,7 +269,8 @@ def check_star_laws(
         if not eq(lhs, rhs):
             return f"associativity broken for f={d(f)} g={d(g)} h={d(h)}"
 
-    run.sweep("associativity", _streams_triple(inst, objs), assoc)
+    run.sweep("associativity",
+              _streams(inst, objs, 4, [(hom, 0, 1), (hom, 1, 2), (hom, 2, 3)]), assoc)
 
     def tensor_star(f, h):
         out = []
@@ -458,7 +281,7 @@ def check_star_laws(
             out.append(f"conj not monoidal for f={d(f)} h={d(h)}")
         return out
 
-    run.sweep("tensor-star", _streams_indep(inst, objs), tensor_star,
+    run.sweep("tensor-star", indep, tensor_star,
               enabled=inst.has_tensor, note="no tensor")
 
     def interchange(case1, case2):
@@ -494,7 +317,7 @@ def check_star_laws(
             out.append(f"symmetry not involutive on {inst.describe_obj(a)},{inst.describe_obj(c)}")
         return out
 
-    run.sweep("symmetry", _streams_indep(inst, objs), symmetry,
+    run.sweep("symmetry", indep, symmetry,
               enabled=inst.has_tensor, note="no tensor")
 
     def scalar_square(s):
@@ -532,6 +355,12 @@ def check_nuclear_axioms(
     eq = lambda f, g: inst.mor_eq(f, g, tol)
     d = inst.describe
     theta_ok = nuc.has_theta and inst.has_tensor and inst.has_unit
+    hom = (inst.count_hom, inst.enum_hom, inst.sample_hom)
+    nhom = (nuc.count_nuclear, nuc.enum_nuclear, nuc.sample_nuclear)
+    # a distinguished h: A -> B with arbitrary f: A -> C and g: B -> D
+    nat = _streams(inst, objs, 4, [(nhom, 0, 1), (hom, 0, 2), (hom, 1, 3)])
+    nuclear = _streams(inst, objs, 2, [(nhom, 0, 1)])
+    indep = _streams(inst, objs, 4, [(nhom, 0, 1), (nhom, 2, 3)])
 
     def closure_compose(h, f, g):
         # h: A -> B distinguished, f: A -> C, g: B -> D arbitrary
@@ -542,7 +371,7 @@ def check_nuclear_axioms(
             out.append(f"pre-composition leaves the ideal: h={d(h)} f={d(f)}")
         return out
 
-    run.sweep("closure-compose", _streams_nuclear_nat(nuc, objs), closure_compose)
+    run.sweep("closure-compose", nat, closure_compose)
 
     def closure_star(f):
         out = []
@@ -552,13 +381,13 @@ def check_nuclear_axioms(
             out.append(f"conjugation leaves the ideal: f={d(f)}")
         return out
 
-    run.sweep("closure-star-conj", _streams_nuclear(nuc, objs), closure_star)
+    run.sweep("closure-star-conj", nuclear, closure_star)
 
     def closure_tensor(f, g):
         if not nuc.is_nuclear(inst.tensor(f, g)):
             return f"tensor leaves the ideal: f={d(f)} g={d(g)}"
 
-    run.sweep("closure-tensor", _streams_indep(_NucView(nuc), objs), closure_tensor,
+    run.sweep("closure-tensor", indep, closure_tensor,
               enabled=inst.has_tensor, note="no tensor")
 
     def roundtrip(f):
@@ -568,7 +397,7 @@ def check_nuclear_axioms(
         if not eq(back, f):
             return f"transpose round trip broken for f={d(f)}"
 
-    run.sweep("transpose-roundtrip", _streams_nuclear(nuc, objs), roundtrip,
+    run.sweep("transpose-roundtrip", nuclear, roundtrip,
               enabled=theta_ok, note="no transpose")
 
     def onto(m, a, b):
@@ -606,7 +435,7 @@ def check_nuclear_axioms(
         if not eq(lhs, rhs):
             return f"transpose of a tensor mismatches: f={d(f)} g={d(g)}"
 
-    run.sweep("transpose-tensor", _streams_indep(_NucView(nuc), objs), transpose_tensor,
+    run.sweep("transpose-tensor", indep, transpose_tensor,
               enabled=theta_ok, note="no transpose")
 
     def transpose_conj(f):
@@ -623,7 +452,7 @@ def check_nuclear_axioms(
             out.append(f"conj transpose != conjugated transpose for f={d(f)}")
         return out
 
-    run.sweep("transpose-conj", _streams_nuclear(nuc, objs), transpose_conj,
+    run.sweep("transpose-conj", nuclear, transpose_conj,
               enabled=theta_ok and inst.has_identity, note="no transpose")
 
     def naturality(h, f, g):
@@ -633,7 +462,7 @@ def check_nuclear_axioms(
         if not eq(lhs, rhs):
             return f"transpose naturality broken: h={d(h)} f={d(f)} g={d(g)}"
 
-    run.sweep("transpose-naturality", _streams_nuclear_nat(nuc, objs), naturality,
+    run.sweep("transpose-naturality", nat, naturality,
               enabled=theta_ok, note="no transpose")
 
     def compactness(f, g):
@@ -654,7 +483,8 @@ def check_nuclear_axioms(
         if not eq(chain, inst.compose(g, f)):
             return f"compactness chain mismatches composite: f={d(f)} g={d(g)}"
 
-    run.sweep("compactness", _streams_nuclear_pair(nuc, objs, loop=False), compactness,
+    run.sweep("compactness", _streams(inst, objs, 3, [(nhom, 0, 1), (nhom, 1, 2)]),
+              compactness,
               enabled=theta_ok and inst.has_identity, note="no transpose")
 
     rep.elapsed = time.perf_counter() - t0
@@ -688,7 +518,8 @@ def check_sliding(
                 f"rhs={scalars.render(inst.scalar_kind, rhs)}"
             )
 
-    run.sweep("sliding", _streams_nuclear_pair(nuc, objs, loop=True), slide)
+    nhom = (nuc.count_nuclear, nuc.enum_nuclear, nuc.sample_nuclear)
+    run.sweep("sliding", _streams(inst, objs, 2, [(nhom, 0, 1), (nhom, 1, 0)]), slide)
     rep.elapsed = time.perf_counter() - t0
     return rep
 

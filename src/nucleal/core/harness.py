@@ -1,11 +1,20 @@
 """Law-checking harness over the instance contracts.
 
 Every check is a deterministic function of (instance, budget, seed).
-Case streams are built per object tuple: a tuple whose full case count
-fits into the remaining budget is swept exhaustively, anything larger
-is sampled with the seeded generator, and the report flags say which
-happened.  A stream that dries up below budget simply yields fewer
-cases; that is flagged, never an error.
+A sub-law runs over case streams: one per object tuple when the
+instance lists its objects, a single sampled stream otherwise.  A
+stream whose full case count fits into the remaining budget is swept
+exhaustively, anything larger is sampled with the seeded generator,
+and the report flags say which happened.  A sampler that dries up
+simply yields fewer cases; that is never an error.
+
+Tuples of morphisms come from one builder, `_streams`, driven by specs
+(homs, i, j): each draws a morphism from object slot i to slot j, where
+homs is (count, enum, sample) over the instance's hom-sets or over its
+nuclear ideal.  Streams over explicitly listed cases (objects, states,
+trace-class members) come from `_listed` and sample by drawing among
+their cases.  Every stream therefore has a sampler: none is dropped
+without a case once the budget runs out.
 
 Structural isomorphisms (unit introduction, regrouping, factor
 permutations) are built here from each instance's `reindex` primitive
@@ -31,7 +40,7 @@ from nucleal.core.instance import (
 from nucleal.core.report import AxiomReport
 from nucleal.core.rng import Lcg
 
-Stream = tuple[Optional[int], Optional[Callable], Optional[Callable]]
+Stream = tuple[Optional[int], Optional[Callable], Callable]
 
 
 class _Runner:
@@ -58,8 +67,6 @@ class _Runner:
                     self._run(name, fn, case)
             else:
                 fully_exhaustive = False
-                if sample is None:
-                    continue
                 for _ in range(per_samples):
                     case = sample(self.rng)
                     if case is None:
@@ -118,6 +125,11 @@ def _single(sample) -> list[Stream]:
     return [(None, None, sample)]
 
 
+def _listed(cases: list) -> Stream:
+    """Swept when it fits the budget, otherwise sampled among its cases."""
+    return len(cases), lambda: iter(cases), lambda rng: rng.choice(cases) if cases else None
+
+
 def _streams(inst, objs, n_objs: int, specs) -> list[Stream]:
     """Tuples of morphisms between `n_objs` object slots, one per spec.
 
@@ -152,7 +164,7 @@ def _streams(inst, objs, n_objs: int, specs) -> list[Stream]:
 def _streams_obj(inst, objs) -> list[Stream]:
     if objs is None:
         return _single(lambda rng: (inst.sample_object(rng),))
-    return [(1, lambda a=a: iter([(a,)]), None) for a in objs]
+    return [_listed([(a,)]) for a in objs]
 
 
 def _streams_scalar(inst) -> list[Stream]:
@@ -179,15 +191,7 @@ def _streams_states(nuc, objs) -> list[Stream]:
                     return None if m is None else (m, a, b)
                 out.append((None, None, samp))
                 continue
-            states = list(it)
-
-            def enum(states=states, a=a, b=b):
-                return ((m, a, b) for m in states)
-
-            def samp(rng, states=states, a=a, b=b):
-                return (rng.choice(states), a, b) if states else None
-
-            out.append((len(states), enum, samp))
+            out.append(_listed([(m, a, b) for m in it]))
     return out
 
 
@@ -624,10 +628,7 @@ def check_trace_axioms(
                     return None if h is None else (h,)
                 out.append((None, None, samp))
             else:
-                members = list(it)
-                out.append(
-                    (len(members), lambda ms=members: ((h,) for h in ms), None)
-                )
+                out.append(_listed([(h,) for h in it]))
         return out
 
     members = member_streams()
@@ -780,10 +781,7 @@ def check_param_trace_axioms(
                         continue
                     ms = list(it)
                     if extra == 0:
-                        out.append(
-                            (len(ms), lambda ms=ms, a=a, u=u, b=b:
-                             ((f, a, u, b) for f in ms), None)
-                        )
+                        out.append(_listed([(f, a, u, b) for f in ms]))
                     else:
                         def samp(rng, ms=ms, a=a, u=u, b=b):
                             if not ms:

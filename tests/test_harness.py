@@ -168,3 +168,44 @@ def test_case_streams_are_pinned(monkeypatch):
         harness.check_nuclear_axioms(inst, nuc, 60, 3)
     digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
     assert (len(log), digest) == CASE_STREAM_DIGEST
+
+
+# -- no listed stream is dropped once the budget runs out --------------------
+
+
+def _sublaw_cases(monkeypatch) -> dict:
+    """Cases run per enabled sub-law by the checks called after this."""
+    cases = {}
+    sweep, run = harness._Runner.sweep, harness._Runner._run
+
+    def swept(self, name, streams, fn, enabled=True, note=None):
+        if enabled:
+            cases.setdefault(name, [])
+        return sweep(self, name, streams, fn, enabled, note)
+
+    def logged(self, name, fn, case):
+        cases[name].append(case)
+        return run(self, name, fn, case)
+
+    monkeypatch.setattr(harness._Runner, "sweep", swept)
+    monkeypatch.setattr(harness._Runner, "_run", logged)
+    return cases
+
+
+@pytest.mark.parametrize("model", [pinj, finrel], ids=["pinj", "finrel"])
+def test_star_sublaws_run_past_the_budget(monkeypatch, model):
+    cases = _sublaw_cases(monkeypatch)
+    inst = model.instance()
+    harness.check_star_laws(inst, 200, 1)
+    assert [name for name, run in cases.items() if not run] == []
+    assert {a.size for (a,) in cases["identities"]} == {a.size for a in inst.objects()}
+
+
+def test_param_trace_sublaws_run_past_the_budget(monkeypatch):
+    cases = _sublaw_cases(monkeypatch)
+    inst, _, tr = finrel.structures()
+    harness.check_param_trace_axioms(inst, tr, 200, 1, max_size=2)
+    assert [name for name, run in cases.items() if not run] == []
+    # every (a, u, b) among sets of size <= 2 has members, the empty relation
+    reached = {tuple(x.size for x in case[1:]) for case in cases["ideal-closure"]}
+    assert len(reached) == 3 ** 3

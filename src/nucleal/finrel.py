@@ -21,6 +21,7 @@ trusted `_mk`/`_mk_set`, which skip the checks.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -265,6 +266,11 @@ def _label_to_json(label):
     if isinstance(label, tuple):
         return [_label_to_json(p) for p in label]
     return label
+
+
+def label_key(label) -> str:
+    """A label as a JSON object key: strings as they are, others as compact JSON."""
+    return label if isinstance(label, str) else json.dumps(label, separators=(",", ":"))
 
 
 def _label_from_json(value):

@@ -18,7 +18,6 @@ approximation.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,15 @@ from nucleal.core.instance import (
     TraceStructure,
 )
 from nucleal.core.rng import Lcg
-from nucleal.finrel import UNIT, FinSet, fin_set, finset_from_json, finset_to_json, product
+from nucleal.finrel import (
+    UNIT,
+    FinSet,
+    fin_set,
+    finset_from_json,
+    finset_to_json,
+    label_key,
+    product,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -493,17 +500,11 @@ def _frac_from_json(v) -> Fraction:
     raise ParseError(f"not a rational: {v!r}")
 
 
-def _label_key(label) -> str:
-    if isinstance(label, str):
-        return label
-    return json.dumps(label, separators=(",", ":"), default=str)
-
-
 def space_to_json(p: ProbSpace) -> dict:
     return {
         "points": finset_to_json(p.points),
         "mass": {
-            _label_key(lbl): _frac_to_json(m)
+            label_key(lbl): _frac_to_json(m)
             for lbl, m in zip(p.points.labels, p.mass)
         },
     }
@@ -518,7 +519,7 @@ def space_from_json(data) -> ProbSpace:
         raise ParseError("mass must be an object")
     masses = []
     for lbl in points.labels:
-        key = _label_key(lbl)
+        key = label_key(lbl)
         if key not in mass_map:
             raise ParseError(f"missing mass for point {key!r}")
         masses.append(_frac_from_json(mass_map[key]))

@@ -47,6 +47,7 @@ from nucleal.finrel import (
     fin_set,
     finset_from_json,
     finset_to_json,
+    label_key,
     product,
 )
 
@@ -250,12 +251,6 @@ def sample_pinj(rng: Lcg, source: FinSet, target: FinSet) -> PartialInjection:
 # -- serialization ----------------------------------------------------------
 
 
-def _label_key(label) -> str:
-    if isinstance(label, str):
-        return label
-    return json.dumps(label, separators=(",", ":"))
-
-
 def _key_to_label(key: str, x: FinSet):
     if key in x.labels:
         return key
@@ -275,7 +270,7 @@ def to_json(f: PartialInjection) -> dict:
         "source": finset_to_json(f.source),
         "target": finset_to_json(f.target),
         "graph": {
-            _label_key(f.source.labels[i]): _label_key(f.target.labels[j])
+            label_key(f.source.labels[i]): label_key(f.target.labels[j])
             for i, j in f.pairs
         },
     }

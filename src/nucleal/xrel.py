@@ -28,7 +28,6 @@ validating.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -52,6 +51,7 @@ from nucleal.finrel import (
     fin_set,
     finset_from_json,
     finset_to_json,
+    label_key,
     product,
 )
 
@@ -414,23 +414,17 @@ def monoid_from_json(data) -> CommMonoid:
     return mon
 
 
-def _label_key(label) -> str:
-    return label if isinstance(label, str) else json.dumps(
-        label, separators=(",", ":")
-    )
-
-
 def object_to_json(x: CrossedMSet) -> dict:
     return {
         "carrier": finset_to_json(x.carrier),
         "action": {
-            _label_key(x.monoid.elements.labels[m]): [
-                _label_key(x.carrier.labels[x.action[m][i]]) for i in range(x.size)
+            label_key(x.monoid.elements.labels[m]): [
+                label_key(x.carrier.labels[x.action[m][i]]) for i in range(x.size)
             ]
             for m in range(x.monoid.size)
         },
         "degree": {
-            _label_key(x.carrier.labels[i]): _label_key(
+            label_key(x.carrier.labels[i]): label_key(
                 x.monoid.elements.labels[x.degree[i]]
             )
             for i in range(x.size)
@@ -442,19 +436,19 @@ def object_from_json(data, monoid: CommMonoid) -> CrossedMSet:
     if not isinstance(data, dict) or not {"carrier", "action", "degree"} <= set(data):
         raise ParseError("object document needs carrier, action, degree")
     carrier = finset_from_json(data["carrier"])
-    mkeys = {_label_key(monoid.elements.labels[m]): m for m in range(monoid.size)}
-    ckeys = {_label_key(carrier.labels[i]): i for i in range(carrier.size)}
+    mkeys = {label_key(monoid.elements.labels[m]): m for m in range(monoid.size)}
+    ckeys = {label_key(carrier.labels[i]): i for i in range(carrier.size)}
     try:
         action = []
         for m in range(monoid.size):
-            key = _label_key(monoid.elements.labels[m])
+            key = label_key(monoid.elements.labels[m])
             row = data["action"].get(key)
             if row is None or len(row) != carrier.size:
                 raise ParseError(f"action row missing or misshapen for {key!r}")
-            action.append(tuple(ckeys[_label_key(v) if not isinstance(v, str) else v] for v in row))
+            action.append(tuple(ckeys[label_key(v)] for v in row))
         degree = []
         for i in range(carrier.size):
-            key = _label_key(carrier.labels[i])
+            key = label_key(carrier.labels[i])
             if key not in data["degree"]:
                 raise ParseError(f"degree missing for {key!r}")
             degree.append(mkeys[str(data["degree"][key])])

@@ -125,9 +125,13 @@ def _single(sample) -> list[Stream]:
     return [(None, None, sample)]
 
 
-def _listed(cases: list) -> Stream:
-    """Swept when it fits the budget, otherwise sampled among its cases."""
-    return len(cases), lambda: iter(cases), lambda rng: rng.choice(cases) if cases else None
+def _listed(items: list, *rest) -> Stream:
+    """One case (item, *rest) per listed item; samples by drawing an item."""
+    return (
+        len(items),
+        lambda: ((x, *rest) for x in items),
+        lambda rng: (rng.choice(items), *rest) if items else None,
+    )
 
 
 def _streams(inst, objs, n_objs: int, specs) -> list[Stream]:
@@ -164,7 +168,7 @@ def _streams(inst, objs, n_objs: int, specs) -> list[Stream]:
 def _streams_obj(inst, objs) -> list[Stream]:
     if objs is None:
         return _single(lambda rng: (inst.sample_object(rng),))
-    return [_listed([(a,)]) for a in objs]
+    return [_listed([a]) for a in objs]
 
 
 def _streams_scalar(inst) -> list[Stream]:
@@ -191,7 +195,7 @@ def _streams_states(nuc, objs) -> list[Stream]:
                     return None if m is None else (m, a, b)
                 out.append((None, None, samp))
                 continue
-            out.append(_listed([(m, a, b) for m in it]))
+            out.append(_listed(list(it), a, b))
     return out
 
 
@@ -628,7 +632,7 @@ def check_trace_axioms(
                     return None if h is None else (h,)
                 out.append((None, None, samp))
             else:
-                out.append(_listed([(h,) for h in it]))
+                out.append(_listed(list(it)))
         return out
 
     members = member_streams()
@@ -781,7 +785,7 @@ def check_param_trace_axioms(
                         continue
                     ms = list(it)
                     if extra == 0:
-                        out.append(_listed([(f, a, u, b) for f in ms]))
+                        out.append(_listed(ms, a, u, b))
                     else:
                         def samp(rng, ms=ms, a=a, u=u, b=b):
                             if not ms:

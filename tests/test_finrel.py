@@ -217,9 +217,3 @@ def test_converse_involution_and_star_of_composite():
         lhs = finrel.converse(finrel.compose(r, s))
         rhs = finrel.compose(finrel.converse(s), finrel.converse(r))
         assert lhs == rhs
-
-
-def test_label_key_is_the_json_of_non_string_labels():
-    assert finrel.label_key("p") == "p"
-    assert finrel.label_key(3) == "3"
-    assert finrel.label_key((0, ("a", 1))) == '[0,["a",1]]'

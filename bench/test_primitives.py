@@ -1,7 +1,9 @@
-"""Primitive-operation timings for finrel and pinj at fixed sizes.
+"""Primitive-operation timings for finrel, pinj and xrel at fixed sizes.
 
 The first rung of the benchmark ladder: compose, converse (the star),
-tensor, theta and `mor_eq`, each on operands over 4-element sets.  This
+tensor, theta and `mor_eq`, each on operands over 4-element sets; the
+xrel ones are crossed sets over Z2 with a non-trivial action.  All
+three models run on finrel's relation kernel.  This
 directory is outside the Tier-1 `testpaths`; run it with
 
     PYTHONPATH=src python -m pytest bench/ --benchmark-only
@@ -11,7 +13,7 @@ and add `--benchmark-json FILE` to keep the numbers.
 
 import pytest
 
-from nucleal import finrel, pinj
+from nucleal import finrel, pinj, xrel
 from nucleal.core.rng import Lcg
 
 N = 4  # size of every set an operand runs between
@@ -34,7 +36,21 @@ def _pinj():
     return inst, nuc, f, g, h
 
 
-MODELS = {"finrel": _finrel, "pinj": _pinj}
+def _xrel():
+    inst, nuc, _ = xrel.structures(xrel.cyclic_monoid(2), N)
+    # the generator swaps p with q and r with s; p, q have degree 0, r, s degree 1
+    x = xrel.CrossedMSet(
+        inst.monoid,
+        xrel.FinSet(("p", "q", "r", "s")),
+        ((0, 1, 2, 3), (1, 0, 3, 2)),
+        (0, 0, 1, 1),
+    )
+    f = xrel.from_pairs(x, x, [(0, 0), (1, 1), (2, 3), (3, 2)])
+    g = xrel.from_pairs(x, x, [(0, 1), (1, 0), (2, 2), (3, 3), (2, 3), (3, 2)])
+    return inst, nuc, f, g, f  # over Z2 every relation is in the ideal
+
+
+MODELS = {"finrel": _finrel, "pinj": _pinj, "xrel": _xrel}
 
 OPS = {
     "compose": lambda inst, nuc, f, g, h: (inst.compose, g, f),

@@ -760,6 +760,13 @@ def check_param_trace_axioms(
     def pick(rng):
         return inst.sample_object(rng)
 
+    # each object triple's members, listed once and shared by every sub-law
+    members = []
+    if objs is not None:
+        for aub in itertools.product(objs, repeat=3):
+            it = tr.enum_param_members(*aub)
+            members.append((aub, None if it is None else list(it)))
+
     def member_streams(extra: int):
         """Streams of (member, a, u, b) plus `extra` sampled objects."""
         if objs is None:
@@ -771,28 +778,24 @@ def check_param_trace_axioms(
                 return (f, a, u, b, *[pick(rng) for _ in range(extra)])
             return _single(samp)
         out = []
-        for a in objs:
-            for u in objs:
-                for b in objs:
-                    it = tr.enum_param_members(a, u, b)
-                    if it is None:
-                        def samp(rng, a=a, u=u, b=b):
-                            f = tr.sample_param_member(rng, a, u, b)
-                            if f is None:
-                                return None
-                            return (f, a, u, b, *[pick(rng) for _ in range(extra)])
-                        out.append((None, None, samp))
-                        continue
-                    ms = list(it)
-                    if extra == 0:
-                        out.append(_listed(ms, a, u, b))
-                    else:
-                        def samp(rng, ms=ms, a=a, u=u, b=b):
-                            if not ms:
-                                return None
-                            f = rng.choice(ms)
-                            return (f, a, u, b, *[pick(rng) for _ in range(extra)])
-                        out.append((None, None, samp))
+        for (a, u, b), ms in members:
+            if ms is None:
+                def samp(rng, a=a, u=u, b=b):
+                    f = tr.sample_param_member(rng, a, u, b)
+                    if f is None:
+                        return None
+                    return (f, a, u, b, *[pick(rng) for _ in range(extra)])
+                out.append((None, None, samp))
+                continue
+            if extra == 0:
+                out.append(_listed(ms, a, u, b))
+            else:
+                def samp(rng, ms=ms, a=a, u=u, b=b):
+                    if not ms:
+                        return None
+                    f = rng.choice(ms)
+                    return (f, a, u, b, *[pick(rng) for _ in range(extra)])
+                out.append((None, None, samp))
         return out
 
     def ideal_closure(f, a, u, b):

@@ -9,14 +9,24 @@ Every relation is distinguished (nuclear): the transpose just re-reads
 the graph of r: X -> Y as a state I -> X (x) Y.  The induced trace of an
 endomorphism asks for a fixed point.
 
+The row kernel here is shared.  Partial injections (`nucleal.pinj`) and
+crossed-set relations (`nucleal.xrel`) are subclasses of `Relation`:
+the same rows plus an invariant of their own.  `compose`, `converse`,
+`tensor`, `theta`, `theta_inv`, `trace_endo` and `param_trace` build
+their result with the type of their relation argument; `identity`,
+`empty` and `reindex` take the type as `cls`.  Only the endpoints are
+the caller's business where they are not plain sets: `tensor_rows` and
+`theta_row` give the rows alone.
+
 Boundary contract: values that enter from outside are validated, values
 that model operations make are trusted.  The `FinSet` and `Relation`
 constructors, `from_pairs`, `from_json`/`finset_from_json` and the
 samplers check every invariant (distinct labels; one row per source
 element, no bit outside the target).  The operations and enumerators
 (`compose`, `converse`, `tensor`, `product`, `identity`, `theta`, ...)
-preserve those invariants by construction, so they build through the
-trusted `_mk`/`_mk_set`, which skip the checks.
+preserve those invariants, and each subclass's invariant, by
+construction, so they build through the trusted `_mk`/`_mk_set`, which
+skip the checks.
 """
 
 from __future__ import annotations
@@ -109,12 +119,9 @@ class Relation:
         return bool(self.rows[self.source.index(x)] >> self.target.index(y) & 1)
 
     def pairs(self) -> Iterator[tuple]:
-        for i, row in enumerate(self.rows):
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                yield (self.source.labels[i], self.target.labels[j])
-                r &= r - 1
+        src, tgt = self.source.labels, self.target.labels
+        for i, j in index_pairs(self.rows):
+            yield (src[i], tgt[j])
 
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
@@ -123,10 +130,20 @@ class Relation:
         return f"Relation({list(self.pairs())!r})"
 
 
-def _mk(source: FinSet, target: FinSet, rows: tuple) -> Relation:
-    """Trusted builder: `rows` must be a tuple of one int per source
-    element, with no bit outside the target."""
-    r = object.__new__(Relation)
+def index_pairs(rows) -> Iterator[tuple[int, int]]:
+    """(source index, target index) of every set bit, in row-major order."""
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            yield i, low.bit_length() - 1
+            row ^= low
+
+
+def _mk(source, target, rows: tuple, cls=Relation) -> Relation:
+    """Trusted builder of a `cls` value: `rows` must be a tuple of one int
+    per source element, with no bit outside the target, that meets the
+    invariant of `cls`."""
+    r = object.__new__(cls)
     r.__dict__.update(source=source, target=target, rows=rows)
     return r
 
@@ -138,8 +155,8 @@ def from_pairs(source: FinSet, target: FinSet, pairs: Iterable[tuple]) -> Relati
     return Relation(source, target, tuple(rows))
 
 
-def empty(source: FinSet, target: FinSet) -> Relation:
-    return _mk(source, target, (0,) * source.size)
+def empty(source: FinSet, target: FinSet, cls=Relation) -> Relation:
+    return _mk(source, target, (0,) * source.size, cls)
 
 
 def full(source: FinSet, target: FinSet) -> Relation:
@@ -147,8 +164,8 @@ def full(source: FinSet, target: FinSet) -> Relation:
     return _mk(source, target, (mask,) * source.size)
 
 
-def identity(x: FinSet) -> Relation:
-    return _mk(x, x, tuple([1 << i for i in range(x.size)]))
+def identity(x: FinSet, cls=Relation) -> Relation:
+    return _mk(x, x, tuple([1 << i for i in range(x.size)]), cls)
 
 
 def compose(r: Relation, s: Relation) -> Relation:
@@ -157,52 +174,57 @@ def compose(r: Relation, s: Relation) -> Relation:
         raise ShapeMismatch(
             f"cannot compose through {r.target!r} vs {s.source!r}"
         )
+    srows = s.rows
     out = []
     for row in r.rows:
         acc = 0
-        rr = row
-        while rr:
-            j = (rr & -rr).bit_length() - 1
-            acc |= s.rows[j]
-            rr &= rr - 1
+        while row:
+            low = row & -row
+            acc |= srows[low.bit_length() - 1]
+            row ^= low
         out.append(acc)
-    return _mk(r.source, s.target, tuple(out))
+    return _mk(r.source, s.target, tuple(out), type(r))
 
 
 def converse(r: Relation) -> Relation:
     rows = [0] * r.target.size
     for i, row in enumerate(r.rows):
-        rr = row
-        while rr:
-            j = (rr & -rr).bit_length() - 1
-            rows[j] |= 1 << i
-            rr &= rr - 1
-    return _mk(r.target, r.source, tuple(rows))
+        bit = 1 << i
+        while row:
+            low = row & -row
+            rows[low.bit_length() - 1] |= bit
+            row ^= low
+    return _mk(r.target, r.source, tuple(rows), type(r))
+
+
+def tensor_rows(r: Relation, s: Relation) -> tuple:
+    """Rows of r (x) s; bit (j1, j2) of a product row is bit j1 * nt + j2."""
+    nt = s.target.size
+    srows = s.rows
+    out = []
+    for row in r.rows:
+        # the copies of a row of s shifted to each bit of `row` do not
+        # overlap, so their union is one product
+        spread = 0
+        while row:
+            low = row & -row
+            spread |= 1 << ((low.bit_length() - 1) * nt)
+            row ^= low
+        out.extend([si * spread for si in srows])
+    return tuple(out)
 
 
 def tensor(r: Relation, s: Relation) -> Relation:
     """Componentwise pairing on cartesian products."""
     src = product(r.source, s.source)
     tgt = product(r.target, s.target)
-    nt = s.target.size
-    rows = []
-    for ri in r.rows:
-        for si in s.rows:
-            # bit (j1, j2) of the product row: j1 * nt + j2
-            acc = 0
-            rr = ri
-            while rr:
-                j1 = (rr & -rr).bit_length() - 1
-                acc |= si << (j1 * nt)
-                rr &= rr - 1
-            rows.append(acc)
-    return _mk(src, tgt, tuple(rows))
+    return _mk(src, tgt, tensor_rows(r, s), type(r))
 
 
-def reindex(a: FinSet, b: FinSet, index_map: Sequence[int]) -> Relation:
+def reindex(a: FinSet, b: FinSet, index_map: Sequence[int], cls=Relation) -> Relation:
     if a.size != b.size or sorted(index_map) != list(range(a.size)):
         raise ShapeMismatch("reindex needs a bijection of equal-sized sets")
-    return _mk(a, b, tuple([1 << j for j in index_map]))
+    return _mk(a, b, tuple([1 << j for j in index_map]), cls)
 
 
 def nu(x: FinSet) -> Relation:
@@ -222,6 +244,27 @@ def psi(x: FinSet) -> Relation:
         for j in range(n):
             rows.append(1 if i == j else 0)
     return _mk(product(x, x), UNIT, tuple(rows))
+
+
+def theta_row(f: Relation) -> int:
+    """The one row of the state I -> X (x) Y that transposes f: X -> Y.
+
+    Row i of f fills bits i * nt .. i * nt + nt - 1, so the sum is a union.
+    """
+    nt = f.target.size
+    return sum([row << (i * nt) for i, row in enumerate(f.rows)])
+
+
+def theta(f: Relation) -> Relation:
+    return _mk(UNIT, product(f.source, f.target), (theta_row(f),), type(f))
+
+
+def theta_inv(m: Relation, a: FinSet, b: FinSet) -> Relation:
+    if m.source.size != 1 or m.target.size != a.size * b.size:
+        raise ShapeMismatch("state boundary does not match (a, b)")
+    nt = b.size
+    row, mask = m.rows[0], (1 << nt) - 1
+    return _mk(a, b, tuple([row >> (i * nt) & mask for i in range(a.size)]), type(m))
 
 
 def trace_endo(r: Relation) -> bool:
@@ -249,7 +292,7 @@ def param_trace(r: Relation, a: FinSet, u: FinSet, b: FinSet) -> Relation:
                 if row >> (j * nu_ + k) & 1:
                     acc |= 1 << j
         rows.append(acc)
-    return _mk(a, b, tuple(rows))
+    return _mk(a, b, tuple(rows), type(r))
 
 
 def enum_relations(source: FinSet, target: FinSet) -> Iterator[Relation]:
@@ -403,19 +446,10 @@ class FinRelNuclear(NuclearStructure):
         return True
 
     def theta(self, f: Relation) -> Relation:
-        nt = f.target.size
-        acc = 0
-        for i, row in enumerate(f.rows):
-            acc |= row << (i * nt)
-        return _mk(UNIT, product(f.source, f.target), (acc,))
+        return theta(f)
 
     def theta_inv(self, m: Relation, a: FinSet, b: FinSet) -> Relation:
-        if m.source.size != 1 or m.target.size != a.size * b.size:
-            raise ShapeMismatch("state boundary does not match (a, b)")
-        nt = b.size
-        row = m.rows[0]
-        rows = tuple((row >> (i * nt)) & ((1 << nt) - 1) for i in range(a.size))
-        return _mk(a, b, rows)
+        return theta_inv(m, a, b)
 
     def sample_nuclear(self, rng, a, b):
         return self.inst.sample_hom(rng, a, b)

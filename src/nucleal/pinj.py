@@ -8,15 +8,19 @@ endomorphism in the ideal traces to the identity scalar exactly when
 its one assignment is a fixed point, and the parameter-erasing trace
 keeps an assignment (x,u) -> (y,u') only when u = u'.
 
-Objects and serialization conventions are shared with `nucleal.finrel`.
+A partial injection is a `nucleal.finrel.Relation` whose rows hold at
+most one bit each, and no bit in two rows.  The relation kernel of
+`finrel` does all the algebra: `compose`, `converse`, `tensor`,
+`theta`, `theta_inv`, the trace and `param_trace` are finrel's, guarded
+here by the membership predicates `is_nuclear` and `in_param_class`.
+Objects and serialization conventions are shared with `finrel` too.
 
 Boundary contract: the `PartialInjection` constructor, `from_map`,
-`from_json` and the samplers validate (indices in range, single-valued,
-injective) and sort the pairs into normal form.  Operations and
-enumerators (`compose`, `converse`, `tensor`, `theta`, `param_trace`,
-`enum_pinj`, ...) keep both the invariants and the sorted normal form
-by construction, so they build through the trusted `_mk`, which checks
-nothing.
+`from_json` and the samplers validate their (source index, target
+index) pairs: in range, single-valued, injective.  Operations and
+enumerators keep the invariant by construction, so they build through
+finrel's trusted `_mk`, which checks nothing.  `.pairs` is a read-only
+view of the rows, sorted by source index.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from nucleal.core.errors import (
     InvariantViolation,
@@ -41,47 +44,48 @@ from nucleal.core.instance import (
 )
 from nucleal.core.rng import Lcg
 from nucleal.core import scalars
+from nucleal import finrel
 from nucleal.finrel import (
     UNIT,
     FinSet,
+    Relation,
+    _mk,
+    compose,
+    converse,
     fin_set,
     finset_from_json,
     finset_to_json,
+    index_pairs,
     label_key,
     product,
+    tensor,
 )
 
 
-@dataclass(frozen=True)
-class PartialInjection:
-    """Partial injective map, stored as sorted (source index, target index) pairs."""
+class PartialInjection(Relation):
+    """Partial injective map: a relation with at most one bit per row and
+    no bit in two rows."""
 
-    source: FinSet
-    target: FinSet
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        ns, nt = self.source.size, self.target.size
-        doms = [i for i, _ in self.pairs]
-        cods = [j for _, j in self.pairs]
-        for i, j in self.pairs:
+    def __init__(self, source: FinSet, target: FinSet, pairs):
+        ns, nt = source.size, target.size
+        rows = [0] * ns
+        for i, j in pairs:
             if not (0 <= i < ns and 0 <= j < nt):
                 raise InvariantViolation(
                     f"assignment ({i},{j}) outside {ns}x{nt}", witness=(i, j)
                 )
-        if len(set(doms)) != len(doms):
-            raise InvariantViolation("graph is not single-valued", witness=doms)
-        if len(set(cods)) != len(cods):
-            raise InvariantViolation("graph is not injective", witness=cods)
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
+            if rows[i]:
+                raise InvariantViolation("graph is not single-valued", witness=i)
+            rows[i] = 1 << j
+        used = [row for row in rows if row]
+        if len(set(used)) != len(used):
+            raise InvariantViolation("graph is not injective", witness=used)
+        self.__dict__.update(source=source, target=target, rows=tuple(rows))
 
-    def dom_size(self) -> int:
-        return len(self.pairs)
-
-    def graph_labels(self) -> dict:
-        return {
-            self.source.labels[i]: self.target.labels[j] for i, j in self.pairs
-        }
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (source index, target index) assignments, sorted."""
+        return tuple(index_pairs(self.rows))
 
     def __repr__(self):
         body = ", ".join(
@@ -91,12 +95,11 @@ class PartialInjection:
         return f"PartialInjection({{{body}}})"
 
 
-def _mk(source: FinSet, target: FinSet, pairs: tuple) -> PartialInjection:
-    """Trusted builder: `pairs` must be a sorted tuple of in-range pairs,
-    single-valued and injective."""
-    f = object.__new__(PartialInjection)
-    f.__dict__.update(source=source, target=target, pairs=pairs)
-    return f
+def _single(source: FinSet, target: FinSet, i: int, j: int) -> PartialInjection:
+    """The map defined only at i, sending it to j (trusted)."""
+    rows = [0] * source.size
+    rows[i] = 1 << j
+    return _mk(source, target, tuple(rows), PartialInjection)
 
 
 def from_map(source: FinSet, target: FinSet, mapping: dict) -> PartialInjection:
@@ -107,82 +110,40 @@ def from_map(source: FinSet, target: FinSet, mapping: dict) -> PartialInjection:
 
 
 def empty(source: FinSet, target: FinSet) -> PartialInjection:
-    return _mk(source, target, ())
+    return finrel.empty(source, target, PartialInjection)
 
 
 def identity(x: FinSet) -> PartialInjection:
-    return _mk(x, x, tuple([(i, i) for i in range(x.size)]))
+    return finrel.identity(x, PartialInjection)
 
 
-def compose(f: PartialInjection, g: PartialInjection) -> PartialInjection:
-    """Diagrammatic composite: first f, then g."""
-    if f.target != g.source:
-        raise ShapeMismatch(f"cannot chain {f.target} into {g.source}")
-    gmap = dict(g.pairs)
-    # f's pairs are sorted by source index, and filtering keeps that order
-    pairs = tuple([(i, gmap[j]) for i, j in f.pairs if j in gmap])
-    return _mk(f.source, g.target, pairs)
-
-
-def converse(f: PartialInjection) -> PartialInjection:
-    return _mk(f.target, f.source, tuple(sorted([(j, i) for i, j in f.pairs])))
-
-
-def tensor(f: PartialInjection, g: PartialInjection) -> PartialInjection:
-    src = product(f.source, g.source)
-    tgt = product(f.target, g.target)
-    nt2 = g.target.size
-    ns2 = g.source.size
-    # lexicographic in (i1, i2) and i2 < ns2, so already sorted
-    pairs = tuple([
-        (i1 * ns2 + i2, j1 * nt2 + j2)
-        for i1, j1 in f.pairs
-        for i2, j2 in g.pairs
-    ])
-    return _mk(src, tgt, pairs)
-
-
-def reindex(a: FinSet, b: FinSet, index_map: Sequence[int]) -> PartialInjection:
+def reindex(a: FinSet, b: FinSet, index_map) -> PartialInjection:
     """Total bijection realizing a structural relabeling of slots."""
-    if len(index_map) != a.size or sorted(index_map) != list(range(b.size)):
-        raise ShapeMismatch(
-            f"index map of length {len(index_map)} is not a bijection "
-            f"{a.size} -> {b.size}"
-        )
-    return _mk(a, b, tuple(enumerate(index_map)))
+    return finrel.reindex(a, b, index_map, PartialInjection)
 
 
 def is_nuclear(f: PartialInjection) -> bool:
     """Membership in the distinguished ideal: defined on at most one point."""
-    return len(f.pairs) <= 1
+    return len(f.rows) - f.rows.count(0) <= 1
 
 
 def theta(f: PartialInjection) -> PartialInjection:
     if not is_nuclear(f):
         raise TraceClassError("transpose needs a map defined on at most one point")
-    tgt = product(f.source, f.target)
-    if not f.pairs:
-        return empty(UNIT, tgt)
-    (i, j), = f.pairs
-    return _mk(UNIT, tgt, ((0, i * f.target.size + j),))
+    return finrel.theta(f)
 
 
 def theta_inv(m: PartialInjection, a: FinSet, b: FinSet) -> PartialInjection:
     if m.source != UNIT or m.target != product(a, b):
         raise ShapeMismatch("state must run from the unit into the product")
-    if not m.pairs:
-        return empty(a, b)
-    (_, k), = m.pairs
-    return _mk(a, b, ((k // b.size, k % b.size),))
+    return finrel.theta_inv(m, a, b)
 
 
 def trace_endo(f: PartialInjection) -> bool:
     """Scalar trace on the ideal: true iff the single assignment is fixed."""
-    if f.source != f.target:
-        raise ShapeMismatch("trace needs an endomorphism")
-    if len(f.pairs) > 1:
+    if f.source == f.target and not is_nuclear(f):
         raise TraceClassError("endomorphism is outside the trace class")
-    return bool(f.pairs) and f.pairs[0][0] == f.pairs[0][1]
+    return finrel.trace_endo(f)
 
 
 def is_u_nuclear(f: PartialInjection, left: FinSet, par: FinSet) -> bool:
@@ -191,10 +152,11 @@ def is_u_nuclear(f: PartialInjection, left: FinSet, par: FinSet) -> bool:
         raise ShapeMismatch("source does not split over the given factors")
     nu = par.size
     seen: dict[int, int] = {}
-    for i, _ in f.pairs:
-        x, u = divmod(i, nu)
-        if seen.setdefault(x, u) != u:
-            return False
+    for i, row in enumerate(f.rows):
+        if row:
+            x, u = divmod(i, nu)
+            if seen.setdefault(x, u) != u:
+                return False
     return True
 
 
@@ -210,19 +172,15 @@ def in_param_class(
 def param_trace(
     f: PartialInjection, left: FinSet, par: FinSet, right: FinSet
 ) -> PartialInjection:
+    """finrel's partial trace, which keeps (x,u) -> (y,u) as x -> y.
+
+    The parameter condition makes the result a partial injection: each
+    x (each y) meets one parameter value, so it keeps at most one
+    assignment.
+    """
     if not in_param_class(f, left, par, right):
         raise TraceClassError("morphism violates the parameter condition")
-    nu = par.size
-    pairs = []
-    for i, j in f.pairs:
-        x, u = divmod(i, nu)
-        y, u2 = divmod(j, nu)
-        if u == u2:
-            pairs.append((x, y))
-    # The parameter condition makes the result a partial injection: each
-    # x (each y) meets one parameter value, so it keeps at most one pair.
-    # Kept pairs follow f's source order, so they stay sorted.
-    return _mk(left, right, tuple(pairs))
+    return finrel.param_trace(f, left, par, right)
 
 
 def enum_pinj(source: FinSet, target: FinSet) -> Iterator[PartialInjection]:
@@ -230,7 +188,10 @@ def enum_pinj(source: FinSet, target: FinSet) -> Iterator[PartialInjection]:
     for k in range(min(ns, nt) + 1):
         for dom in itertools.combinations(range(ns), k):
             for cod in itertools.permutations(range(nt), k):
-                yield _mk(source, target, tuple(zip(dom, cod)))
+                rows = [0] * ns
+                for i, j in zip(dom, cod):
+                    rows[i] = 1 << j
+                yield _mk(source, target, tuple(rows), PartialInjection)
 
 
 def count_pinj(ns: int, nt: int) -> int:
@@ -339,11 +300,11 @@ class PInjInstance(CategoryInstance):
     def scalar_of(self, s):
         if s.source != UNIT or s.target != UNIT:
             raise ShapeMismatch("scalars live on the unit object")
-        return bool(s.pairs)
+        return bool(s.rows[0])
 
     def mor_eq(self, f, g, tol=None):
         return (
-            f.source == g.source and f.target == g.target and f.pairs == g.pairs
+            f.source == g.source and f.target == g.target and f.rows == g.rows
         )
 
     def obj_size(self, a):
@@ -394,7 +355,7 @@ class PInjNuclear(NuclearStructure):
             yield empty(a, b)
             for i in range(a.size):
                 for j in range(b.size):
-                    yield _mk(a, b, ((i, j),))
+                    yield _single(a, b, i, j)
 
         return gen()
 
@@ -410,9 +371,9 @@ class PInjNuclear(NuclearStructure):
     def factorize(self, h, bound):
         # any composite with a factor in the ideal stays in the ideal,
         # so two or more assignments rule a factorization out entirely
-        if len(h.pairs) > 1:
+        if not is_nuclear(h):
             return FactorizationResult(False, conclusive=True)
-        if not h.pairs:
+        if not any(h.rows):
             mid = UNIT
             return FactorizationResult(
                 True, left=empty(h.source, mid), right=empty(mid, h.target), middle=mid
@@ -421,8 +382,8 @@ class PInjNuclear(NuclearStructure):
         mid = h.source
         return FactorizationResult(
             True,
-            left=_mk(h.source, mid, ((i, i),)),
-            right=_mk(mid, h.target, ((i, j),)),
+            left=_single(h.source, mid, i, i),
+            right=_single(mid, h.target, i, j),
             middle=mid,
         )
 

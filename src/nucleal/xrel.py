@@ -12,17 +12,26 @@ audits exactly that, and over the four-element cyclic monoid it
 reproduces the expected degree-(1,3) counterexample as a documented
 finding rather than an error.
 
+A morphism is a `nucleal.finrel.Relation` between crossed sets whose
+rows relate only points of equal degree and are closed under the
+action.  The relation kernel of `finrel` does all the algebra:
+`compose`, `converse`, the rows of `tensor` and `theta`, `theta_inv`
+and the trace are finrel's, guarded here by the membership predicate
+`is_nuclear`.  This module builds only the crossed-set endpoints
+(`unit_object`, `tensor_object`).
+
 Boundary contract: the `CrossedMSet` and `XRelMorphism` constructors,
 `trivial_object`, `from_pairs`, the JSON readers and the samplers check
 every invariant.  Operations whose results are valid by theorem build
-through the trusted `_mk_obj`/`_mk`, which check nothing: the unit and
-tensor objects, `compose`, `converse`, `tensor`, `identity`, `theta`
-(the degrees of a nuclear relation square to the identity) and
-`enum_morphisms`.  `theta_inv` and the instance's `reindex` are not
-valid by theorem (a state may pair degrees whose squares are not
-trivial, and an arbitrary bijection need not be equivariant), and
-`empty` may be handed objects over different monoids, so these keep
-validating.
+through the trusted `_mk_obj` and finrel's `_mk`, which check nothing:
+the unit and tensor objects, `compose`, `converse`, `tensor`,
+`identity`, `theta` (the degrees of a nuclear relation square to the
+identity), `enum_morphisms` and the instance's sampled objects.
+`theta_inv` and the instance's `reindex` are not valid by theorem (a
+state may pair degrees whose squares are not trivial, and an arbitrary
+bijection need not be equivariant), and `empty` may be handed objects
+over different monoids, so these keep validating.  `.pairs` is a
+read-only view of the rows as a frozenset of index pairs.
 """
 
 from __future__ import annotations
@@ -45,12 +54,18 @@ from nucleal.core.instance import (
     TraceStructure,
 )
 from nucleal.core.report import AxiomReport
+from nucleal import finrel
 from nucleal.finrel import (
     UNIT,
     FinSet,
+    Relation,
+    _mk,
+    compose,
+    converse,
     fin_set,
     finset_from_json,
     finset_to_json,
+    index_pairs,
     label_key,
     product,
 )
@@ -203,87 +218,63 @@ def tensor_object(x: CrossedMSet, y: CrossedMSet) -> CrossedMSet:
     return _mk_obj(x.monoid, product(x.carrier, y.carrier), action, degree)
 
 
-@dataclass(frozen=True)
-class XRelMorphism:
+class XRelMorphism(Relation):
     """Action-closed, degree-respecting relation between crossed sets."""
 
-    source: CrossedMSet
-    target: CrossedMSet
-    pairs: frozenset
-
-    def __post_init__(self):
-        if self.source.monoid != self.target.monoid:
+    def __init__(self, source: CrossedMSet, target: CrossedMSet, pairs):
+        if source.monoid != target.monoid:
             raise ShapeMismatch("morphism endpoints over different monoids")
-        mon = self.source.monoid
-        for x, y in self.pairs:
-            if not (0 <= x < self.source.size and 0 <= y < self.target.size):
+        rows = [0] * source.size
+        for x, y in pairs:
+            if not (0 <= x < source.size and 0 <= y < target.size):
                 raise InvariantViolation(f"pair ({x},{y}) out of range")
-            if self.source.degree[x] != self.target.degree[y]:
+            rows[x] |= 1 << y
+        self.__dict__.update(source=source, target=target, rows=tuple(rows))
+        self._check()
+
+    def _check(self) -> None:
+        """Raise unless the rows respect degrees and the action."""
+        src, tgt, rows = self.source, self.target, self.rows
+        for x, y in self.pairs:
+            if src.degree[x] != tgt.degree[y]:
                 raise InvariantViolation(
                     "related points have unequal degrees", witness=(x, y)
                 )
-            for m in range(mon.size):
-                moved = (self.source.act(m, x), self.target.act(m, y))
-                if moved not in self.pairs:
+            for m in range(src.monoid.size):
+                if not rows[src.act(m, x)] >> tgt.act(m, y) & 1:
                     raise InvariantViolation(
                         "relation is not closed under the action", witness=(m, x, y)
                     )
 
+    @property
+    def pairs(self) -> frozenset:
+        """The related (source index, target index) pairs."""
+        return frozenset(index_pairs(self.rows))
+
     def __repr__(self):
         body = sorted(
             (self.source.carrier.labels[x], self.target.carrier.labels[y])
-            for x, y in self.pairs
+            for x, y in index_pairs(self.rows)
         )
         return f"XRel({body})"
 
 
-def _mk(source: CrossedMSet, target: CrossedMSet, pairs: frozenset) -> XRelMorphism:
-    """Trusted builder: `pairs` must be in range, degree-respecting and
-    closed under the action."""
-    r = object.__new__(XRelMorphism)
-    r.__dict__.update(source=source, target=target, pairs=pairs)
-    return r
-
-
 def from_pairs(source: CrossedMSet, target: CrossedMSet, pairs) -> XRelMorphism:
-    return XRelMorphism(source, target, frozenset(pairs))
+    return XRelMorphism(source, target, pairs)
 
 
 def empty(source: CrossedMSet, target: CrossedMSet) -> XRelMorphism:
-    return XRelMorphism(source, target, frozenset())
+    return XRelMorphism(source, target, ())
 
 
 def identity(x: CrossedMSet) -> XRelMorphism:
-    return _mk(x, x, frozenset([(i, i) for i in range(x.size)]))
-
-
-def compose(r: XRelMorphism, s: XRelMorphism) -> XRelMorphism:
-    """Diagrammatic composite: first r, then s."""
-    if r.target != s.source:
-        raise ShapeMismatch("middle objects differ")
-    mids: dict[int, list[int]] = {}
-    for y, z in s.pairs:
-        mids.setdefault(y, []).append(z)
-    out = {
-        (x, z) for x, y in r.pairs for z in mids.get(y, ())
-    }
-    return _mk(r.source, s.target, frozenset(out))
-
-
-def converse(r: XRelMorphism) -> XRelMorphism:
-    return _mk(r.target, r.source, frozenset([(y, x) for x, y in r.pairs]))
+    return finrel.identity(x, XRelMorphism)
 
 
 def tensor(r: XRelMorphism, s: XRelMorphism) -> XRelMorphism:
     src = tensor_object(r.source, s.source)
     tgt = tensor_object(r.target, s.target)
-    ns2, nt2 = s.source.size, s.target.size
-    pairs = frozenset([
-        (x1 * ns2 + x2, y1 * nt2 + y2)
-        for x1, y1 in r.pairs
-        for x2, y2 in s.pairs
-    ])
-    return _mk(src, tgt, pairs)
+    return _mk(src, tgt, finrel.tensor_rows(r, s), XRelMorphism)
 
 
 def orbit_closure(source: CrossedMSet, target: CrossedMSet, seed_pairs):
@@ -295,15 +286,33 @@ def orbit_closure(source: CrossedMSet, target: CrossedMSet, seed_pairs):
     return out
 
 
+def _sample_closed(rng, a: CrossedMSet, b: CrossedMSet, nuclear: bool) -> XRelMorphism:
+    """Orbit closure of up to two random degree-matching pairs, drawn among
+    the pairs whose degree squares to the identity when `nuclear`."""
+    mon = a.monoid
+    candidates = [
+        (x, y)
+        for x in range(a.size)
+        for y in range(b.size)
+        if a.degree[x] == b.degree[y]
+        and (not nuclear or mon.square_trivial(a.degree[x]))
+    ]
+    chosen: set = set()
+    if candidates:
+        for _ in range(rng.below(3)):
+            chosen.add(rng.choice(candidates))
+    return XRelMorphism(a, b, orbit_closure(a, b, chosen))
+
+
 def is_nuclear(r: XRelMorphism) -> bool:
-    """Every related point has degree squaring to the identity."""
-    mon = r.source.monoid
-    for x, y in r.pairs:
-        if not mon.square_trivial(r.source.degree[x]):
-            return False
-        if not mon.square_trivial(r.target.degree[y]):
-            return False
-    return True
+    """Every related point has degree squaring to the identity.
+
+    Related points have equal degrees, so the source side decides.
+    """
+    mon, degree = r.source.monoid, r.source.degree
+    return all(
+        mon.square_trivial(degree[x]) for x, row in enumerate(r.rows) if row
+    )
 
 
 def is_nuclear_object(x: CrossedMSet) -> bool:
@@ -314,21 +323,15 @@ def theta(r: XRelMorphism) -> XRelMorphism:
     if not is_nuclear(r):
         raise InvariantViolation("transpose needs degrees squaring to the identity")
     tgt = tensor_object(r.source, r.target)
-    nt = r.target.size
-    return _mk(
-        unit_object(r.source.monoid),
-        tgt,
-        frozenset([(0, x * nt + y) for x, y in r.pairs]),
-    )
+    return _mk(unit_object(r.source.monoid), tgt, (finrel.theta_row(r),), XRelMorphism)
 
 
 def theta_inv(m: XRelMorphism, a: CrossedMSet, b: CrossedMSet) -> XRelMorphism:
     if m.source != unit_object(a.monoid) or m.target != tensor_object(a, b):
         raise ShapeMismatch("state must run from the unit into the product")
-    nb = b.size
-    return XRelMorphism(
-        a, b, frozenset((k // nb, k % nb) for _, k in m.pairs)
-    )
+    r = finrel.theta_inv(m, a, b)
+    r._check()
+    return r
 
 
 def enum_morphisms(a: CrossedMSet, b: CrossedMSet) -> Iterator[XRelMorphism]:
@@ -343,7 +346,10 @@ def enum_morphisms(a: CrossedMSet, b: CrossedMSet) -> Iterator[XRelMorphism]:
     for mask in range(1 << n):
         chosen = {candidates[k] for k in range(n) if (mask >> k) & 1}
         if orbit_closure(a, b, chosen) == chosen:
-            yield _mk(a, b, frozenset(chosen))
+            rows = [0] * a.size
+            for x, y in chosen:
+                rows[x] |= 1 << y
+            yield _mk(a, b, tuple(rows), XRelMorphism)
 
 
 def theta_bijectivity_report(a: CrossedMSet, b: CrossedMSet) -> AxiomReport:
@@ -363,16 +369,16 @@ def theta_bijectivity_report(a: CrossedMSet, b: CrossedMSet) -> AxiomReport:
             continue
         rep.cases += 1
         s = theta(r)
-        if s.pairs in seen:
-            rep.add_failure(f"theta collision between {seen[s.pairs]!r} and {r!r}")
-        seen[s.pairs] = r
+        if s.rows in seen:
+            rep.add_failure(f"theta collision between {seen[s.rows]!r} and {r!r}")
+        seen[s.rows] = r
         back = theta_inv(s, a, b)
         if back != r:
             rep.add_failure(f"theta round trip broken for {r!r}")
     missing = []
     for s in enum_morphisms(unit, tensor_object(a, b)):
         rep.cases += 1
-        if s.pairs in seen:
+        if s.rows in seen:
             continue
         degs = sorted(
             (
@@ -409,7 +415,7 @@ def monoid_from_json(data) -> CommMonoid:
     try:
         table = tuple(tuple(int(v) for v in row) for row in data["table"])
         mon = CommMonoid(elements, table, elements.index(data["e"]))
-    except (InvariantViolation, ShapeMismatch) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid monoid: {exc}") from exc
     return mon
 
@@ -435,6 +441,8 @@ def object_to_json(x: CrossedMSet) -> dict:
 def object_from_json(data, monoid: CommMonoid) -> CrossedMSet:
     if not isinstance(data, dict) or not {"carrier", "action", "degree"} <= set(data):
         raise ParseError("object document needs carrier, action, degree")
+    if not isinstance(data["action"], dict) or not isinstance(data["degree"], dict):
+        raise ParseError("action and degree must be objects")
     carrier = finset_from_json(data["carrier"])
     mkeys = {label_key(monoid.elements.labels[m]): m for m in range(monoid.size)}
     ckeys = {label_key(carrier.labels[i]): i for i in range(carrier.size)}
@@ -443,7 +451,7 @@ def object_from_json(data, monoid: CommMonoid) -> CrossedMSet:
         for m in range(monoid.size):
             key = label_key(monoid.elements.labels[m])
             row = data["action"].get(key)
-            if row is None or len(row) != carrier.size:
+            if not isinstance(row, list) or len(row) != carrier.size:
                 raise ParseError(f"action row missing or misshapen for {key!r}")
             action.append(tuple(ckeys[label_key(v)] for v in row))
         degree = []
@@ -463,8 +471,7 @@ def to_json(r: XRelMorphism) -> dict:
         "source": object_to_json(r.source),
         "target": object_to_json(r.target),
         "pairs": [
-            [1 if (x, y) in r.pairs else 0 for y in range(r.target.size)]
-            for x in range(r.source.size)
+            [row >> y & 1 for y in range(r.target.size)] for row in r.rows
         ],
     }
 
@@ -478,18 +485,17 @@ def from_json(data) -> XRelMorphism:
     src = object_from_json(data["source"], mon)
     tgt = object_from_json(data["target"], mon)
     rows = data["pairs"]
-    if len(rows) != src.size or any(len(row) != tgt.size for row in rows):
+    if (
+        not isinstance(rows, list)
+        or len(rows) != src.size
+        or any(not isinstance(row, list) or len(row) != tgt.size for row in rows)
+    ):
         raise ParseError("pair matrix shape mismatch")
     try:
         return XRelMorphism(
             src,
             tgt,
-            frozenset(
-                (x, y)
-                for x, row in enumerate(rows)
-                for y, v in enumerate(row)
-                if v
-            ),
+            [(x, y) for x, row in enumerate(rows) for y, v in enumerate(row) if v],
         )
     except (InvariantViolation, ShapeMismatch) as exc:
         raise ParseError(f"invalid relation: {exc}") from exc
@@ -536,19 +542,17 @@ class XRelInstance(CategoryInstance):
         return self._unit
 
     def reindex(self, a, b, index_map):
-        if len(index_map) != a.size or sorted(index_map) != list(range(b.size)):
-            raise ShapeMismatch("index map is not a bijection")
-        return XRelMorphism(
-            a, b, frozenset((i, j) for i, j in enumerate(index_map))
-        )
+        r = finrel.reindex(a, b, index_map, XRelMorphism)
+        r._check()
+        return r
 
     def scalar_of(self, s):
         if s.source != self._unit or s.target != self._unit:
             raise ShapeMismatch("scalars live on the unit object")
-        return bool(s.pairs)
+        return bool(s.rows[0])
 
     def mor_eq(self, f, g, tol=None):
-        return f.source == g.source and f.target == g.target and f.pairs == g.pairs
+        return f.source == g.source and f.target == g.target and f.rows == g.rows
 
     def obj_size(self, a):
         return a.size
@@ -574,16 +578,16 @@ class XRelInstance(CategoryInstance):
         return good
 
     def sample_object(self, rng):
+        # valid by construction, so built trusted
         n = rng.below(self.max_carrier + 1)
         mon = self.monoid
-        if n == 0:
-            return trivial_object(mon, ())
-        if rng.below(2) == 0:
+        fixed = tuple(range(n))
+        if n == 0 or rng.below(2) == 0:
             degrees = tuple(rng.below(mon.size) for _ in range(n))
-            return trivial_object(mon, tuple(range(n)), degrees)
+            return _mk_obj(mon, fin_set(n), (fixed,) * mon.size, degrees)
         # generator-power action of a permutation of compatible order
         perm = rng.choice(self._order_perms(n))
-        action = [tuple(range(n))]
+        action = [fixed]
         row = list(range(n))
         for _ in range(mon.size - 1):
             row = [perm[v] for v in row]
@@ -598,20 +602,10 @@ class XRelInstance(CategoryInstance):
             while degree[y] < 0:
                 degree[y] = d
                 y = perm[y]
-        return CrossedMSet(mon, fin_set(n), tuple(action), tuple(degree))
+        return _mk_obj(mon, fin_set(n), tuple(action), tuple(degree))
 
     def sample_hom(self, rng, a, b):
-        candidates = [
-            (x, y)
-            for x in range(a.size)
-            for y in range(b.size)
-            if a.degree[x] == b.degree[y]
-        ]
-        chosen: set = set()
-        if candidates:
-            for _ in range(rng.below(3)):
-                chosen.add(rng.choice(candidates))
-        return XRelMorphism(a, b, frozenset(orbit_closure(a, b, chosen)))
+        return _sample_closed(rng, a, b, nuclear=False)
 
     def enum_hom(self, a, b):
         return enum_morphisms(a, b)
@@ -633,18 +627,7 @@ class XRelNuclear(NuclearStructure):
         return theta_inv(m, a, b)
 
     def sample_nuclear(self, rng, a, b):
-        mon = a.monoid
-        candidates = [
-            (x, y)
-            for x in range(a.size)
-            for y in range(b.size)
-            if a.degree[x] == b.degree[y] and mon.square_trivial(a.degree[x])
-        ]
-        chosen: set = set()
-        if candidates:
-            for _ in range(rng.below(3)):
-                chosen.add(rng.choice(candidates))
-        return XRelMorphism(a, b, frozenset(orbit_closure(a, b, chosen)))
+        return _sample_closed(rng, a, b, nuclear=True)
 
     def enum_nuclear(self, a, b):
         return (r for r in enum_morphisms(a, b) if is_nuclear(r))
@@ -667,7 +650,7 @@ class XRelTrace(TraceStructure):
     def trace(self, h):
         if not self.in_trace_class(h):
             raise TraceClassError("endomorphism is outside the trace class")
-        return any(x == y for x, y in h.pairs)
+        return finrel.trace_endo(h)
 
     def sample_member(self, rng, a):
         return self.nuclear.sample_nuclear(rng, a, a)

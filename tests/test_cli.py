@@ -4,7 +4,9 @@ import json
 import time
 from fractions import Fraction
 
-from nucleal import cjsl, cli, finstoch, pinj
+import pytest
+
+from nucleal import cjsl, cli, finstoch, pinj, xrel
 
 X = pinj.FinSet(("x",))
 XY = pinj.FinSet(("x", "y"))
@@ -170,6 +172,35 @@ def test_pinj_non_injective_graph_exits_parse(tmp_path, capsys):
     doc = {"source": ["x", "y"], "target": ["z"], "graph": {"x": "z", "y": "z"}}
     assert cli.main(["trace", dump(tmp_path, "f.json", doc, "pinj")]) == 2
     assert "not injective" in capsys.readouterr().err
+
+
+def _xrel_doc():
+    z2 = xrel.cyclic_monoid(2)
+    swap = xrel.CrossedMSet(z2, xrel.FinSet(("p", "q")), ((0, 1), (1, 0)), (0, 0))
+    point = xrel.trivial_object(z2, ("r",))
+    return xrel.to_json(xrel.from_pairs(swap, point, [(0, 0), (1, 0)]))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("pairs",), 5),
+        (("pairs",), [5, 6]),
+        (("source", "action"), 3),
+        (("source", "degree"), 3),
+        (("source", "action", "0"), 7),
+        (("monoid", "table"), 5),
+        (("monoid", "table"), [["a", 1], [1, 0]]),
+    ],
+)
+def test_xrel_malformed_document_exits_parse(tmp_path, capsys, path, value):
+    doc = _xrel_doc()
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    assert cli.main(["trace", dump(tmp_path, "f.json", doc, "xrel")]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):

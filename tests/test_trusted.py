@@ -1,23 +1,27 @@
 """Safety net for the trusted builders of finrel, pinj and xrel.
 
 Model operations build their results through private builders that
-skip constructor validation.  These tests swap each builder for one
-that goes through the validating constructor and also demands the
-constructor's normal form, then rerun the law checks: the verdicts must
-not change, and one invalid or unnormalised value fails the run.
+skip constructor validation: finrel's `_mk` for every relation
+(`Relation`, `PartialInjection` and `XRelMorphism` alike), `_mk_set`
+for sets and xrel's `_mk_obj` for crossed sets.  These tests swap each
+builder for one that goes through the validating constructor of the
+value's type and also demands that it reproduce the same fields, then
+rerun the law checks: the verdicts must not change, and one invalid
+value fails the run.
 """
 
 import dataclasses
+
+import pytest
 
 from nucleal import cli, finrel, pinj, xrel
 from nucleal.core import harness
 from nucleal.core.errors import InvariantViolation
 
-BUILDERS = (
-    (finrel, "_mk", finrel.Relation),
+# every module that holds finrel's relation builder under its own name
+RELATION_BUILDERS = (finrel, pinj, xrel)
+OBJECT_BUILDERS = (
     (finrel, "_mk_set", finrel.FinSet),
-    (pinj, "_mk", pinj.PartialInjection),
-    (xrel, "_mk", xrel.XRelMorphism),
     (xrel, "_mk_obj", xrel.CrossedMSet),
 )
 
@@ -26,23 +30,44 @@ EXHAUSTIVE_BUDGET = 400_000
 SMALL_BUDGET = 40
 
 
-def _validating(cls):
+def _same_or_raise(value, values, fields):
+    got = tuple(getattr(value, n) for n in fields)
+    if got != values or any(type(g) is not type(v) for g, v in zip(got, values)):
+        raise InvariantViolation(
+            f"{type(value).__name__} built outside its normal form: {values!r}"
+        )
+    return value
+
+
+def _validating_object(cls):
     names = [f.name for f in dataclasses.fields(cls)]
 
     def build(*values):
-        value = cls(*values)
-        if tuple(getattr(value, n) for n in names) != values:
-            raise InvariantViolation(
-                f"{cls.__name__} built outside its normal form: {values!r}"
-            )
-        return value
+        return _same_or_raise(cls(*values), values, names)
 
     return build
 
 
+def _validating_relation(source, target, rows, cls=finrel.Relation):
+    """A relation of type `cls` through its public, validating constructor."""
+    if cls is finrel.Relation:
+        value = cls(source, target, rows)
+    else:  # the subclasses take (source index, target index) pairs
+        pairs = [
+            (i, j)
+            for i, row in enumerate(rows)
+            for j in range(row.bit_length())
+            if row >> j & 1
+        ]
+        value = cls(source, target, pairs)
+    return _same_or_raise(value, (source, target, rows), ("source", "target", "rows"))
+
+
 def _validate_builders(monkeypatch):
-    for module, name, cls in BUILDERS:
-        monkeypatch.setattr(module, name, _validating(cls))
+    for module in RELATION_BUILDERS:
+        monkeypatch.setattr(module, "_mk", _validating_relation)
+    for module, name, cls in OBJECT_BUILDERS:
+        monkeypatch.setattr(module, name, _validating_object(cls))
 
 
 def _all_checks(structures, budget, max_size=None):
@@ -87,12 +112,34 @@ def test_validated_builders_change_no_verdict(monkeypatch):
     assert any(r.is_finding for r in checked)  # the Z4 audit still finds its gap
 
 
-def test_validated_builders_catch_unsorted_converse(monkeypatch):
-    def converse(f):  # seeded fault: the pairs are not re-sorted
-        return pinj._mk(f.target, f.source, tuple((j, i) for i, j in f.pairs))
+def test_validated_builders_catch_non_injective_pinj(monkeypatch):
+    def converse(f):  # seeded fault: two or more points all land on point 0
+        out = finrel.converse(f)
+        if pinj.is_nuclear(out):
+            return out
+        rows = tuple(1 if row else 0 for row in out.rows)
+        return pinj._mk(out.source, out.target, rows, pinj.PartialInjection)
 
     monkeypatch.setattr(pinj, "converse", converse)
     _validate_builders(monkeypatch)
     inst, _, _ = pinj.structures()
     rep = harness.check_star_laws(inst, EXHAUSTIVE_BUDGET, 1, max_size=2)
-    assert any("InvariantViolation" in f for f in rep.failures)
+    assert any("graph is not injective" in f for f in rep.failures)
+
+
+def test_validated_builders_catch_unclosed_xrel(monkeypatch):
+    # the harness's xrel samplers draw trivial actions only, so the
+    # faulty value is built directly on a swap
+    def identity(x):  # seeded fault: only the first point is kept
+        rows = tuple(1 if p == 0 else 0 for p in range(x.size))
+        return xrel._mk(x, x, rows, xrel.XRelMorphism)
+
+    monkeypatch.setattr(xrel, "identity", identity)
+    inst, _, _ = xrel.structures(xrel.cyclic_monoid(2))
+    swap = xrel.CrossedMSet(
+        inst.monoid, xrel.FinSet(("p", "q")), ((0, 1), (1, 0)), (0, 0)
+    )
+    inst.identity(swap)  # trusted: the fault goes unseen
+    _validate_builders(monkeypatch)
+    with pytest.raises(InvariantViolation, match="not closed under the action"):
+        inst.identity(swap)

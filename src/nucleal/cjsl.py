@@ -257,12 +257,6 @@ def hr_values(
     )
 
 
-def hr_apply(g: SupMap) -> SupMap:
-    """Criterion formula applied to a sup map; raises when the result
-    fails the sup-map law (see `check_hr_wellformed`)."""
-    return SupMap(g.target, g.source, hr_values(g.target, g.source, g.values))
-
-
 @dataclass(frozen=True)
 class HRResult:
     """Outcome of the tightness test, with the least witness when tight."""

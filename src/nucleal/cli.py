@@ -137,15 +137,23 @@ def _payload(doc):
     return doc
 
 
+def _decode(cat: Category, parse, doc):
+    # a field of the wrong JSON type can reach arithmetic or iteration
+    # before the parser's own checks name it
+    try:
+        return parse(_payload(doc))
+    except TypeError as exc:
+        raise ParseError(f"malformed {cat.name} document: {exc}") from exc
+
+
 def _read_morphism(path, flag_value):
     doc = _load_json(path)
     cat = _category_of(doc, flag_value)
-    return cat, cat.parse(_payload(doc))
+    return cat, _decode(cat, cat.parse, doc)
 
 
 def _read_object(path, cat: Category):
-    doc = _load_json(path)
-    return cat.parse_obj(_payload(doc))
+    return _decode(cat, cat.parse_obj, _load_json(path))
 
 
 def _write_out(doc, out):
@@ -207,33 +215,22 @@ def cmd_trace(args) -> int:
     cat, h = _read_morphism(args.h, args.category)
     if cat.name == "cjsl":
         raise UnsupportedCheck("the lattice instance carries no trace operator")
-    inst, nuc, tr = cat.structures()
+    inst, _, tr = cat.structures()
     if not inst.obj_eq(inst.source(h), inst.target(h)):
         raise ShapeMismatch(
             f"trace needs an endomorphism: source is "
             f"{inst.describe_obj(inst.source(h))}, target is "
             f"{inst.describe_obj(inst.target(h))}"
         )
-    if args.tol is not None and hasattr(inst, "tol"):
-        inst.tol = args.tol
-    if tr.in_trace_class(h):
-        print(_render_trace(inst.scalar_kind, tr.trace(h)))
-        return 0
-    found = harness.find_nuclear_factorization(inst, nuc, h, bound=args.bound)
-    if found.found:
-        value = nuc.derived_trace(found.left, found.right)
-        print(_render_trace(inst.scalar_kind, value))
-        print(
-            f"derived from a factorization through "
-            f"{inst.describe_obj(found.middle)}"
+    if not tr.in_trace_class(h):
+        # the trace class is the ideal the nuclear maps generate, so
+        # nothing outside it factors through nuclear maps either
+        raise TraceClassError(
+            "endomorphism is outside the trace class: "
+            "no nuclear factorization exists"
         )
-        return 0
-    detail = (
-        "no nuclear factorization exists"
-        if found.conclusive
-        else f"no nuclear factorization found through middles of size <= {args.bound}"
-    )
-    raise TraceClassError(f"endomorphism is outside the trace class: {detail}")
+    print(_render_trace(inst.scalar_kind, tr.trace(h)))
+    return 0
 
 
 def cmd_transpose(args) -> int:
@@ -275,20 +272,8 @@ def cmd_check_nuclear(args) -> int:
         return 0
     print("nuclear: no")
     if inst.obj_eq(inst.source(f), inst.target(f)):
-        mid_bound = 3 if args.bound is None else args.bound
-        found = harness.find_nuclear_factorization(inst, nuc, f, bound=mid_bound)
-        if found.found:
-            print(
-                "but it factors through nuclear maps via "
-                f"{inst.describe_obj(found.middle)}"
-            )
-        elif found.conclusive:
-            print("and it admits no nuclear factorization")
-        else:
-            print(
-                f"and no nuclear factorization was found "
-                f"(middles of size <= {mid_bound})"
-            )
+        # the ideal absorbs composition, so no factorization through it exists
+        print("and it admits no nuclear factorization")
     return 0
 
 
@@ -471,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="trace of an endomorphism")
     cat_flag(p)
     p.add_argument("h")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--bound", type=int, default=3)
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("transpose", help="transpose a distinguished morphism")
@@ -487,11 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-nuclear", help="membership in the distinguished ideal")
     cat_flag(p)
     p.add_argument("f")
-    p.add_argument(
-        "--bound", type=int, default=None,
-        help="largest middle object tried when searching for a nuclear "
-        "factorization (default 3); ignored for cjsl, whose test is exact",
-    )
     p.set_defaults(fn=cmd_check_nuclear)
 
     p = sub.add_parser("disintegrate", help="conditional kernels of a joint measure")

@@ -17,7 +17,10 @@ in its report.
 `NuclearStructure` adds the distinguished class of morphisms that admit
 a transpose to a state (a morphism out of the unit), and
 `TraceStructure` adds the induced trace operator, optionally in a
-parametrized form.
+parametrized form.  The distinguished class is an ideal: a composite
+with a distinguished factor is distinguished, so a morphism factors
+through the ideal exactly when it lies in it.  `factorize` is therefore
+asked only for distinguished morphisms and returns one witness.
 """
 
 from __future__ import annotations
@@ -145,27 +148,25 @@ class CategoryInstance:
 
 
 class FactorizationResult:
-    """Outcome of a nuclear-factorization search.
+    """Outcome of a nuclear factorization.
 
     `found` with (`left`, `right`, `middle`) exhibits h = right o left
-    through `middle`; when nothing was found, `conclusive` says whether
-    absence was proved or the search merely hit its bound.
+    through `middle`; otherwise h lies outside the ideal and no such
+    factorization exists.
     """
 
-    __slots__ = ("found", "left", "right", "middle", "conclusive")
+    __slots__ = ("found", "left", "right", "middle")
 
-    def __init__(self, found, left=None, right=None, middle=None, conclusive=True):
+    def __init__(self, found, left=None, right=None, middle=None):
         self.found = found
         self.left = left
         self.right = right
         self.middle = middle
-        self.conclusive = conclusive
 
     def __repr__(self):
         if self.found:
             return f"FactorizationResult(found=True, middle={self.middle!r})"
-        tag = "absent" if self.conclusive else "inconclusive"
-        return f"FactorizationResult(found=False, {tag})"
+        return "FactorizationResult(found=False)"
 
 
 class NuclearStructure:
@@ -174,7 +175,6 @@ class NuclearStructure:
     #: whether `theta` lands bijectively in Hom(I, conj(A) (x) B); model
     #: families where this is only an audit question set it False.
     theta_onto: bool = True
-    has_theta: bool = True
 
     def __init__(self, inst: CategoryInstance):
         self.inst = inst
@@ -218,9 +218,9 @@ class NuclearStructure:
         """Random element of Hom(I, conj(A) (x) B), or None."""
         return None
 
-    def factorize(self, h, bound: int) -> FactorizationResult:
-        """Search for h = g o f with both factors distinguished."""
-        return FactorizationResult(False, conclusive=False)
+    def factorize(self, h) -> FactorizationResult:
+        """h = g o f with both factors distinguished, for a distinguished h."""
+        raise UnsupportedCheck(f"{self.inst.name}: no nuclear factorization")
 
 
 class TraceStructure:

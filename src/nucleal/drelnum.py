@@ -596,8 +596,6 @@ class DRelInstance(CategoryInstance):
 class DRelNuclear(NuclearStructure):
     """Every grid kernel is distinguished; the pairing is computed directly."""
 
-    has_theta = False
-
     def is_nuclear(self, f) -> bool:
         return True
 

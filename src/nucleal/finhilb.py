@@ -313,33 +313,39 @@ def trace_norm(a: CMatrix) -> float:
     return trace(abs_op(a)).real
 
 
+def _polar_parts(h: CMatrix):
+    """Eigenbasis v of h*h, the singular values, and the isometry W of
+    h = W |h|, completed by the identity on the kernel when h is square."""
+    lam, v = hermitian_eig(matmul(adjoint(h), h))
+    # h*h has rank at most h.rows, so its smallest cols - rows eigenvalues
+    # are zero; rounding leaves them near 1e-16, whose square roots would
+    # pass for singular values and blow up in the pseudo-inverse
+    nullity = h.cols - h.rows
+    svals = [
+        0.0 if i < nullity else math.sqrt(max(x, 0.0)) for i, x in enumerate(lam)
+    ]
+    pinv = _assemble(v, [1 / s if s > SV_CUTOFF else 0.0 for s in svals])
+    w = matmul(h, pinv)
+    if h.rows == h.cols:
+        kernel = _assemble(v, [1.0 if s <= SV_CUTOFF else 0.0 for s in svals])
+        w = add(w, kernel)
+    return v, svals, w
+
+
 def polar(h: CMatrix):
     """h = W |h| with W an isometry on the support, identity on the kernel.
 
     Works for rectangular h; the kernel completion applies only when h
     is square, which is the only case where shapes permit it.
     """
-    lam, v = hermitian_eig(matmul(adjoint(h), h))
-    svals = [math.sqrt(max(x, 0.0)) for x in lam]
-    absh = _assemble(v, svals)
-    pinv = _assemble(v, [1 / s if s > SV_CUTOFF else 0.0 for s in svals])
-    w = matmul(h, pinv)
-    if h.rows == h.cols:
-        kernel = _assemble(v, [1.0 if s <= SV_CUTOFF else 0.0 for s in svals])
-        w = add(w, kernel)
-    return w, absh
+    v, svals, w = _polar_parts(h)
+    return w, _assemble(v, svals)
 
 
 def hs_factorize(h: CMatrix):
     """Split h through its source as h = g . f with f = |h|^(1/2), g = W |h|^(1/2)."""
-    lam, v = hermitian_eig(matmul(adjoint(h), h))
-    svals = [math.sqrt(max(x, 0.0)) for x in lam]
+    v, svals, w = _polar_parts(h)
     root = _assemble(v, [math.sqrt(s) for s in svals])
-    pinv = _assemble(v, [1 / s if s > SV_CUTOFF else 0.0 for s in svals])
-    w = matmul(h, pinv)
-    if h.rows == h.cols:
-        kernel = _assemble(v, [1.0 if s <= SV_CUTOFF else 0.0 for s in svals])
-        w = add(w, kernel)
     return root, matmul(w, root)
 
 
@@ -487,7 +493,7 @@ class HilbNuclear(NuclearStructure):
     def sample_state(self, rng, a, b):
         return random_matrix(rng, a * b, 1)
 
-    def factorize(self, h, bound):
+    def factorize(self, h):
         f, g = hs_factorize(h)
         return FactorizationResult(True, left=f, right=g, middle=h.cols)
 

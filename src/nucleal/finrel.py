@@ -466,7 +466,7 @@ class FinRelNuclear(NuclearStructure):
     def sample_state(self, rng, a, b):
         return self.inst.sample_hom(rng, UNIT, product(a, b))
 
-    def factorize(self, h, bound: int) -> FactorizationResult:
+    def factorize(self, h) -> FactorizationResult:
         # Identities are themselves distinguished here, so h = h o id.
         return FactorizationResult(
             True, left=identity(h.source), right=h, middle=h.source

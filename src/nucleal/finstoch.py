@@ -184,12 +184,6 @@ def is_probability(a: JointMeasure) -> bool:
     return a.total() == ONE
 
 
-def is_coupling(a: JointMeasure) -> bool:
-    """Marginals agree exactly with the object measures."""
-    mx, my = marginals(a)
-    return mx == a.source.mass and my == a.target.mass
-
-
 def compose(a: JointMeasure, b: JointMeasure) -> JointMeasure:
     """Diagrammatic composite: integrate the matched kernels over the middle."""
     if a.target != b.source:
@@ -666,7 +660,7 @@ class StochNuclear(NuclearStructure):
     def sample_state(self, rng, a, b):
         return sample_joint(rng, UNIT_SPACE, product_space(a, b))
 
-    def factorize(self, h, bound):
+    def factorize(self, h):
         return FactorizationResult(
             True, left=delta(h.source), right=h, middle=h.source
         )

@@ -368,11 +368,7 @@ class PInjNuclear(NuclearStructure):
     def sample_state(self, rng, a, b):
         return sample_pinj(rng, UNIT, product(a, b))
 
-    def factorize(self, h, bound):
-        # any composite with a factor in the ideal stays in the ideal,
-        # so two or more assignments rule a factorization out entirely
-        if not is_nuclear(h):
-            return FactorizationResult(False, conclusive=True)
+    def factorize(self, h):
         if not any(h.rows):
             mid = UNIT
             return FactorizationResult(

@@ -131,7 +131,7 @@ def test_check_nuclear_lattice_answers_large_bound_at_once(tmp_path, capsys):
         cjsl.supmap_to_json(cjsl.identity_sup(cjsl.chain(12))), "cjsl",
     )
     t0 = time.perf_counter()
-    assert cli.main(["check-nuclear", path, "--bound", "12"]) == 0
+    assert cli.main(["check-nuclear", path]) == 0
     assert time.perf_counter() - t0 < 5.0
     witness = [0, *range(11)]
     assert capsys.readouterr().out == (
@@ -143,6 +143,27 @@ def test_check_nuclear_partial_injection(tmp_path, capsys):
     wide = pinj.identity(XY)
     assert cli.main(["check-nuclear", pinj_file(tmp_path, "w.json", wide)]) == 0
     assert "nuclear: no" in capsys.readouterr().out
+
+
+def _z4_degree_one_identity(tmp_path):
+    # degree 1 squares to 2 in Z4, so the identity lies outside the ideal
+    obj = xrel.trivial_object(xrel.cyclic_monoid(4), ("p", "q"), (1, 1))
+    return dump(tmp_path, "h.json", xrel.to_json(xrel.identity(obj)), "xrel")
+
+
+def test_trace_outside_class_crossed_sets(tmp_path, capsys):
+    assert cli.main(["trace", _z4_degree_one_identity(tmp_path)]) == 5
+    assert capsys.readouterr().err == (
+        "outside the supported class: endomorphism is outside the trace "
+        "class: no nuclear factorization exists\n"
+    )
+
+
+def test_check_nuclear_crossed_sets(tmp_path, capsys):
+    assert cli.main(["check-nuclear", _z4_degree_one_identity(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "nuclear: no\nand it admits no nuclear factorization\n"
+    )
 
 
 def test_disintegrate_diagonal(tmp_path, capsys):
@@ -200,6 +221,42 @@ def test_xrel_malformed_document_exits_parse(tmp_path, capsys, path, value):
         inner = inner[key]
     inner[path[-1]] = value
     assert cli.main(["trace", dump(tmp_path, "f.json", doc, "xrel")]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def _hilb_doc(**fields):
+    return {"rows": 1, "cols": 1, "re": [[0]], "im": [[0]], **fields}
+
+
+def _stoch_doc(**fields):
+    space = {"points": ["a"], "mass": {"a": "1"}}
+    return {"source": space, "target": space, "weight": [["1"]], **fields}
+
+
+def _lattice_doc(**fields):
+    return {"elements": [0, 1], "leq": [[1, 1], [0, 1]], **fields}
+
+
+def _supmap_doc(**fields):
+    lat = _lattice_doc()
+    return {"source": lat, "target": lat, "values": [0, 1], **fields}
+
+
+@pytest.mark.parametrize(
+    "category, doc",
+    [
+        ("finhilb", _hilb_doc(re=5)),
+        ("finhilb", _hilb_doc(re=[5])),
+        ("finhilb", _hilb_doc(re=[["a"]])),
+        ("pinj", {"source": [{"a": 1}], "target": ["x"], "graph": {}}),
+        ("finstoch", _stoch_doc(weight=[5])),
+        ("cjsl", _supmap_doc(source=_lattice_doc(leq=5))),
+        ("cjsl", _supmap_doc(source=_lattice_doc(leq=[5]))),
+        ("cjsl", _supmap_doc(values=5)),
+    ],
+)
+def test_malformed_document_exits_parse(tmp_path, capsys, category, doc):
+    assert cli.main(["check-nuclear", dump(tmp_path, "f.json", doc, category)]) == 2
     assert "parse error" in capsys.readouterr().err
 
 

@@ -1,9 +1,12 @@
-"""Primitive-operation timings for finrel, pinj and xrel at fixed sizes.
+"""Primitive-operation timings for finrel, pinj, xrel and finstoch at
+fixed sizes.
 
 The first rung of the benchmark ladder: compose, converse (the star),
 tensor, theta and `mor_eq`, each on operands over 4-element sets; the
-xrel ones are crossed sets over Z2 with a non-trivial action.  All
-three models run on finrel's relation kernel.  This
+xrel ones are crossed sets over Z2 with a non-trivial action.  The
+three relation models run on finrel's relation kernel.  The finstoch
+operands are exact joint measures on a 3-point space with a null
+point, the shape its samplers draw.  This
 directory is outside the Tier-1 `testpaths`; run it with
 
     PYTHONPATH=src python -m pytest bench/ --benchmark-only
@@ -11,9 +14,11 @@ directory is outside the Tier-1 `testpaths`; run it with
 and add `--benchmark-json FILE` to keep the numbers.
 """
 
+from fractions import Fraction as F
+
 import pytest
 
-from nucleal import finrel, pinj, xrel
+from nucleal import finrel, finstoch, pinj, xrel
 from nucleal.core.rng import Lcg
 
 N = 4  # size of every set an operand runs between
@@ -50,7 +55,16 @@ def _xrel():
     return inst, nuc, f, g, f  # over Z2 every relation is in the ideal
 
 
-MODELS = {"finrel": _finrel, "pinj": _pinj, "xrel": _xrel}
+def _finstoch():
+    inst, nuc, _ = finstoch.structures()
+    x = finstoch.prob_space(("a", "b", "c"), (F(1, 4), F(0), F(3, 4)))
+    o = F(0)
+    f = finstoch.joint(x, x, ((F(1, 8), o, F(1, 8)), (o, o, o), (F(1, 4), o, F(1, 2))))
+    g = finstoch.joint(x, x, ((o, o, F(1, 4)), (o, o, o), (F(1, 6), o, F(7, 12))))
+    return inst, nuc, f, g, f  # every valid joint measure is nuclear
+
+
+MODELS = {"finrel": _finrel, "pinj": _pinj, "xrel": _xrel, "finstoch": _finstoch}
 
 OPS = {
     "compose": lambda inst, nuc, f, g, h: (inst.compose, g, f),

@@ -118,6 +118,8 @@ def _category_of(doc, flag_value):
     name = None
     if isinstance(doc, dict) and "category" in doc:
         name = doc["category"]
+        if not isinstance(name, str):
+            raise ParseError(f"category must be a string, not {name!r}")
         if flag_value and flag_value != name:
             raise ParseError(
                 f"file says category {name!r} but --category is {flag_value!r}"

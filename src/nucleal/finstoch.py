@@ -11,9 +11,32 @@ triple (unit, pushforward, flattening) rounds out the picture.
 
 Morphisms are deliberately measures rather than probability measures:
 composition can lose mass (see the mass-loss fixture in the test data),
-and `is_probability` keeps the distinction observable.  All arithmetic
-is exact `fractions.Fraction`; every law here is an identity, not an
-approximation.
+and `is_probability` keeps the distinction observable.  Every law here
+is an identity, not an approximation.
+
+Arithmetic is exact and runs on integers.  A space stores its masses,
+and a joint measure its weights, as integer numerators `num` over one
+common denominator `den`, in canonical form: `den` is positive and the
+gcd of `den` and every numerator is 1.  Canonical form is unique, so two
+values are equal exactly when their integers are.  `compose` and
+`tensor_joint` reduce their result with one gcd; the other operations
+keep canonical integers as they are.  `mass` and `weight` are read-only
+`Fraction` views of those integers.  Otherwise `Fraction` appears only
+at the JSON boundary, in scalar outputs (`trace_nuclear`, `density`,
+`disintegrate`, ...) and in the Giry triple's distributions.
+
+Boundary contract: values that enter from outside are validated, values
+that operations make are trusted.  The `ProbSpace` and `JointMeasure`
+constructors, `prob_space`, `joint`, `from_json` and the samplers check
+shape, nonnegativity and a space's total mass; all of them but the
+`JointMeasure` constructor and `from_json(validate=False)` also check
+that a measure's marginals are absolutely continuous.  Operations whose
+results keep those invariants (`compose`, `converse`, `delta`,
+`product_joint`, `tensor_joint`, `product_space`, `reindex`, `theta`,
+`theta_inv`) build through the trusted `_mk`/`_mk_space`, which check
+nothing; each call says why the invariants hold.  That reasoning
+assumes valid operands: a measure loaded with `validate=False` is
+outside it.
 """
 
 from __future__ import annotations
@@ -21,6 +44,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from nucleal.core import scalars
@@ -46,23 +72,53 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+def _over_lcd(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of `Fraction`s as integer rows over their least common
+    denominator; no prime divides that and every numerator, so the
+    result is already canonical."""
+    den = lcm(*[w.denominator for row in rows for w in row])
+    num = tuple(
+        [tuple([w.numerator * (den // w.denominator) for w in row]) for row in rows]
+    )
+    return num, den
+
+
+def _reduce(rows: list, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Canonical form of integer rows (tuples) over `den` > 0."""
+    g = gcd(den, *chain.from_iterable(rows))
+    if g == 1:
+        return tuple(rows), den
+    return tuple([tuple([n // g for n in row]) for row in rows]), den // g
+
+
+def _view(num: tuple[int, ...], den: int) -> tuple[Fraction, ...]:
+    return tuple([Fraction(n, den) for n in num])
+
+
+@dataclass(frozen=True, init=False)
 class ProbSpace:
-    """Finite probability space; mass aligned with the label order."""
+    """Finite probability space: the point with label index i has mass
+    num[i] / den."""
 
     points: FinSet
-    mass: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if len(self.mass) != self.points.size:
+    def __init__(self, points: FinSet, mass: Sequence[Fraction]):
+        if len(mass) != points.size:
             raise ShapeMismatch("one mass per point required")
-        total = ZERO
-        for m in self.mass:
+        for m in mass:
             if not isinstance(m, Fraction) or m < 0:
                 raise InvariantViolation(f"mass {m!r} is not a nonnegative rational")
-            total += m
-        if total != ONE:
-            raise InvariantViolation(f"total mass {total} != 1")
+        (num,), den = _over_lcd((mass,))
+        if sum(num) != den:
+            raise InvariantViolation(f"total mass {Fraction(sum(num), den)} != 1")
+        self.__dict__.update(points=points, num=num, den=den)
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        """Read-only view of the masses, aligned with the label order."""
+        return _view(self.num, self.den)
 
     @property
     def size(self) -> int:
@@ -73,6 +129,14 @@ class ProbSpace:
             f"{lbl!r}:{m}" for lbl, m in zip(self.points.labels, self.mass)
         )
         return f"ProbSpace({body})"
+
+
+def _mk_space(points: FinSet, num: tuple[int, ...], den: int) -> ProbSpace:
+    """Trusted builder: `num` must be one nonnegative int per point, over
+    `den`, in canonical form, with total mass 1."""
+    p = object.__new__(ProbSpace)
+    p.__dict__.update(points=points, num=num, den=den)
+    return p
 
 
 def prob_space(labels: Sequence, masses: Sequence[Fraction]) -> ProbSpace:
@@ -88,60 +152,88 @@ UNIT_SPACE = ProbSpace(UNIT, (ONE,))
 
 
 def product_space(p: ProbSpace, q: ProbSpace) -> ProbSpace:
-    return ProbSpace(
+    # masses sum to 1 and stay nonnegative; each factor's numerators sum
+    # to its denominator and so have gcd 1, and so do their products
+    return _mk_space(
         product(p.points, q.points),
-        tuple(mp * mq for mp in p.mass for mq in q.mass),
+        tuple([x * y for x in p.num for y in q.num]),
+        p.den * q.den,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JointMeasure:
-    """Nonnegative rational measure on the product of two spaces.
+    """Nonnegative rational measure on the product of two spaces: cell
+    (i, j) weighs num[i][j] / den.
 
-    The dataclass checks shape and nonnegativity only; the `joint`
-    factory additionally enforces marginal absolute continuity, and all
-    module operations construct through it.
+    The constructor checks shape and nonnegativity only; the `joint`
+    factory additionally enforces marginal absolute continuity.  Module
+    operations build their results through the trusted `_mk` instead.
     """
 
     source: ProbSpace
     target: ProbSpace
-    weight: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int
 
-    def __post_init__(self):
-        if len(self.weight) != self.source.size:
+    def __init__(
+        self, source: ProbSpace, target: ProbSpace, weight: Sequence[Sequence[Fraction]]
+    ):
+        if len(weight) != source.size:
             raise ShapeMismatch("one weight row per source point required")
-        for row in self.weight:
-            if len(row) != self.target.size:
+        for row in weight:
+            if len(row) != target.size:
                 raise ShapeMismatch("one weight column per target point required")
             for w in row:
                 if not isinstance(w, Fraction) or w < 0:
                     raise InvariantViolation(
                         f"weight {w!r} is not a nonnegative rational"
                     )
+        num, den = _over_lcd(weight)
+        self.__dict__.update(source=source, target=target, num=num, den=den)
+
+    @property
+    def weight(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Read-only view of the weights, one row per source point."""
+        return tuple([_view(row, self.den) for row in self.num])
 
     def total(self) -> Fraction:
-        return sum((w for row in self.weight for w in row), start=ZERO)
+        return Fraction(sum(map(sum, self.num)), self.den)
 
     def __repr__(self):
         cells = {
-            (self.source.points.labels[i], self.target.points.labels[j]): w
-            for i, row in enumerate(self.weight)
-            for j, w in enumerate(row)
-            if w
+            (self.source.points.labels[i], self.target.points.labels[j]): Fraction(
+                n, self.den
+            )
+            for i, row in enumerate(self.num)
+            for j, n in enumerate(row)
+            if n
         }
         return f"JointMeasure({cells})"
 
 
+def _mk(
+    source: ProbSpace, target: ProbSpace, num: tuple[tuple[int, ...], ...], den: int
+) -> JointMeasure:
+    """Trusted builder: `num` must hold one row of nonnegative ints per
+    source point and one column per target point, over `den`, in
+    canonical form, with absolutely continuous marginals."""
+    a = object.__new__(JointMeasure)
+    a.__dict__.update(source=source, target=target, num=num, den=den)
+    return a
+
+
 def check_abs_continuity(a: JointMeasure) -> None:
-    mx, my = marginals(a)
-    for i, m in enumerate(mx):
-        if a.source.mass[i] == 0 and m != 0:
+    # weights are nonnegative, so a marginal vanishes where its row or
+    # column is all zero
+    for i, row in enumerate(a.num):
+        if a.source.num[i] == 0 and any(row):
             raise InvariantViolation(
                 "source marginal not absolutely continuous",
                 witness=a.source.points.labels[i],
             )
-    for j, m in enumerate(my):
-        if a.target.mass[j] == 0 and m != 0:
+    for j, m in enumerate(a.target.num):
+        if m == 0 and any(row[j] for row in a.num):
             raise InvariantViolation(
                 "target marginal not absolutely continuous",
                 witness=a.target.points.labels[j],
@@ -161,67 +253,66 @@ def joint(
 def delta(p: ProbSpace) -> JointMeasure:
     """Diagonal measure; the identity morphism on (X, mu)."""
     n = p.size
-    return joint(
-        p,
-        p,
-        [[p.mass[i] if i == j else ZERO for j in range(n)] for i in range(n)],
-    )
+    rows = [tuple([m if i == j else 0 for j in range(n)]) for i, m in enumerate(p.num)]
+    # both marginals are p, and p's integers are canonical
+    return _mk(p, p, tuple(rows), p.den)
 
 
 def product_joint(p: ProbSpace, q: ProbSpace) -> JointMeasure:
-    return joint(p, q, [[mp * mq for mq in q.mass] for mp in p.mass])
+    rows = tuple([tuple([x * y for y in q.num]) for x in p.num])
+    # the marginals are p and q; canonical for the reason product_space is
+    return _mk(p, q, rows, p.den * q.den)
 
 
 def marginals(a: JointMeasure):
-    mx = tuple(sum(row, start=ZERO) for row in a.weight)
-    my = tuple(
-        sum((row[j] for row in a.weight), start=ZERO) for j in range(a.target.size)
-    )
+    mx = tuple([Fraction(sum(row), a.den) for row in a.num])
+    my = tuple([Fraction(sum(col), a.den) for col in zip(*a.num)])
     return mx, my
 
 
 def is_probability(a: JointMeasure) -> bool:
-    return a.total() == ONE
+    return sum(map(sum, a.num)) == a.den
 
 
 def compose(a: JointMeasure, b: JointMeasure) -> JointMeasure:
-    """Diagrammatic composite: integrate the matched kernels over the middle."""
+    """Diagrammatic composite: integrate the matched kernels over the middle.
+
+    Cell (i, k) is the sum over middle points j of positive mass
+    nu_j = N_j / d of a_ij b_jk / nu_j.  With s the lcm of those N_j,
+    that is 1 / (a.den b.den s) times the integer sum of
+    A_ij B_jk (s d / N_j).
+    """
     if a.target != b.source:
         raise ShapeMismatch("middle spaces differ")
-    nu = a.target.mass
-    rows = []
-    for i in range(a.source.size):
-        row = []
-        for k in range(b.target.size):
-            acc = ZERO
-            for j, m in enumerate(nu):
-                if m:
-                    acc += a.weight[i][j] * b.weight[j][k] / m
-            row.append(acc)
-        rows.append(row)
-    return joint(a.source, b.target, rows)
+    nu = a.target.num
+    s = lcm(*[m for m in nu if m])
+    sd = s * a.target.den
+    zero = (0,) * b.target.size
+    cols = list(
+        zip(*[[w * (sd // m) for w in row] if m else zero for row, m in zip(b.num, nu)])
+    )
+    rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in a.num]
+    # a null source point has a zero row in a, a null target point a zero
+    # column in b, so the composite's row and column there are zero too
+    return _mk(a.source, b.target, *_reduce(rows, a.den * b.den * s))
 
 
 def converse(a: JointMeasure) -> JointMeasure:
-    return joint(
-        a.target,
-        a.source,
-        [[a.weight[i][j] for i in range(a.source.size)] for j in range(a.target.size)],
-    )
+    # transposing swaps the two marginals and keeps the integers
+    return _mk(a.target, a.source, tuple(zip(*a.num)), a.den)
 
 
 def tensor_joint(a: JointMeasure, b: JointMeasure) -> JointMeasure:
-    src = product_space(a.source, b.source)
-    tgt = product_space(a.target, b.target)
-    rows = []
-    for i1 in range(a.source.size):
-        for i2 in range(b.source.size):
-            row = []
-            for j1 in range(a.target.size):
-                for j2 in range(b.target.size):
-                    row.append(a.weight[i1][j1] * b.weight[i2][j2])
-            rows.append(row)
-    return joint(src, tgt, rows)
+    rows = [
+        tuple([x * y for x in arow for y in brow]) for arow in a.num for brow in b.num
+    ]
+    # a product mass is 0 only where a factor mass is, and the factor's
+    # row or column there is zero, so the product's is too
+    return _mk(
+        product_space(a.source, b.source),
+        product_space(a.target, b.target),
+        *_reduce(rows, a.den * b.den),
+    )
 
 
 def reindex(p: ProbSpace, q: ProbSpace, index_map: Sequence[int]) -> JointMeasure:
@@ -229,15 +320,16 @@ def reindex(p: ProbSpace, q: ProbSpace, index_map: Sequence[int]) -> JointMeasur
     if len(index_map) != p.size or sorted(index_map) != list(range(q.size)):
         raise ShapeMismatch("index map is not a bijection")
     for i, j in enumerate(index_map):
-        if p.mass[i] != q.mass[j]:
+        if p.num[i] * q.den != q.num[j] * p.den:
             raise InvariantViolation(
                 "relabeling does not preserve mass",
                 witness=(p.points.labels[i], q.points.labels[j]),
             )
-    rows = [[ZERO] * q.size for _ in range(p.size)]
+    rows = [[0] * q.size for _ in range(p.size)]
     for i, j in enumerate(index_map):
-        rows[i][j] = p.mass[i]
-    return joint(p, q, rows)
+        rows[i][j] = p.num[i]
+    # mass is preserved (checked above), so the marginals are p and q
+    return _mk(p, q, tuple(map(tuple, rows)), p.den)
 
 
 @dataclass(frozen=True)
@@ -264,44 +356,46 @@ def _dirac_row(n: int, at: int = 0) -> tuple[Fraction, ...]:
     return tuple(ONE if j == at else ZERO for j in range(n))
 
 
+def _conditional(lines, width: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Each integer line divided by its sum, or a point mass where that is 0."""
+    out = []
+    for line in lines:
+        m = sum(line)
+        out.append(tuple(Fraction(n, m) for n in line) if m else _dirac_row(width))
+    return tuple(out)
+
+
 def disintegrate(a: JointMeasure):
     """Conditional kernels (Q1: X -> Y, Q2: Y -> X) of the joint measure.
 
     Zero-marginal rows default to a point mass at the first opposite
     point; that choice is the almost-everywhere freedom of conditioning.
     """
-    mx, my = marginals(a)
-    q1_rows = []
-    for i, m in enumerate(mx):
-        if m:
-            q1_rows.append(tuple(w / m for w in a.weight[i]))
-        else:
-            q1_rows.append(_dirac_row(a.target.size))
-    q2_rows = []
-    for j, m in enumerate(my):
-        if m:
-            q2_rows.append(tuple(a.weight[i][j] / m for i in range(a.source.size)))
-        else:
-            q2_rows.append(_dirac_row(a.source.size))
     return (
-        StochKernel(a.source.points, a.target.points, tuple(q1_rows)),
-        StochKernel(a.target.points, a.source.points, tuple(q2_rows)),
+        StochKernel(
+            a.source.points, a.target.points, _conditional(a.num, a.target.size)
+        ),
+        StochKernel(
+            a.target.points, a.source.points, _conditional(zip(*a.num), a.source.size)
+        ),
     )
 
 
 def rn_derivative(a: JointMeasure) -> tuple[Fraction, ...]:
     """Density of the source marginal against the object measure."""
-    mx, _ = marginals(a)
+    d = a.source.den
     return tuple(
-        m / mu if mu else ZERO for m, mu in zip(mx, a.source.mass)
+        Fraction(sum(row) * d, a.den * mu) if mu else ZERO
+        for row, mu in zip(a.num, a.source.num)
     )
 
 
 def associated_kernel(a: JointMeasure) -> tuple[tuple[Fraction, ...], ...]:
     """Sub-stochastic kernel F with F(x, y) mu(x) summing back to the weights."""
+    d = a.source.den
     return tuple(
-        tuple(w / mu for w in row) if mu else tuple(ZERO for _ in row)
-        for row, mu in zip(a.weight, a.source.mass)
+        tuple(Fraction(n * d, a.den * mu) if mu else ZERO for n in row)
+        for row, mu in zip(a.num, a.source.num)
     )
 
 
@@ -312,22 +406,23 @@ def is_nuclear(a: JointMeasure) -> bool:
     the factory admits is nuclear; the check stays independent so that
     raw, unvalidated data can be audited.
     """
-    for i, row in enumerate(a.weight):
-        for j, w in enumerate(row):
-            if w and (a.source.mass[i] == 0 or a.target.mass[j] == 0):
-                return False
+    null_cols = [j for j, m in enumerate(a.target.num) if not m]
+    for row, m in zip(a.num, a.source.num):
+        if any(row if not m else [row[j] for j in null_cols]):
+            return False
     return True
 
 
 def density(a: JointMeasure) -> tuple[tuple[Fraction, ...], ...]:
     if not is_nuclear(a):
         raise InvariantViolation("density requested for a non-nuclear morphism")
+    scale = a.source.den * a.target.den
     return tuple(
         tuple(
-            w / (mu * nu) if w else ZERO
-            for w, nu in zip(row, a.target.mass)
+            Fraction(w * scale, a.den * mu * nu) if w else ZERO
+            for w, nu in zip(row, a.target.num)
         )
-        for row, mu in zip(a.weight, a.source.mass)
+        for row, mu in zip(a.num, a.source.num)
     )
 
 
@@ -335,18 +430,23 @@ def theta(a: JointMeasure) -> JointMeasure:
     """Re-type the weight matrix as a state on the product space."""
     if not is_nuclear(a):
         raise InvariantViolation("transpose requested for a non-nuclear morphism")
-    flat = [w for row in a.weight for w in row]
-    return joint(UNIT_SPACE, product_space(a.source, a.target), [flat])
+    # a nuclear measure weighs only cells of positive product mass
+    return _mk(
+        UNIT_SPACE,
+        product_space(a.source, a.target),
+        (tuple(chain.from_iterable(a.num)),),
+        a.den,
+    )
 
 
 def theta_inv(m: JointMeasure, p: ProbSpace, q: ProbSpace) -> JointMeasure:
     if m.source != UNIT_SPACE or m.target != product_space(p, q):
         raise ShapeMismatch("state must run from the unit into the product space")
-    flat = m.weight[0]
+    flat = m.num[0]
     n = q.size
-    return joint(
-        p, q, [flat[i * n : (i + 1) * n] for i in range(p.size)]
-    )
+    # a valid state weighs only cells of positive product mass, whose two
+    # points both have positive mass
+    return _mk(p, q, tuple([flat[i * n : (i + 1) * n] for i in range(p.size)]), m.den)
 
 
 def nuclear_compose_density(
@@ -370,13 +470,20 @@ def nuclear_compose_density(
 
 
 def trace_nuclear(h: JointMeasure) -> Fraction:
-    """Diagonal density integral of a nuclear endomorphism."""
+    """Diagonal density integral of a nuclear endomorphism.
+
+    That is the sum of w_ii / mu_i over the points of positive mass
+    mu_i = N_i / d (a nuclear h has w_ii = 0 at the others): with s the
+    lcm of those N_i, d / (h.den s) times the integer sum of W_ii s / N_i.
+    """
     if h.source != h.target:
         raise ShapeMismatch("trace needs an endomorphism")
-    d = density(h)
-    return sum(
-        (d[i][i] * h.source.mass[i] for i in range(h.source.size)), start=ZERO
-    )
+    if not is_nuclear(h):
+        raise InvariantViolation("density requested for a non-nuclear morphism")
+    mu = h.source.num
+    s = lcm(*[m for m in mu if m])
+    acc = sum(h.num[i][i] * (s // m) for i, m in enumerate(mu) if m)
+    return Fraction(acc * h.source.den, h.den * s)
 
 
 def iso_witnesses(p: ProbSpace, q: ProbSpace):
@@ -385,10 +492,10 @@ def iso_witnesses(p: ProbSpace, q: ProbSpace):
         raise ShapeMismatch("witnesses need identical point sets")
     n = p.size
     h = joint(
-        p, q, [[p.mass[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+        p, q, [[m if i == j else ZERO for j in range(n)] for i, m in enumerate(p.mass)]
     )
     k = joint(
-        q, p, [[q.mass[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+        q, p, [[m if i == j else ZERO for j in range(n)] for i, m in enumerate(q.mass)]
     )
     return h, k
 
@@ -397,7 +504,7 @@ def iso_equivalent(p: ProbSpace, q: ProbSpace) -> bool:
     """Same null sets; verified by composing the explicit witnesses."""
     if p.points != q.points:
         raise ShapeMismatch("spaces live on different point sets")
-    if any((a == 0) != (b == 0) for a, b in zip(p.mass, q.mass)):
+    if any((a == 0) != (b == 0) for a, b in zip(p.num, q.num)):
         return False
     h, k = iso_witnesses(p, q)
     if compose(h, k) != delta(p) or compose(k, h) != delta(q):
@@ -561,11 +668,11 @@ def from_json(data, validate: bool = True) -> JointMeasure:
 
 def sample_space(rng: Lcg, max_points: int = 3) -> ProbSpace:
     n = 1 + rng.below(max_points)
-    weights = [Fraction(rng.below(4)) for _ in range(n)]
+    weights = [rng.below(4) for _ in range(n)]
     if all(w == 0 for w in weights):
-        weights[rng.below(n)] = ONE
-    total = sum(weights, start=ZERO)
-    return prob_space(list(range(n)), [w / total for w in weights])
+        weights[rng.below(n)] = 1
+    total = sum(weights)
+    return prob_space(list(range(n)), [Fraction(w, total) for w in weights])
 
 
 def sample_joint(rng: Lcg, p: ProbSpace, q: ProbSpace) -> JointMeasure:
@@ -573,7 +680,7 @@ def sample_joint(rng: Lcg, p: ProbSpace, q: ProbSpace) -> JointMeasure:
     for i in range(p.size):
         row = []
         for j in range(q.size):
-            if p.mass[i] == 0 or q.mass[j] == 0 or rng.below(3) == 0:
+            if p.num[i] == 0 or q.num[j] == 0 or rng.below(3) == 0:
                 row.append(ZERO)
             else:
                 row.append(rng.fraction(3, 3))
@@ -623,10 +730,11 @@ class StochInstance(CategoryInstance):
     def scalar_of(self, s):
         if s.source != UNIT_SPACE or s.target != UNIT_SPACE:
             raise ShapeMismatch("scalars live on the unit space")
-        return s.weight[0][0]
+        return Fraction(s.num[0][0], s.den)
 
     def mor_eq(self, f, g, tol=None):
-        return f.source == g.source and f.target == g.target and f.weight == g.weight
+        # canonical form: equal measures have equal integers
+        return f == g
 
     def obj_size(self, a):
         return a.size

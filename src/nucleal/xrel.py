@@ -50,6 +50,7 @@ from nucleal.core.errors import (
 )
 from nucleal.core.instance import (
     CategoryInstance,
+    FactorizationResult,
     NuclearStructure,
     TraceStructure,
 )
@@ -275,6 +276,16 @@ def tensor(r: XRelMorphism, s: XRelMorphism) -> XRelMorphism:
     src = tensor_object(r.source, s.source)
     tgt = tensor_object(r.target, s.target)
     return _mk(src, tgt, finrel.tensor_rows(r, s), XRelMorphism)
+
+
+def domain_identity(h: XRelMorphism) -> XRelMorphism:
+    """Partial identity on the source points h relates, so h = h o it.
+
+    Those points are action-closed because h is, and their degrees are
+    h's, so the result is nuclear whenever h is.
+    """
+    rows = tuple(1 << x if row else 0 for x, row in enumerate(h.rows))
+    return _mk(h.source, h.source, rows, XRelMorphism)
 
 
 def orbit_closure(source: CrossedMSet, target: CrossedMSet, seed_pairs):
@@ -642,6 +653,11 @@ class XRelNuclear(NuclearStructure):
             rng, unit_object(a.monoid), tensor_object(a, b)
         )
 
+    def factorize(self, h):
+        return FactorizationResult(
+            True, left=domain_identity(h), right=h, middle=h.source
+        )
+
 
 class XRelTrace(TraceStructure):
     def in_trace_class(self, h):
@@ -669,11 +685,9 @@ class XRelTrace(TraceStructure):
     def sample_equal_factorizations(self, rng):
         a = self.inst.sample_object(rng)
         h = self.nuclear.sample_nuclear(rng, a, a)
-        dom = frozenset((x, x) for x, _ in h.pairs)
-        ran = frozenset((y, y) for _, y in h.pairs)
         return (
-            (XRelMorphism(a, a, dom), h),
-            (h, XRelMorphism(a, a, ran)),
+            (domain_identity(h), h),
+            (h, domain_identity(converse(h))),
         )
 
 

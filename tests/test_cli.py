@@ -253,6 +253,9 @@ def _supmap_doc(**fields):
         ("cjsl", _supmap_doc(source=_lattice_doc(leq=5))),
         ("cjsl", _supmap_doc(source=_lattice_doc(leq=[5]))),
         ("cjsl", _supmap_doc(values=5)),
+        (["pinj"], _stoch_doc()),
+        (5, _stoch_doc()),
+        ({"name": "finstoch"}, _stoch_doc()),
     ],
 )
 def test_malformed_document_exits_parse(tmp_path, capsys, category, doc):

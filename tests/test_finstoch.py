@@ -5,10 +5,11 @@ recomputation of each formula.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from nucleal import finstoch
+from nucleal import cli, finstoch
 from nucleal.core.errors import InvariantViolation, ParseError
 from nucleal.core.rng import Lcg
 
@@ -124,13 +125,54 @@ def compose_oracle(a, b):
     return tuple(out)
 
 
+def is_canonical(num, den):
+    """Positive denominator, nonnegative ints, and gcd 1 over all of them."""
+    flat = [n for row in num for n in row]
+    return den > 0 and all(n >= 0 for n in flat) and gcd(den, *flat) == 1
+
+
 def test_compose_matches_oracle():
     rng = Lcg(24)
+    null_middles = 0
     for _ in range(200):
         p, q, r = (finstoch.sample_space(rng) for _ in range(3))
         a = finstoch.sample_joint(rng, p, q)
         b = finstoch.sample_joint(rng, q, r)
-        assert finstoch.compose(a, b).weight == compose_oracle(a, b)
+        # b with a zero row wherever a puts weight: the composite loses all mass
+        _, carried = finstoch.marginals(a)
+        lossy = finstoch.joint(
+            q, r, [[F(0)] * r.size if m else row for row, m in zip(b.weight, carried)]
+        )
+        for right in (b, lossy):
+            c = finstoch.compose(a, right)
+            assert c.weight == compose_oracle(a, right)
+            assert is_canonical(c.num, c.den)
+        assert c.total() == 0
+        null_middles += 0 in q.num
+    assert null_middles >= 50
+
+
+def tensor_oracle(a, b):
+    """Direct Fraction evaluation of the product measure, row-major."""
+    return tuple(
+        tuple(x * y for x in arow for y in brow)
+        for arow in a.weight
+        for brow in b.weight
+    )
+
+
+def test_tensor_joint_matches_oracle():
+    rng = Lcg(27)
+    for _ in range(200):
+        p, q, r, s = (finstoch.sample_space(rng) for _ in range(4))
+        a = finstoch.sample_joint(rng, p, q)
+        b = finstoch.sample_joint(rng, r, s)
+        t = finstoch.tensor_joint(a, b)
+        assert t.weight == tensor_oracle(a, b)
+        assert is_canonical(t.num, t.den)
+        for prod, x, y in ((t.source, p, r), (t.target, q, s)):
+            assert prod.mass == tuple(mx * my for mx in x.mass for my in y.mass)
+            assert is_canonical((prod.num,), prod.den)
 
 
 def mass_loss_pair():
@@ -253,10 +295,12 @@ def test_giry_laws_report_passes_exhaustively():
 
 
 def test_mass_loss_report_is_documented_finding():
-    a, b = mass_loss_pair()
-    rep = finstoch.mass_loss_report(a, b)
-    assert rep.ok and rep.is_finding
-    assert any(f.startswith("composite-total:0") for f in rep.flags)
+    doc = cli._fixture("massloss.json")
+    fixture = (finstoch.from_json(doc["first"]), finstoch.from_json(doc["second"]))
+    for a, b in (mass_loss_pair(), fixture):
+        rep = finstoch.mass_loss_report(a, b)
+        assert rep.ok and rep.is_finding
+        assert "composite-total:0/1" in rep.flags
 
 
 def leaky_measure():

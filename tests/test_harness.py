@@ -92,7 +92,9 @@ def _factorization_cases(mod):
 
 
 @pytest.mark.parametrize(
-    "mod", [finrel, pinj, finstoch, finhilb], ids=["finrel", "pinj", "finstoch", "finhilb"]
+    "mod",
+    [finrel, pinj, finstoch, finhilb, xrel],
+    ids=["finrel", "pinj", "finstoch", "finhilb", "xrel"],
 )
 def test_factorization_matches_ideal(mod):
     inst, nuc, _ = mod.structures()

@@ -1,20 +1,24 @@
-"""Safety net for the trusted builders of finrel, pinj and xrel.
+"""Safety net for the trusted builders of finrel, pinj, xrel and finstoch.
 
 Model operations build their results through private builders that
 skip constructor validation: finrel's `_mk` for every relation
 (`Relation`, `PartialInjection` and `XRelMorphism` alike), `_mk_set`
-for sets and xrel's `_mk_obj` for crossed sets.  These tests swap each
-builder for one that goes through the validating constructor of the
+for sets, xrel's `_mk_obj` for crossed sets, and finstoch's `_mk` and
+`_mk_space` for joint measures and probability spaces.  These tests swap
+each builder for one that goes through the validating constructor of the
 value's type and also demands that it reproduce the same fields, then
 rerun the law checks: the verdicts must not change, and one invalid
-value fails the run.
+value fails the run.  The finstoch builders also demand absolute
+continuity and canonical integers.
 """
 
 import dataclasses
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from nucleal import cli, finrel, pinj, xrel
+from nucleal import cli, finrel, finstoch, pinj, xrel
 from nucleal.core import harness
 from nucleal.core.errors import InvariantViolation
 
@@ -143,3 +147,99 @@ def test_validated_builders_catch_unclosed_xrel(monkeypatch):
     _validate_builders(monkeypatch)
     with pytest.raises(InvariantViolation, match="not closed under the action"):
         inst.identity(swap)
+
+
+# -- finstoch ---------------------------------------------------------------
+
+
+def _check_canonical(rows, den):
+    flat = [n for row in rows for n in row]
+    if (
+        type(den) is not int
+        or den <= 0
+        or any(type(n) is not int or n < 0 for n in flat)
+        or gcd(den, *flat) != 1
+    ):
+        raise InvariantViolation(f"not in canonical form: {rows!r} over {den!r}")
+
+
+def _validating_space(points, num, den):
+    _check_canonical((num,), den)
+    value = finstoch.ProbSpace(points, tuple(Fraction(n, den) for n in num))
+    return _same_or_raise(value, (points, num, den), ("points", "num", "den"))
+
+
+def _validating_joint(source, target, num, den):
+    _check_canonical(num, den)
+    weight = tuple(tuple(Fraction(n, den) for n in row) for row in num)
+    value = finstoch.JointMeasure(source, target, weight)
+    finstoch.check_abs_continuity(value)
+    fields = ("source", "target", "num", "den")
+    return _same_or_raise(value, (source, target, num, den), fields)
+
+
+def _validate_finstoch_builders(monkeypatch):
+    monkeypatch.setattr(finstoch, "_mk", _validating_joint)
+    monkeypatch.setattr(finstoch, "_mk_space", _validating_space)
+
+
+def _finstoch_reports(seeds=(1, 7), budget=200):
+    inst, nuc, tr = finstoch.structures()
+    reps = []
+    for seed in seeds:
+        reps += [
+            harness.check_star_laws(inst, budget, seed),
+            harness.check_nuclear_axioms(inst, nuc, budget, seed),
+            harness.check_sliding(inst, nuc, budget, seed),
+            harness.check_tracedness(inst, nuc, tr, budget, seed),
+            harness.check_trace_axioms(inst, nuc, tr, budget, seed),
+        ]
+        reps += cli._stoch_monad_reports(budget, seed)
+    return reps
+
+
+def test_validated_finstoch_builders_change_no_verdict(monkeypatch):
+    trusted = _finstoch_reports()
+    _validate_finstoch_builders(monkeypatch)
+    checked = _finstoch_reports()
+    assert not [
+        f for r in checked for f in r.failures if "InvariantViolation" in f
+    ]
+    assert all(r.ok or r.is_finding for r in checked)
+    assert _signature(checked) == _signature(trusted)
+    assert any(r.is_finding for r in checked)  # mass loss still reproduces
+
+
+def test_validated_builders_catch_weight_on_null_cell(monkeypatch):
+    real = finstoch.tensor_joint
+
+    def tensor_joint(a, b):  # seeded fault: weight on a null source point
+        out = real(a, b)
+        null = [i for i, m in enumerate(out.source.num) if not m]
+        if not null:
+            return out
+        rows = [list(row) for row in out.num]
+        rows[null[0]][0] += out.den  # keeps the gcd, so the form stays canonical
+        return finstoch._mk(out.source, out.target, tuple(map(tuple, rows)), out.den)
+
+    monkeypatch.setattr(finstoch, "tensor_joint", tensor_joint)
+    _validate_finstoch_builders(monkeypatch)
+    inst, _, _ = finstoch.structures()
+    rep = harness.check_star_laws(inst, 200, 1)
+    assert any("marginal not absolutely continuous" in f for f in rep.failures)
+
+
+def test_validated_builders_catch_unreduced_compose(monkeypatch):
+    real = finstoch.compose
+    no_gcd = lambda rows, den: (tuple(rows), den)
+
+    def compose(a, b):  # seeded fault: the final gcd is skipped
+        with monkeypatch.context() as m:
+            m.setattr(finstoch, "_reduce", no_gcd)
+            return real(a, b)
+
+    monkeypatch.setattr(finstoch, "compose", compose)
+    _validate_finstoch_builders(monkeypatch)
+    inst, _, _ = finstoch.structures()
+    rep = harness.check_star_laws(inst, 200, 1)
+    assert any("not in canonical form" in f for f in rep.failures)

@@ -95,6 +95,14 @@ def _view(num: tuple[int, ...], den: int) -> tuple[Fraction, ...]:
     return tuple([Fraction(n, den) for n in num])
 
 
+def _reciprocals(num: tuple[int, ...]) -> tuple[int, list[int]]:
+    """s, the lcm of the positive entries m of `num`, and s / m for each
+    of them (0 where m is 0): a sum of x_j / m_j over the positive m_j is
+    the integer sum of x_j (s / m_j), over s."""
+    s = lcm(*[m for m in num if m])
+    return s, [s // m if m else 0 for m in num]
+
+
 @dataclass(frozen=True, init=False)
 class ProbSpace:
     """Finite probability space: the point with label index i has mass
@@ -280,17 +288,13 @@ def compose(a: JointMeasure, b: JointMeasure) -> JointMeasure:
     Cell (i, k) is the sum over middle points j of positive mass
     nu_j = N_j / d of a_ij b_jk / nu_j.  With s the lcm of those N_j,
     that is 1 / (a.den b.den s) times the integer sum of
-    A_ij B_jk (s d / N_j).
+    A_ij B_jk (s / N_j) d.
     """
     if a.target != b.source:
         raise ShapeMismatch("middle spaces differ")
-    nu = a.target.num
-    s = lcm(*[m for m in nu if m])
-    sd = s * a.target.den
-    zero = (0,) * b.target.size
-    cols = list(
-        zip(*[[w * (sd // m) for w in row] if m else zero for row, m in zip(b.num, nu)])
-    )
+    s, inv = _reciprocals(a.target.num)
+    d = a.target.den
+    cols = list(zip(*[[w * r * d for w in row] for row, r in zip(b.num, inv)]))
     rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in a.num]
     # a null source point has a zero row in a, a null target point a zero
     # column in b, so the composite's row and column there are zero too
@@ -480,9 +484,8 @@ def trace_nuclear(h: JointMeasure) -> Fraction:
         raise ShapeMismatch("trace needs an endomorphism")
     if not is_nuclear(h):
         raise InvariantViolation("density requested for a non-nuclear morphism")
-    mu = h.source.num
-    s = lcm(*[m for m in mu if m])
-    acc = sum(h.num[i][i] * (s // m) for i, m in enumerate(mu) if m)
+    s, inv = _reciprocals(h.source.num)
+    acc = sum(h.num[i][i] * r for i, r in enumerate(inv))
     return Fraction(acc * h.source.den, h.den * s)
 
 

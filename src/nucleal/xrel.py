@@ -25,8 +25,9 @@ Boundary contract: the `CrossedMSet` and `XRelMorphism` constructors,
 every invariant.  Operations whose results are valid by theorem build
 through the trusted `_mk_obj` and finrel's `_mk`, which check nothing:
 the unit and tensor objects, `compose`, `converse`, `tensor`,
-`identity`, `theta` (the degrees of a nuclear relation square to the
-identity), `enum_morphisms` and the instance's sampled objects.
+`identity`, `domain_identity` (the points a closed relation relates
+are action-closed), `theta` (the degrees of a nuclear relation square
+to the identity), `enum_morphisms` and the instance's sampled objects.
 `theta_inv` and the instance's `reindex` are not valid by theorem (a
 state may pair degrees whose squares are not trivial, and an arbitrary
 bijection need not be equivariant), and `empty` may be handed objects

@@ -2,7 +2,8 @@
 fixed sizes.
 
 The first rung of the benchmark ladder: compose, converse (the star),
-tensor, theta and `mor_eq`, each on operands over 4-element sets; the
+tensor, theta, the symmetry (braiding) on an operand's source and
+target, and `mor_eq`, each on operands over 4-element sets; the
 xrel ones are crossed sets over Z2 with a non-trivial action.  The
 three relation models run on finrel's relation kernel.  The finstoch
 operands are exact joint measures on a 3-point space with a null
@@ -71,6 +72,9 @@ OPS = {
     "converse": lambda inst, nuc, f, g, h: (inst.star, f),
     "tensor": lambda inst, nuc, f, g, h: (inst.tensor, f, g),
     "theta": lambda inst, nuc, f, g, h: (nuc.theta, h),
+    "symmetry": lambda inst, nuc, f, g, h: (
+        inst.symmetry, inst.source(f), inst.target(f)
+    ),
     # an equal value built separately, so the comparison runs in full
     "mor_eq": lambda inst, nuc, f, g, h: (
         inst.mor_eq, f, inst.compose(inst.identity(inst.source(f)), f)

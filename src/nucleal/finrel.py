@@ -14,9 +14,9 @@ crossed-set relations (`nucleal.xrel`) are subclasses of `Relation`:
 the same rows plus an invariant of their own.  `compose`, `converse`,
 `tensor`, `theta`, `theta_inv`, `trace_endo` and `param_trace` build
 their result with the type of their relation argument; `identity`,
-`empty` and `reindex` take the type as `cls`.  Only the endpoints are
-the caller's business where they are not plain sets: `tensor_rows` and
-`theta_row` give the rows alone.
+`empty`, `reindex` and `symmetry` take the type as `cls`.  Only the
+endpoints are the caller's business where they are not plain sets:
+`tensor_rows` and `theta_row` give the rows alone.
 
 Boundary contract: values that enter from outside are validated, values
 that model operations make are trusted.  The `FinSet` and `Relation`
@@ -27,6 +27,15 @@ element, no bit outside the target).  The operations and enumerators
 preserve those invariants, and each subclass's invariant, by
 construction, so they build through the trusted `_mk`/`_mk_set`, which
 skip the checks.
+
+Interning: each set shape the models build has exactly one object.
+`fin_set(n)` returns one interned set per n, `UNIT` is interned, and
+`product` of two interned sets returns one interned product, memoized
+on the identity of the pair.  Interned sets live for the whole process,
+so their ids stay unique.  Sets from the `FinSet` constructor or from
+JSON are not interned, and `product` of such a set builds a new set.
+Sets compare by identity first and by labels after, so an interned set
+and a validated set with the same labels are equal and hash alike.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ def _check_labels(labels: tuple) -> None:
         raise InvariantViolation(f"duplicate labels in {labels!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinSet:
     """Ordered finite set of distinct hashable labels."""
 
@@ -62,6 +71,16 @@ class FinSet:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         _check_labels(self.labels)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FinSet):
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self):
+        return hash(self.labels)
 
     @property
     def size(self) -> int:
@@ -84,16 +103,37 @@ def _mk_set(labels: tuple) -> FinSet:
     return x
 
 
+# The intern tables: every interned set by id, which keeps it alive, and
+# the interned sets by shape, keyed by n for fin_set(n) and by the ids
+# (id(x), id(y)) for the product of interned x and y.
+_INTERNED: dict[int, FinSet] = {}
+_SHAPES: dict = {}
+
+
+def _intern(key, x: FinSet) -> FinSet:
+    _SHAPES[key] = x
+    _INTERNED[id(x)] = x
+    return x
+
+
 def fin_set(n: int) -> FinSet:
-    """Canonical n-element set 0..n-1."""
-    return _mk_set(tuple(range(n)))
+    """Canonical n-element set 0..n-1, interned."""
+    x = _SHAPES.get(n)
+    return x if x is not None else _intern(n, _mk_set(tuple(range(n))))
 
 
-UNIT = FinSet((UNIT_LABEL,))
+UNIT = _intern(UNIT_LABEL, FinSet((UNIT_LABEL,)))
 
 
 def product(x: FinSet, y: FinSet) -> FinSet:
-    return _mk_set(tuple([(a, b) for a in x.labels for b in y.labels]))
+    """Cartesian product; interned when x and y are."""
+    key = (id(x), id(y))
+    p = _SHAPES.get(key)
+    if p is None:
+        p = _mk_set(tuple([(a, b) for a in x.labels for b in y.labels]))
+        if key[0] in _INTERNED and key[1] in _INTERNED:
+            _intern(key, p)
+    return p
 
 
 @dataclass(frozen=True)
@@ -144,7 +184,10 @@ def _mk(source, target, rows: tuple, cls=Relation) -> Relation:
     per source element, with no bit outside the target, that meets the
     invariant of `cls`."""
     r = object.__new__(cls)
-    r.__dict__.update(source=source, target=target, rows=rows)
+    d = r.__dict__  # item stores; cheaper than update() with keywords
+    d["source"] = source
+    d["target"] = target
+    d["rows"] = rows
     return r
 
 
@@ -170,7 +213,7 @@ def identity(x: FinSet, cls=Relation) -> Relation:
 
 def compose(r: Relation, s: Relation) -> Relation:
     """Relational composite of r: X -> Y then s: Y -> Z."""
-    if r.target != s.source:
+    if r.target is not s.source and r.target != s.source:
         raise ShapeMismatch(
             f"cannot compose through {r.target!r} vs {s.source!r}"
         )
@@ -225,6 +268,13 @@ def reindex(a: FinSet, b: FinSet, index_map: Sequence[int], cls=Relation) -> Rel
     if a.size != b.size or sorted(index_map) != list(range(a.size)):
         raise ShapeMismatch("reindex needs a bijection of equal-sized sets")
     return _mk(a, b, tuple([1 << j for j in index_map]), cls)
+
+
+def symmetry(a: FinSet, b: FinSet, cls=Relation) -> Relation:
+    """Braiding a (x) b -> b (x) a: row i * nb + j is the bit j * na + i."""
+    na, nb = a.size, b.size
+    rows = [1 << (j * na + i) for i in range(na) for j in range(nb)]
+    return _mk(product(a, b), product(b, a), tuple(rows), cls)
 
 
 def nu(x: FinSet) -> Relation:
@@ -392,6 +442,9 @@ class FinRelInstance(CategoryInstance):
 
     def unit(self):
         return UNIT
+
+    def symmetry(self, a, b):
+        return symmetry(a, b)
 
     def reindex(self, a, b, index_map):
         return reindex(a, b, index_map)

@@ -294,6 +294,9 @@ class PInjInstance(CategoryInstance):
     def unit(self):
         return UNIT
 
+    def symmetry(self, a, b):
+        return finrel.symmetry(a, b, PartialInjection)
+
     def reindex(self, a, b, index_map):
         return reindex(a, b, index_map)
 

@@ -1,10 +1,18 @@
 """Relations between finite sets: composition, duals, trace."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nucleal import finrel
+import nucleal
+from nucleal import finrel, pinj
+from nucleal.core import harness
 from nucleal.core.errors import InvariantViolation, ShapeMismatch
+from nucleal.core.instance import CategoryInstance
 from nucleal.core.rng import Lcg
 
 
@@ -217,3 +225,109 @@ def test_converse_involution_and_star_of_composite():
         lhs = finrel.converse(finrel.compose(r, s))
         rhs = finrel.compose(finrel.converse(s), finrel.converse(r))
         assert lhs == rhs
+
+
+# -- interned sets ----------------------------------------------------------
+
+
+def test_fin_set_and_product_are_interned():
+    assert finrel.fin_set(3) is finrel.fin_set(3)
+    x, y = finrel.fin_set(2), finrel.fin_set(3)
+    assert finrel.product(x, y) is finrel.product(x, y)
+    assert finrel.product(finrel.product(x, y), x) is finrel.product(
+        finrel.product(x, y), x
+    )
+    assert finrel.product(finrel.UNIT, x) is finrel.product(finrel.UNIT, x)
+    assert finrel.tensor(finrel.identity(x), finrel.identity(y)).source is (
+        finrel.product(x, y)
+    )
+
+
+def test_validated_set_equals_and_hashes_like_the_interned_one():
+    x = finrel.FinSet((0, 1, 2))
+    assert x is not finrel.fin_set(3)
+    assert x == finrel.fin_set(3) and finrel.fin_set(3) == x
+    assert hash(x) == hash(finrel.fin_set(3))
+    assert len({x, finrel.fin_set(3)}) == 1
+
+
+def test_validated_set_is_a_compose_endpoint_on_the_interned_set():
+    x, n2 = finrel.FinSet((0, 1, 2)), finrel.fin_set(2)
+    r = finrel.Relation(n2, x, (0b011, 0b110))
+    s = finrel.Relation(finrel.fin_set(3), n2, (0b01, 0b10, 0b10))
+    assert finrel.compose(r, s) == bool_matmul(r, s)
+    back = finrel.compose(finrel.converse(s), finrel.converse(r))
+    assert back == finrel.converse(finrel.compose(r, s))
+
+
+def test_product_of_sets_from_outside_is_built_anew():
+    x, y = finrel.FinSet((0, 1)), finrel.finset_from_json([0, 1, 2])
+    assert y == finrel.fin_set(3) and y is not finrel.fin_set(3)
+    p = finrel.product(x, y)
+    assert p == finrel.product(finrel.fin_set(2), finrel.fin_set(3))
+    assert p is not finrel.product(x, y)
+    assert finrel.product(x, finrel.fin_set(3)) is not finrel.product(
+        x, finrel.fin_set(3)
+    )
+
+
+def test_set_is_unequal_to_other_types():
+    assert finrel.fin_set(2) != (0, 1)
+    assert finrel.fin_set(0) != ()
+    assert finrel.UNIT != (finrel.UNIT_LABEL,)
+    assert not finrel.fin_set(1) == [0]
+
+
+def _intern_count_after_report(seed: int) -> subprocess.Popen:
+    # a fresh process, so that only this run fills the intern tables
+    code = (
+        "import sys; from nucleal import cli, finrel; "
+        f"cli.run_suite('all', 200, {seed}); print(len(finrel._INTERNED))"
+    )
+    src = str(Path(nucleal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]
+    ))
+    return subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True
+    )
+
+
+def test_intern_tables_stay_bounded_across_seeds():
+    runs = [_intern_count_after_report(seed) for seed in (1, 7)]
+    counts = [int(p.communicate()[0]) for p in runs]
+    assert all(p.returncode == 0 for p in runs)
+    assert counts[0] == counts[1] > 0
+
+
+# -- closed-form braiding ---------------------------------------------------
+
+
+@pytest.mark.parametrize("mod", [finrel, pinj])
+def test_symmetry_matches_the_generic_braiding(mod):
+    inst = mod.instance()
+    for na in range(4):
+        for nb in range(4):
+            a, b = finrel.fin_set(na), finrel.fin_set(nb)
+            got = inst.symmetry(a, b)
+            want = CategoryInstance.symmetry(inst, a, b)
+            assert type(got) is type(want)
+            assert (got.source, got.target) == (want.source, want.target)
+            assert got.rows == want.rows
+
+
+@pytest.mark.parametrize("mod", [finrel, pinj])
+def test_star_laws_catch_a_braid_with_two_rows_swapped(monkeypatch, mod):
+    real = finrel.symmetry
+
+    def symmetry(a, b, cls=finrel.Relation):  # seeded fault
+        s = real(a, b, cls)
+        rows = list(s.rows)
+        if len(rows) >= 2:
+            rows[0], rows[1] = rows[1], rows[0]
+        return finrel._mk(s.source, s.target, tuple(rows), cls)
+
+    monkeypatch.setattr(finrel, "symmetry", symmetry)
+    rep = harness.check_star_laws(mod.instance(), 200, 1, max_size=2)
+    witnesses = [f for f in rep.failures if f.startswith("symmetry: ")]
+    assert any("not natural for f=" in f for f in witnesses)

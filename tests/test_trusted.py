@@ -9,7 +9,9 @@ each builder for one that goes through the validating constructor of the
 value's type and also demands that it reproduce the same fields, then
 rerun the law checks: the verdicts must not change, and one invalid
 value fails the run.  The finstoch builders also demand absolute
-continuity and canonical integers.
+continuity and canonical integers.  finrel's interned sets are built
+once, so the relation tests start from empty intern tables: every set
+the rerun uses goes through the validating builder.
 """
 
 import dataclasses
@@ -67,11 +69,24 @@ def _validating_relation(source, target, rows, cls=finrel.Relation):
     return _same_or_raise(value, (source, target, rows), ("source", "target", "rows"))
 
 
-def _validate_builders(monkeypatch):
+def _validate_builders(monkeypatch) -> list:
+    """Swap in the validating builders on empty intern tables; returns
+    the labels of every set the validating `_mk_set` builds."""
+    monkeypatch.setattr(finrel, "_INTERNED", {})
+    monkeypatch.setattr(finrel, "_SHAPES", {})
     for module in RELATION_BUILDERS:
         monkeypatch.setattr(module, "_mk", _validating_relation)
     for module, name, cls in OBJECT_BUILDERS:
         monkeypatch.setattr(module, name, _validating_object(cls))
+    built = []
+    validating_set = finrel._mk_set
+
+    def mk_set(labels):
+        built.append(labels)
+        return validating_set(labels)
+
+    monkeypatch.setattr(finrel, "_mk_set", mk_set)
+    return built
 
 
 def _all_checks(structures, budget, max_size=None):
@@ -106,8 +121,10 @@ def _signature(reps):
 
 def test_validated_builders_change_no_verdict(monkeypatch):
     trusted = _reports()
-    _validate_builders(monkeypatch)
+    built = _validate_builders(monkeypatch)
     checked = _reports()
+    # products of interned sets too, which the first run had cached
+    assert ((0, 0), (0, 1), (1, 0), (1, 1)) in built
     assert not [
         f for r in checked for f in r.failures if "InvariantViolation" in f
     ]

@@ -32,8 +32,10 @@ from nucleal.core.rng import Lcg
 OFF_DIAG_TOL = 1e-12
 #: hard cap on Jacobi sweeps; reached only for ill-scaled input
 MAX_SWEEPS = 100
-#: singular values at or below this are treated as kernel directions
-SV_CUTOFF = 1e-10
+#: singular values at or below this fraction of the largest are kernel
+#: directions: sqrt(eig(h*h)) leaves rounding noise near 1e-8 of the
+#: largest singular value where h has a kernel
+SV_RTOL = 1e-7
 #: allowed Hermitian asymmetry of eigensolver input
 HERMITIAN_TOL = 1e-8
 #: eigenvalues below -NEG_EIG_TOL refuse a positive square root
@@ -313,9 +315,42 @@ def trace_norm(a: CMatrix) -> float:
     return trace(abs_op(a)).real
 
 
+def _columns(m: CMatrix) -> list[list[complex]]:
+    return [[m.at(i, j) for i in range(m.rows)] for j in range(m.cols)]
+
+
+def _orthonormal_completion(basis, candidates, count: int) -> list:
+    """`count` unit vectors orthogonal to the orthonormal `basis` and to
+    each other, by Gram-Schmidt over `candidates` in order.
+
+    A candidate is kept when its residual norm is at least 1 / (2 sqrt n).
+    Unit candidates that include the standard basis always suffice: while
+    the span is incomplete, some standard vector has residual at least
+    1 / sqrt n.
+    """
+    basis = list(basis)
+    found = []
+    for c in candidates:
+        if len(found) == count:
+            break
+        r = list(c)
+        for _ in range(2):  # orthogonalize twice for a clean residual
+            for b in basis:
+                dot = sum(x.conjugate() * y for x, y in zip(b, r))
+                r = [y - dot * x for x, y in zip(b, r)]
+        norm = math.sqrt(sum(abs(y) ** 2 for y in r))
+        if norm >= 0.5 / math.sqrt(len(r)):
+            q = [y / norm for y in r]
+            basis.append(q)
+            found.append(q)
+    return found
+
+
 def _polar_parts(h: CMatrix):
-    """Eigenbasis v of h*h, the singular values, and the isometry W of
-    h = W |h|, completed by the identity on the kernel when h is square."""
+    """Eigenbasis v of h*h, the singular values, and the W of h = W |h|:
+    an isometry on the support of h, and unitary when h is square, where
+    the kernel goes onto the complement of the range (by the identity
+    where the two coincide)."""
     lam, v = hermitian_eig(matmul(adjoint(h), h))
     # h*h has rank at most h.rows, so its smallest cols - rows eigenvalues
     # are zero; rounding leaves them near 1e-16, whose square roots would
@@ -324,19 +359,33 @@ def _polar_parts(h: CMatrix):
     svals = [
         0.0 if i < nullity else math.sqrt(max(x, 0.0)) for i, x in enumerate(lam)
     ]
-    pinv = _assemble(v, [1 / s if s > SV_CUTOFF else 0.0 for s in svals])
+    # the same noise is left where h is square but rank-deficient, so
+    # values under a cutoff relative to the largest are zeroed as well
+    cutoff = SV_RTOL * max(svals, default=0.0)
+    svals = [s if s > cutoff else 0.0 for s in svals]
+    pinv = _assemble(v, [1 / s if s else 0.0 for s in svals])
     w = matmul(h, pinv)
-    if h.rows == h.cols:
-        kernel = _assemble(v, [1.0 if s <= SV_CUTOFF else 0.0 for s in svals])
-        w = add(w, kernel)
+    n = h.rows
+    if n == h.cols and not all(svals):
+        kernel = [c for c, s in zip(_columns(v), svals) if not s]
+        images = [c for c, s in zip(_columns(matmul(w, v)), svals) if s]
+        units = _columns(identity_matrix(n))
+        qs = _orthonormal_completion(images, kernel + units, len(kernel))
+        # W sends each kernel direction v_j to q_j: add the sum of q_j v_j*
+        completion = tuple(
+            sum(q[i] * c[k].conjugate() for q, c in zip(qs, kernel))
+            for i in range(n)
+            for k in range(n)
+        )
+        w = add(w, CMatrix(n, n, completion))
     return v, svals, w
 
 
 def polar(h: CMatrix):
-    """h = W |h| with W an isometry on the support, identity on the kernel.
+    """h = W |h| with W an isometry on the support of h.
 
-    Works for rectangular h; the kernel completion applies only when h
-    is square, which is the only case where shapes permit it.
+    Works for rectangular h.  When h is square, W is unitary: it sends
+    the kernel of h onto the orthogonal complement of its range.
     """
     v, svals, w = _polar_parts(h)
     return w, _assemble(v, svals)

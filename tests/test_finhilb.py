@@ -193,6 +193,32 @@ def test_hs_factorize_reconstructs_random():
         assert finhilb.max_abs_diff(finhilb.matmul(g, f), h) <= 1e-9
 
 
+def test_polar_and_hs_factorize_on_rank_one_squares():
+    # sqrt(eig(h*h)) leaves kernel noise near 1e-8 of the largest
+    # singular value; an absolute cutoff took it for singular values
+    rng = Lcg(1)
+    eye = finhilb.identity_matrix(3)
+    worst_w = worst_h = 0.0
+    for _ in range(50):
+        h = finhilb.matmul(
+            finhilb.random_matrix(rng, 3, 1), finhilb.random_matrix(rng, 1, 3)
+        )
+        w, _ = finhilb.polar(h)
+        wtw = finhilb.matmul(finhilb.adjoint(w), w)
+        worst_w = max(worst_w, finhilb.max_abs_diff(wtw, eye))
+        f, g = finhilb.hs_factorize(h)
+        worst_h = max(worst_h, finhilb.max_abs_diff(finhilb.matmul(g, f), h))
+    assert worst_w <= 1e-9
+    assert worst_h <= 1e-9
+
+
+def test_polar_is_the_identity_on_a_kernel_orthogonal_to_the_range():
+    h = finhilb.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, 0]])
+    w, p = finhilb.polar(h)
+    assert finhilb.max_abs_diff(w, finhilb.identity_matrix(3)) <= 1e-12
+    assert finhilb.max_abs_diff(p, h) <= 1e-12
+
+
 def test_tensor_is_kronecker():
     rng = Lcg(17)
     f = finhilb.random_matrix(rng, 2, 3)

@@ -295,7 +295,7 @@ def _intern_count_after_report(seed: int) -> subprocess.Popen:
 
 def test_intern_tables_stay_bounded_across_seeds():
     runs = [_intern_count_after_report(seed) for seed in (1, 7)]
-    counts = [int(p.communicate()[0]) for p in runs]
+    counts = [int(p.communicate(timeout=300)[0]) for p in runs]
     assert all(p.returncode == 0 for p in runs)
     assert counts[0] == counts[1] > 0
 

@@ -2,12 +2,16 @@
 fixed sizes.
 
 The first rung of the benchmark ladder: compose, converse (the star),
-tensor, theta, the symmetry (braiding) on an operand's source and
-target, and `mor_eq`, each on operands over 4-element sets; the
-xrel ones are crossed sets over Z2 with a non-trivial action.  The
-three relation models run on finrel's relation kernel.  The finstoch
-operands are exact joint measures on a 3-point space with a null
-point, the shape its samplers draw.  This
+tensor, theta, the symmetry (braiding) and the tensor object on an
+operand's source and target, and `mor_eq`, each on operands over
+4-element sets; the xrel ones are crossed sets over Z2 with a
+non-trivial action, built by the validating constructor and so not
+interned.  The three relation models run on finrel's relation kernel.
+The finstoch operands are exact joint measures on a 3-point space with
+a null point, the shape its samplers draw.  The samplers the harness
+calls most get rungs of their own: xrel's sampled objects and the
+tensor of two of them (interned, so memoized), and finstoch's sampled
+spaces and joint measures.  This
 directory is outside the Tier-1 `testpaths`; run it with
 
     PYTHONPATH=src python -m pytest bench/ --benchmark-only
@@ -75,6 +79,9 @@ OPS = {
     "symmetry": lambda inst, nuc, f, g, h: (
         inst.symmetry, inst.source(f), inst.target(f)
     ),
+    "tensor_obj": lambda inst, nuc, f, g, h: (
+        inst.tensor_obj, inst.source(f), inst.target(f)
+    ),
     # an equal value built separately, so the comparison runs in full
     "mor_eq": lambda inst, nuc, f, g, h: (
         inst.mor_eq, f, inst.compose(inst.identity(inst.source(f)), f)
@@ -90,3 +97,23 @@ def test_primitive(benchmark, model, op):
     out = benchmark(fn, *args)
     if op == "mor_eq":
         assert out is True
+
+
+def _samplers():
+    inst, _, _ = xrel.structures(xrel.cyclic_monoid(2), N)
+    rng = Lcg(7)
+    a, b = inst.sample_object(rng), inst.sample_object(rng)
+    p = finstoch.sample_space(rng)
+    return {
+        "xrel.sample_object": (inst.sample_object, rng),
+        "xrel.tensor_obj": (inst.tensor_obj, a, b),
+        "finstoch.sample_space": (finstoch.sample_space, rng),
+        "finstoch.sample_joint": (finstoch.sample_joint, rng, p, p),
+    }
+
+
+@pytest.mark.parametrize("sampler", list(_samplers()))
+def test_sampler(benchmark, sampler):
+    benchmark.group = "samplers"
+    fn, *args = _samplers()[sampler]
+    benchmark(fn, *args)

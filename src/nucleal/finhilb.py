@@ -28,7 +28,8 @@ from nucleal.core.instance import (
 )
 from nucleal.core.rng import Lcg
 
-#: convergence threshold on the off-diagonal Frobenius mass
+#: convergence threshold on the off-diagonal Frobenius mass, relative to
+#: the Frobenius norm of the input
 OFF_DIAG_TOL = 1e-12
 #: hard cap on Jacobi sweeps; reached only for ill-scaled input
 MAX_SWEEPS = 100
@@ -245,8 +246,10 @@ def hermitian_eig(a: CMatrix, tol: float = HERMITIAN_TOL):
             )
         )
 
+    # relative, so that small-scale input is diagonalized as fully
+    stop = OFF_DIAG_TOL * math.sqrt(sum(abs(z) ** 2 for row in work for z in row))
     for _ in range(MAX_SWEEPS):
-        if off_mass() < OFF_DIAG_TOL:
+        if off_mass() <= stop:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -37,6 +37,16 @@ results keep those invariants (`compose`, `converse`, `delta`,
 nothing; each call says why the invariants hold.  That reasoning
 assumes valid operands: a measure loaded with `validate=False` is
 outside it.
+
+The samplers draw integers and check them as integers: `sample_space`
+rejects a negative weight (so the total is positive) and
+`sample_joint` a negative numerator or a denominator below 1, and then
+checks absolute continuity.  Both reduce with one gcd (and
+`sample_joint` one lcm) to canonical form and build through
+`_mk_space`/`_mk`, a sampled space on the interned `fin_set(n)`, so
+products of sampled spaces are memoized.  They draw the RNG values
+that the `Fraction` path through `prob_space` and `joint` drew, in the
+same order, and give the same fields.
 """
 
 from __future__ import annotations
@@ -670,25 +680,39 @@ def from_json(data, validate: bool = True) -> JointMeasure:
 
 
 def sample_space(rng: Lcg, max_points: int = 3) -> ProbSpace:
+    """Up to `max_points` points with integer weights 0..3, normalized."""
     n = 1 + rng.below(max_points)
     weights = [rng.below(4) for _ in range(n)]
-    if all(w == 0 for w in weights):
+    if not any(weights):
         weights[rng.below(n)] = 1
-    total = sum(weights)
-    return prob_space(list(range(n)), [Fraction(w, total) for w in weights])
+    if min(weights) < 0:
+        raise InvariantViolation(f"negative weight in {weights!r}")
+    # the weights sum to the total, so their gcd is the gcd with it too
+    g = gcd(*weights)
+    return _mk_space(fin_set(n), tuple([w // g for w in weights]), sum(weights) // g)
 
 
 def sample_joint(rng: Lcg, p: ProbSpace, q: ProbSpace) -> JointMeasure:
-    rows = []
-    for i in range(p.size):
+    """Weight a / d, with a in 0..3 and d in 1..3, on each cell of positive
+    product mass that a draw of 1 or 2 in 0..2 selects, and 0 elsewhere."""
+    rows, dens = [], []
+    for mp in p.num:
         row = []
-        for j in range(q.size):
-            if p.num[i] == 0 or q.num[j] == 0 or rng.below(3) == 0:
-                row.append(ZERO)
+        for mq in q.num:
+            if mp == 0 or mq == 0 or rng.below(3) == 0:
+                row.append((0, 1))
             else:
-                row.append(rng.fraction(3, 3))
+                a, d = rng.below(4), 1 + rng.below(3)
+                if a < 0 or d < 1:
+                    raise InvariantViolation(f"weight {a}/{d} is not a nonnegative rational")
+                row.append((a, d))
+                dens.append(d)
         rows.append(row)
-    return joint(p, q, rows)
+    den = lcm(*dens)
+    num = [tuple([a * (den // d) for a, d in row]) for row in rows]
+    out = _mk(p, q, *_reduce(num, den))
+    check_abs_continuity(out)
+    return out
 
 
 # -- instance adapters ------------------------------------------------------

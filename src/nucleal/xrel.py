@@ -31,8 +31,23 @@ to the identity), `enum_morphisms` and the instance's sampled objects.
 `theta_inv` and the instance's `reindex` are not valid by theorem (a
 state may pair degrees whose squares are not trivial, and an arbitrary
 bijection need not be equivariant), and `empty` may be handed objects
-over different monoids, so these keep validating.  `.pairs` is a
-read-only view of the rows as a frozenset of index pairs.
+over different monoids, so these keep validating.  The braiding
+`symmetry` is valid by theorem: the monoid is commutative and acts
+componentwise, so swapping the factors is equivariant and keeps degrees.
+`.pairs` is a read-only view of the rows as a frozenset of index pairs.
+
+Interning, as in `finrel`: `cyclic_monoid(n)` returns one interned
+monoid per n.  Over an interned monoid, `unit_object` and the
+instance's sampled objects are interned: one object per (monoid,
+carrier, action, degree).  `tensor_object` of two interned objects
+returns one interned object, memoized on the identity of the pair.
+Interned objects live for the whole process, so their ids stay unique,
+and the tables stay bounded because the monoids are.  Objects from the
+`CrossedMSet` constructor, `trivial_object` or JSON, and objects over
+any other monoid, are not interned, and `tensor_object` of such an
+object builds a new object.  Crossed sets compare by identity first
+and by their fields after, so an interned object and a validated one
+with the same fields are equal and hash alike.
 """
 
 from __future__ import annotations
@@ -118,21 +133,35 @@ class CommMonoid:
         return f"CommMonoid({list(self.elements.labels)})"
 
 
+# The intern tables: the interned monoid of each order n; every interned
+# crossed set by id, which keeps it alive; and the interned crossed sets
+# by shape, keyed by (id(monoid), id(carrier), action, degree) for the
+# unit and sampled objects and by the ids (id(x), id(y)) for the tensor
+# of interned x and y.
+_MONOIDS: dict[int, CommMonoid] = {}
+_INTERNED: dict[int, "CrossedMSet"] = {}
+_SHAPES: dict = {}
+
+
 def cyclic_monoid(n: int) -> CommMonoid:
-    """Additive integers mod n; the generator is the element 1."""
-    return CommMonoid(
-        fin_set(n),
-        tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
-        0,
-    )
+    """Additive integers mod n; the generator is the element 1.  Interned."""
+    mon = _MONOIDS.get(n)
+    if mon is None:
+        mon = _MONOIDS[n] = CommMonoid(
+            fin_set(n),
+            tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
+            0,
+        )
+    return mon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossedMSet:
     """Carrier with a degree-preserving monoid action.
 
     action[m][x] is the image of point x under element m; degree[x] is
-    a monoid element index.
+    a monoid element index.  Equal when identical or when all four
+    fields are equal.
     """
 
     monoid: CommMonoid
@@ -161,6 +190,21 @@ class CrossedMSet:
             for x in range(nx):
                 if self.degree[self.action[m][x]] != self.degree[x]:
                     raise InvariantViolation("degree is not action-invariant")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, CrossedMSet):
+            return NotImplemented
+        return (
+            self.carrier == other.carrier
+            and self.action == other.action
+            and self.degree == other.degree
+            and self.monoid == other.monoid
+        )
+
+    def __hash__(self):
+        return hash((self.carrier, self.action, self.degree))
 
     @property
     def size(self) -> int:
@@ -196,28 +240,64 @@ def _mk_obj(
     return x
 
 
+def _intern(key, x: CrossedMSet) -> CrossedMSet:
+    _SHAPES[key] = x
+    _INTERNED[id(x)] = x
+    return x
+
+
+def _shaped_obj(
+    monoid: CommMonoid, carrier: FinSet, action: tuple, degree: tuple
+) -> CrossedMSet:
+    """Trusted builder of the crossed set with these fields, which must
+    satisfy `CrossedMSet`'s checks, on an interned `carrier`; interned
+    when `monoid` is a `cyclic_monoid`."""
+    key = (id(monoid), id(carrier), action, degree)
+    x = _SHAPES.get(key)
+    if x is None:
+        x = _mk_obj(monoid, carrier, action, degree)
+        if _MONOIDS.get(monoid.size) is monoid:
+            _intern(key, x)
+    return x
+
+
 def unit_object(monoid: CommMonoid) -> CrossedMSet:
-    return _mk_obj(monoid, UNIT, ((0,),) * monoid.size, (monoid.e,))
+    return _shaped_obj(monoid, UNIT, ((0,),) * monoid.size, (monoid.e,))
 
 
 def tensor_object(x: CrossedMSet, y: CrossedMSet) -> CrossedMSet:
-    if x.monoid != y.monoid:
+    """Componentwise action and multiplied degrees on the product carrier;
+    interned, and memoized on the pair, when x and y are interned."""
+    key = (id(x), id(y))
+    t = _SHAPES.get(key)
+    if t is not None:
+        return t
+    mon = x.monoid
+    if mon is not y.monoid and mon != y.monoid:
         raise ShapeMismatch("objects live over different monoids")
-    ny = y.size
+    ny, xs = y.size, range(x.size)
     action = tuple(
-        tuple(
-            x.action[m][i] * ny + y.action[m][j]
-            for i in range(x.size)
-            for j in range(ny)
-        )
-        for m in range(x.monoid.size)
+        [
+            tuple([xa[i] * ny + yb for i in xs for yb in ya])
+            for xa, ya in zip(x.action, y.action)
+        ]
     )
-    degree = tuple(
-        x.monoid.mul(x.degree[i], y.degree[j])
-        for i in range(x.size)
-        for j in range(ny)
-    )
-    return _mk_obj(x.monoid, product(x.carrier, y.carrier), action, degree)
+    table = mon.table
+    degree = tuple([table[dx][dy] for dx in x.degree for dy in y.degree])
+    t = _mk_obj(mon, product(x.carrier, y.carrier), action, degree)
+    if key[0] in _INTERNED and key[1] in _INTERNED:
+        _intern(key, t)
+    return t
+
+
+def symmetry(a: CrossedMSet, b: CrossedMSet) -> "XRelMorphism":
+    """Braiding a (x) b -> b (x) a on the carriers' swap.
+
+    The monoid is commutative and acts componentwise, so the swap is
+    equivariant and keeps the degrees.
+    """
+    rows = finrel.symmetry(a.carrier, b.carrier).rows
+    return _mk(tensor_object(a, b), tensor_object(b, a), rows, XRelMorphism)
 
 
 class XRelMorphism(Relation):
@@ -553,6 +633,9 @@ class XRelInstance(CategoryInstance):
     def unit(self):
         return self._unit
 
+    def symmetry(self, a, b):
+        return symmetry(a, b)
+
     def reindex(self, a, b, index_map):
         r = finrel.reindex(a, b, index_map, XRelMorphism)
         r._check()
@@ -564,7 +647,11 @@ class XRelInstance(CategoryInstance):
         return bool(s.rows[0])
 
     def mor_eq(self, f, g, tol=None):
-        return f.source == g.source and f.target == g.target and f.rows == g.rows
+        return (
+            f.rows == g.rows
+            and (f.source is g.source or f.source == g.source)
+            and (f.target is g.target or f.target == g.target)
+        )
 
     def obj_size(self, a):
         return a.size
@@ -590,13 +677,13 @@ class XRelInstance(CategoryInstance):
         return good
 
     def sample_object(self, rng):
-        # valid by construction, so built trusted
+        # valid by construction, so built trusted (and interned)
         n = rng.below(self.max_carrier + 1)
         mon = self.monoid
         fixed = tuple(range(n))
         if n == 0 or rng.below(2) == 0:
             degrees = tuple(rng.below(mon.size) for _ in range(n))
-            return _mk_obj(mon, fin_set(n), (fixed,) * mon.size, degrees)
+            return _shaped_obj(mon, fin_set(n), (fixed,) * mon.size, degrees)
         # generator-power action of a permutation of compatible order
         perm = rng.choice(self._order_perms(n))
         action = [fixed]
@@ -614,7 +701,7 @@ class XRelInstance(CategoryInstance):
             while degree[y] < 0:
                 degree[y] = d
                 y = perm[y]
-        return _mk_obj(mon, fin_set(n), tuple(action), tuple(degree))
+        return _shaped_obj(mon, fin_set(n), tuple(action), tuple(degree))
 
     def sample_hom(self, rng, a, b):
         return _sample_closed(rng, a, b, nuclear=False)

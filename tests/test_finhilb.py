@@ -212,6 +212,26 @@ def test_polar_and_hs_factorize_on_rank_one_squares():
     assert worst_h <= 1e-9
 
 
+def test_polar_is_unitary_on_small_scale_rank_deficient_squares():
+    # an absolute stop on the off-diagonal mass left small-scale input
+    # undiagonalized; the stop is relative to the input's norm
+    eye = {n: finhilb.identity_matrix(n) for n in range(2, 5)}
+    for scale in (1e-3, 1e-6):
+        rng = Lcg(3)
+        worst = 0.0
+        for _ in range(40):
+            n = 2 + rng.below(3)
+            k = 1 + rng.below(n - 1)
+            h = finhilb.matmul(
+                finhilb.random_matrix(rng, n, k), finhilb.random_matrix(rng, k, n)
+            )
+            h = finhilb.CMatrix(n, n, tuple(z * scale for z in h.entries))
+            w, _ = finhilb.polar(h)
+            wtw = finhilb.matmul(finhilb.adjoint(w), w)
+            worst = max(worst, finhilb.max_abs_diff(wtw, eye[n]))
+        assert worst <= 1e-9, scale
+
+
 def test_polar_is_the_identity_on_a_kernel_orthogonal_to_the_range():
     h = finhilb.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, 0]])
     w, p = finhilb.polar(h)

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from nucleal import cli, finstoch
+from nucleal import cli, finrel, finstoch
 from nucleal.core.errors import InvariantViolation, ParseError
 from nucleal.core.rng import Lcg
 
@@ -331,3 +331,75 @@ def test_kernel_json_round_trip():
     q1, _ = finstoch.disintegrate(finstoch.delta(uniform2()))
     doc = finstoch.kernel_to_json(q1)
     assert finstoch.kernel_from_json(doc).rows == q1.rows
+
+
+# -- integer samplers -------------------------------------------------------
+
+
+def _fraction_space(rng, max_points=3):
+    """The samplers' former path: Fractions through `prob_space`."""
+    n = 1 + rng.below(max_points)
+    weights = [rng.below(4) for _ in range(n)]
+    if all(w == 0 for w in weights):
+        weights[rng.below(n)] = 1
+    total = sum(weights)
+    return finstoch.prob_space(list(range(n)), [F(w, total) for w in weights])
+
+
+def _fraction_joint(rng, p, q):
+    """The samplers' former path: Fractions through `joint`."""
+    rows = []
+    for i in range(p.size):
+        row = []
+        for j in range(q.size):
+            if p.num[i] == 0 or q.num[j] == 0 or rng.below(3) == 0:
+                row.append(F(0))
+            else:
+                row.append(rng.fraction(3, 3))
+        rows.append(row)
+    return finstoch.joint(p, q, rows)
+
+
+def _space_fields(p):
+    return (p.points, p.num, p.den)
+
+
+def test_integer_samplers_match_the_fraction_path():
+    new, old = Lcg(11), Lcg(11)
+    for k in range(500):
+        size = 2 + k % 3
+        p, p_old = finstoch.sample_space(new, size), _fraction_space(old, size)
+        q, q_old = finstoch.sample_space(new), _fraction_space(old)
+        assert _space_fields(p) == _space_fields(p_old)
+        assert _space_fields(q) == _space_fields(q_old)
+        # a state on a product space, as `sample_state` draws it
+        pq = finstoch.product_space(p, q)
+        for a, b in ((p, q), (finstoch.UNIT_SPACE, pq)):
+            got, want = finstoch.sample_joint(new, a, b), _fraction_joint(old, a, b)
+            assert (got.source, got.target) == (want.source, want.target)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert all(type(n) is int for row in got.num for n in row)
+        assert new.state == old.state
+
+
+def test_sampled_spaces_are_on_interned_sets():
+    rng = Lcg(12)
+    p, q = finstoch.sample_space(rng), finstoch.sample_space(rng)
+    assert p.points is finrel.fin_set(p.size)
+    pq = finstoch.product_space(p, q)
+    assert pq.points is finstoch.product_space(p, q).points
+
+
+class _NegativeRng(Lcg):
+    """Draws -1 wherever a sampler draws a weight numerator."""
+
+    def below(self, n):
+        return -1 if n == 4 else super().below(n)
+
+
+def test_samplers_reject_a_negative_draw():
+    with pytest.raises(InvariantViolation, match="negative"):
+        finstoch.sample_space(_NegativeRng(1))
+    p = finstoch.sample_space(Lcg(13))
+    with pytest.raises(InvariantViolation, match="nonnegative"):
+        finstoch.sample_joint(_NegativeRng(1), p, p)

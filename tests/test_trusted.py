@@ -9,9 +9,10 @@ each builder for one that goes through the validating constructor of the
 value's type and also demands that it reproduce the same fields, then
 rerun the law checks: the verdicts must not change, and one invalid
 value fails the run.  The finstoch builders also demand absolute
-continuity and canonical integers.  finrel's interned sets are built
-once, so the relation tests start from empty intern tables: every set
-the rerun uses goes through the validating builder.
+continuity and canonical integers.  finrel's interned sets and xrel's
+interned monoids and crossed sets are built once, so the relation tests
+start from empty intern tables: every set and crossed set the rerun
+uses goes through the validating builder.
 """
 
 import dataclasses
@@ -29,6 +30,15 @@ RELATION_BUILDERS = (finrel, pinj, xrel)
 OBJECT_BUILDERS = (
     (finrel, "_mk_set", finrel.FinSet),
     (xrel, "_mk_obj", xrel.CrossedMSet),
+)
+
+# emptied for a validated rerun, so that it builds every interned value
+INTERN_TABLES = (
+    (finrel, "_INTERNED"),
+    (finrel, "_SHAPES"),
+    (xrel, "_MONOIDS"),
+    (xrel, "_INTERNED"),
+    (xrel, "_SHAPES"),
 )
 
 # large enough that every enumerable sub-law on sets of size <= 2 is swept
@@ -72,8 +82,8 @@ def _validating_relation(source, target, rows, cls=finrel.Relation):
 def _validate_builders(monkeypatch) -> list:
     """Swap in the validating builders on empty intern tables; returns
     the labels of every set the validating `_mk_set` builds."""
-    monkeypatch.setattr(finrel, "_INTERNED", {})
-    monkeypatch.setattr(finrel, "_SHAPES", {})
+    for module, name in INTERN_TABLES:
+        monkeypatch.setattr(module, name, {})
     for module in RELATION_BUILDERS:
         monkeypatch.setattr(module, "_mk", _validating_relation)
     for module, name, cls in OBJECT_BUILDERS:
@@ -125,6 +135,8 @@ def test_validated_builders_change_no_verdict(monkeypatch):
     checked = _reports()
     # products of interned sets too, which the first run had cached
     assert ((0, 0), (0, 1), (1, 0), (1, 1)) in built
+    # the validated rerun interned its own crossed sets and their tensors
+    assert any(len(key) == 2 for key in xrel._SHAPES)
     assert not [
         f for r in checked for f in r.failures if "InvariantViolation" in f
     ]

@@ -1,9 +1,17 @@
 """Crossed monoid-sets and the squared-degree ideal."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nucleal
 from nucleal import xrel
-from nucleal.core.errors import InvariantViolation
+from nucleal.core import harness
+from nucleal.core.errors import InvariantViolation, ShapeMismatch
+from nucleal.core.instance import CategoryInstance
 from nucleal.core.rng import Lcg
 
 Z2 = xrel.cyclic_monoid(2)
@@ -166,3 +174,135 @@ def test_sampled_morphisms_are_valid_over_nontrivial_actions():
             nuclear_seen += 1
             assert nuc.is_nuclear(f)
     assert nuclear_seen > 10
+
+
+# -- interning --------------------------------------------------------------
+
+
+def _sampled(mon, count, seed):
+    inst, _, _ = xrel.structures(mon)
+    rng = Lcg(seed)
+    return inst, [inst.sample_object(rng) for _ in range(count)]
+
+
+def _fields(x):
+    return (x.monoid, x.carrier, x.action, x.degree)
+
+
+def test_cyclic_monoids_are_interned():
+    assert xrel.cyclic_monoid(3) is Z3
+    assert xrel.instance().monoid is Z2
+
+
+@pytest.mark.parametrize("mon", [Z2, Z3, Z4])
+def test_sampled_objects_of_one_shape_are_one_object(mon):
+    _, objs = _sampled(mon, 300, 41)
+    by_shape = {}
+    for x in objs:
+        by_shape.setdefault(_fields(x), set()).add(id(x))
+    assert all(len(ids) == 1 for ids in by_shape.values())
+    assert xrel.unit_object(mon) is xrel.unit_object(mon)
+
+
+def test_tensor_object_is_memoized_on_interned_pairs():
+    _, objs = _sampled(Z3, 40, 42)
+    for a, b in zip(objs, objs[1:]):
+        t = xrel.tensor_object(a, b)
+        assert xrel.tensor_object(a, b) is t
+        assert xrel.tensor_object(t, a) is xrel.tensor_object(t, a)
+    # objects from the constructor are not interned: equal, not identical
+    x = xrel.trivial_object(Z3, ("p", "q"), (1, 2))
+    assert xrel.tensor_object(x, x) is not xrel.tensor_object(x, x)
+    assert xrel.tensor_object(x, x) == xrel.tensor_object(x, x)
+
+
+def test_tensor_object_rejects_objects_over_different_monoids():
+    x, y = xrel.unit_object(Z2), xrel.unit_object(Z3)
+    with pytest.raises(ShapeMismatch):
+        xrel.tensor_object(x, y)
+
+
+def test_json_objects_equal_interned_ones_and_hash_alike():
+    _, objs = _sampled(Z4, 60, 43)
+    z4_copy = xrel.monoid_from_json(xrel.monoid_to_json(Z4))  # equal, not interned
+    for x in objs:
+        for mon in (Z4, z4_copy):
+            y = xrel.object_from_json(xrel.object_to_json(x), mon)
+            assert y is not x
+            assert y == x and x == y and hash(y) == hash(x)
+            assert xrel.tensor_object(y, x) == xrel.tensor_object(x, x)
+    assert xrel.unit_object(z4_copy) == xrel.unit_object(Z4)
+    assert xrel.unit_object(z4_copy) is not xrel.unit_object(z4_copy)
+
+
+def _intern_counts_after_two_reports(seed: int) -> subprocess.Popen:
+    # a fresh process, so that only these runs fill the intern tables;
+    # prints the monoids, the object shapes, the memoized tensor pairs
+    # and all interned objects after each run
+    code = (
+        "from nucleal import cli, xrel\n"
+        "for _ in range(2):\n"
+        f"    cli.run_suite('all', 200, {seed})\n"
+        "    pairs = sum(len(key) == 2 for key in xrel._SHAPES)\n"
+        "    shapes = len(xrel._SHAPES) - pairs\n"
+        "    print(len(xrel._MONOIDS), shapes, pairs, len(xrel._INTERNED))\n"
+    )
+    src = str(Path(nucleal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]
+    ))
+    return subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True
+    )
+
+
+def test_intern_tables_stay_bounded_across_runs_and_seeds():
+    runs = [_intern_counts_after_two_reports(seed) for seed in (1, 7)]
+    outs = [p.communicate(timeout=300)[0].splitlines() for p in runs]
+    assert all(p.returncode == 0 for p in runs)
+    counts = [[[int(n) for n in line.split()] for line in out] for out in outs]
+    # a second report interns nothing new
+    assert all(after_one == after_two for after_one, after_two in counts)
+    (seed1, _), (seed7, _) = counts
+    # the monoids and sampled shapes are the same at every seed; which
+    # pairs get tensored, and so memoized, depends on the draws
+    assert seed1[:2] == seed7[:2] and seed1[0] == 3 and seed1[2] > 0
+
+
+# -- closed-form braiding ---------------------------------------------------
+
+
+def _swap_object(mon):
+    # the generator swaps p with q; both have degree 1
+    rows = [(0, 1) if m % 2 == 0 else (1, 0) for m in range(mon.size)]
+    return xrel.CrossedMSet(mon, xrel.FinSet(("p", "q")), tuple(rows), (1, 1))
+
+
+@pytest.mark.parametrize("mon", [Z2, Z4])
+def test_symmetry_matches_the_generic_braiding(mon):
+    inst, objs = _sampled(mon, 24, 44)
+    objs += [_swap_object(mon), xrel.trivial_object(mon, ("r",), (mon.size - 1,))]
+    for a in objs:
+        for b in objs[-6:]:
+            got = inst.symmetry(a, b)
+            want = CategoryInstance.symmetry(inst, a, b)
+            assert type(got) is type(want) is xrel.XRelMorphism
+            assert got == want
+            got._check()  # equivariant and degree-respecting
+
+
+def test_star_laws_catch_a_braid_with_two_rows_swapped(monkeypatch):
+    real = xrel.symmetry
+
+    def symmetry(a, b):  # seeded fault
+        s = real(a, b)
+        rows = list(s.rows)
+        if len(rows) >= 2:
+            rows[0], rows[1] = rows[1], rows[0]
+        return xrel._mk(s.source, s.target, tuple(rows), xrel.XRelMorphism)
+
+    monkeypatch.setattr(xrel, "symmetry", symmetry)
+    inst, _, _ = xrel.structures(Z3)
+    rep = harness.check_star_laws(inst, 200, 1)
+    witnesses = [f for f in rep.failures if f.startswith("symmetry: ")]
+    assert any("not natural for f=" in f for f in witnesses)

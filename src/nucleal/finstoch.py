@@ -39,14 +39,13 @@ assumes valid operands: a measure loaded with `validate=False` is
 outside it.
 
 The samplers draw integers and check them as integers: `sample_space`
-rejects a negative weight (so the total is positive) and
-`sample_joint` a negative numerator or a denominator below 1, and then
-checks absolute continuity.  Both reduce with one gcd (and
-`sample_joint` one lcm) to canonical form and build through
-`_mk_space`/`_mk`, a sampled space on the interned `fin_set(n)`, so
-products of sampled spaces are memoized.  They draw the RNG values
-that the `Fraction` path through `prob_space` and `joint` drew, in the
-same order, and give the same fields.
+rejects a negative weight (so the total is positive), and
+`sample_joint` a negative numerator or a denominator outside 1..3 and
+then checks absolute continuity.  Both reduce with one gcd to canonical
+form and build through `_mk_space`/`_mk`; a sampled space lies on the
+interned `fin_set(n)`, so products of sampled spaces are memoized.
+They draw the RNG values that the `Fraction` path through `prob_space`
+and `joint` drew, in the same order, and give the same fields.
 """
 
 from __future__ import annotations
@@ -695,22 +694,21 @@ def sample_space(rng: Lcg, max_points: int = 3) -> ProbSpace:
 def sample_joint(rng: Lcg, p: ProbSpace, q: ProbSpace) -> JointMeasure:
     """Weight a / d, with a in 0..3 and d in 1..3, on each cell of positive
     product mass that a draw of 1 or 2 in 0..2 selects, and 0 elsewhere."""
-    rows, dens = [], []
+    rows = []
     for mp in p.num:
         row = []
         for mq in q.num:
             if mp == 0 or mq == 0 or rng.below(3) == 0:
-                row.append((0, 1))
-            else:
-                a, d = rng.below(4), 1 + rng.below(3)
-                if a < 0 or d < 1:
-                    raise InvariantViolation(f"weight {a}/{d} is not a nonnegative rational")
-                row.append((a, d))
-                dens.append(d)
-        rows.append(row)
-    den = lcm(*dens)
-    num = [tuple([a * (den // d) for a, d in row]) for row in rows]
-    out = _mk(p, q, *_reduce(num, den))
+                row.append(0)
+                continue
+            a, d = rng.below(4), 1 + rng.below(3)
+            if a < 0 or not 1 <= d <= 3:
+                raise InvariantViolation(
+                    f"weight {a}/{d} is not a nonnegative rational over 1..3"
+                )
+            row.append(a * (6 // d))  # over 6, which every d divides
+        rows.append(tuple(row))
+    out = _mk(p, q, *_reduce(rows, 6))
     check_abs_continuity(out)
     return out
 

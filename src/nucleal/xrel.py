@@ -647,11 +647,7 @@ class XRelInstance(CategoryInstance):
         return bool(s.rows[0])
 
     def mor_eq(self, f, g, tol=None):
-        return (
-            f.rows == g.rows
-            and (f.source is g.source or f.source == g.source)
-            and (f.target is g.target or f.target == g.target)
-        )
+        return f.rows == g.rows and f.source == g.source and f.target == g.target
 
     def obj_size(self, a):
         return a.size

@@ -1,5 +1,5 @@
 """Primitive-operation timings for finrel, pinj, xrel and finstoch at
-fixed sizes.
+fixed sizes, and the samplers of every model the harness samples.
 
 The first rung of the benchmark ladder: compose, converse (the star),
 tensor, theta, the symmetry (braiding) and the tensor object on an
@@ -10,8 +10,11 @@ interned.  The three relation models run on finrel's relation kernel.
 The finstoch operands are exact joint measures on a 3-point space with
 a null point, the shape its samplers draw.  The samplers the harness
 calls most get rungs of their own: xrel's sampled objects and the
-tensor of two of them (interned, so memoized), and finstoch's sampled
-spaces and joint measures.  This
+tensor of two of them (interned, so memoized), xrel's sampled relations
+and nuclear relations between them, finstoch's sampled spaces and joint
+measures, drelnum's sampled kernels on a 61-node pool interval, and
+finhilb's random matrices.  One more rung times the enumeration of the
+lattices of at most 5 elements, which the cjsl suites run.  This
 directory is outside the Tier-1 `testpaths`; run it with
 
     PYTHONPATH=src python -m pytest bench/ --benchmark-only
@@ -23,7 +26,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nucleal import finrel, finstoch, pinj, xrel
+from nucleal import cjsl, drelnum, finhilb, finrel, finstoch, pinj, xrel
 from nucleal.core.rng import Lcg
 
 N = 4  # size of every set an operand runs between
@@ -100,15 +103,23 @@ def test_primitive(benchmark, model, op):
 
 
 def _samplers():
-    inst, _, _ = xrel.structures(xrel.cyclic_monoid(2), N)
+    inst, nuc, _ = xrel.structures(xrel.cyclic_monoid(2), N)
     rng = Lcg(7)
     a, b = inst.sample_object(rng), inst.sample_object(rng)
+    while not (a.size and b.size):  # so that some pair can be related
+        a, b = inst.sample_object(rng), inst.sample_object(rng)
     p = finstoch.sample_space(rng)
+    drel = drelnum.instance(61)
+    box = drelnum.Interval(-1.0, 1.0, 61)  # one of the instance's pool
     return {
         "xrel.sample_object": (inst.sample_object, rng),
         "xrel.tensor_obj": (inst.tensor_obj, a, b),
+        "xrel.sample_hom": (inst.sample_hom, rng, a, b),
+        "xrel.sample_nuclear": (nuc.sample_nuclear, rng, a, b),
         "finstoch.sample_space": (finstoch.sample_space, rng),
         "finstoch.sample_joint": (finstoch.sample_joint, rng, p, p),
+        "drelnum.sample_hom": (drel.sample_hom, rng, box, box),
+        "finhilb.random_matrix": (finhilb.random_matrix, rng, N, N),
     }
 
 
@@ -117,3 +128,8 @@ def test_sampler(benchmark, sampler):
     benchmark.group = "samplers"
     fn, *args = _samplers()[sampler]
     benchmark(fn, *args)
+
+
+def test_enumerate_lattices(benchmark):
+    benchmark.group = "enumeration"
+    assert len(benchmark(cjsl.enumerate_lattices, 5)) == 10

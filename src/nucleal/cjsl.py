@@ -324,8 +324,10 @@ def enumerate_lattices(max_elems: int = 5) -> list[FinLattice]:
     """All lattices with at most `max_elems` elements, one per iso class.
 
     Candidate orders are generated along a fixed linear extension, so
-    only the strictly upper triangle varies; isomorphic duplicates are
-    collapsed by a canonical form over all permutations.
+    only the strictly upper triangle varies.  Only lattices are keyed:
+    isomorphic duplicates are collapsed by a canonical form over all
+    permutations, and since isomorphism preserves lattice-ness, the
+    first lattice of each class in mask order is kept.
     """
     out = []
     for n in range(1, max_elems + 1):
@@ -351,14 +353,15 @@ def enumerate_lattices(max_elems: int = 5) -> list[FinLattice]:
                     break
             if not ok:
                 continue
+            try:
+                lat = FinLattice(fin_set(n), tuple(map(tuple, le)))
+            except InvariantViolation:
+                continue
             key = _canonical_key(n, le)
             if key in seen:
                 continue
             seen.add(key)
-            try:
-                out.append(FinLattice(fin_set(n), tuple(map(tuple, le))))
-            except InvariantViolation:
-                continue
+            out.append(lat)
     return out
 
 

@@ -9,6 +9,15 @@ hand-rolled on plain complex floats; the numerics stay comfortable
 because dimensions are desk-scale.
 
 Inner products are linear in the first variable throughout.
+
+Boundary contract: the `CMatrix` constructor, `from_rows` and
+`from_json` check the shape and the finiteness of every entry and store
+each entry as a `complex`.  The operations (`matmul`, `add`, `scale`,
+`adjoint`, `conjugate`, `tensor`, `u_map`, the transpose) and
+`random_matrix` build through the private `_mk`, which trusts the shape
+and the entry type, both right by construction, but still checks
+finiteness: products and sums of finite entries can overflow to
+infinity, and such a matrix must not pass.
 """
 
 from __future__ import annotations
@@ -85,6 +94,20 @@ class CMatrix:
         return f"CMatrix[{body}]"
 
 
+def _mk(rows: int, cols: int, entries: tuple) -> CMatrix:
+    """Builder for `entries`, a tuple of `rows * cols` complex numbers;
+    checks finiteness only."""
+    if not all(map(cmath.isfinite, entries)):
+        z = next(z for z in entries if not cmath.isfinite(z))
+        raise InvariantViolation(f"non-finite entry {z!r}")
+    m = object.__new__(CMatrix)
+    d = m.__dict__
+    d["rows"] = rows
+    d["cols"] = cols
+    d["entries"] = entries
+    return m
+
+
 def from_rows(rows: Sequence[Sequence[complex]]) -> CMatrix:
     n = len(rows)
     m = len(rows[0]) if n else 0
@@ -119,23 +142,23 @@ def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
             brow = b.entries[k * b.cols : (k + 1) * b.cols]
             for j, bkj in enumerate(brow):
                 out[base + j] += aik * bkj
-    return CMatrix(a.rows, b.cols, tuple(out))
+    return _mk(a.rows, b.cols, tuple(out))
 
 
 def add(a: CMatrix, b: CMatrix, coeff: complex = 1) -> CMatrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeMismatch("shape mismatch in addition")
-    return CMatrix(
+    return _mk(
         a.rows, a.cols, tuple(x + coeff * y for x, y in zip(a.entries, b.entries))
     )
 
 
 def scale(a: CMatrix, coeff: complex) -> CMatrix:
-    return CMatrix(a.rows, a.cols, tuple(coeff * z for z in a.entries))
+    return _mk(a.rows, a.cols, tuple(coeff * z for z in a.entries))
 
 
 def adjoint(f: CMatrix) -> CMatrix:
-    return CMatrix(
+    return _mk(
         f.cols,
         f.rows,
         tuple(
@@ -146,7 +169,7 @@ def adjoint(f: CMatrix) -> CMatrix:
 
 def conjugate(f: CMatrix) -> CMatrix:
     """Entrywise conjugation; the conjugate space shares the same basis."""
-    return CMatrix(f.rows, f.cols, tuple(z.conjugate() for z in f.entries))
+    return _mk(f.rows, f.cols, tuple(z.conjugate() for z in f.entries))
 
 
 def tensor(f: CMatrix, g: CMatrix) -> CMatrix:
@@ -161,7 +184,7 @@ def tensor(f: CMatrix, g: CMatrix) -> CMatrix:
                 base = (i1 * g.rows + i2) * cols + j1 * g.cols
                 for j2 in range(g.cols):
                     out[base + j2] = a * g.at(i2, j2)
-    return CMatrix(rows, cols, tuple(out))
+    return _mk(rows, cols, tuple(out))
 
 
 def max_abs_diff(a: CMatrix, b: CMatrix) -> float:
@@ -204,7 +227,7 @@ def u_map(v: Sequence[complex], dim_h: int, dim_k: int) -> CMatrix:
     for i in range(dim_h):
         for j in range(dim_k):
             out[j * dim_h + i] = complex(v[i * dim_k + j])
-    return CMatrix(dim_k, dim_h, tuple(out))
+    return _mk(dim_k, dim_h, tuple(out))
 
 
 def u_inv(m: CMatrix) -> list[complex]:
@@ -402,7 +425,7 @@ def hs_factorize(h: CMatrix):
 
 
 def random_matrix(rng: Lcg, rows: int, cols: int, spread: float = 1.0) -> CMatrix:
-    return CMatrix(
+    return _mk(
         rows,
         cols,
         tuple(
@@ -532,7 +555,7 @@ class HilbNuclear(NuclearStructure):
         return True
 
     def theta(self, f):
-        return CMatrix(f.rows * f.cols, 1, tuple(u_inv(f)))
+        return _mk(f.rows * f.cols, 1, tuple(u_inv(f)))
 
     def theta_inv(self, m, a, b):
         if m.cols != 1 or m.rows != a * b:

@@ -21,13 +21,16 @@ and the trace are finrel's, guarded here by the membership predicate
 (`unit_object`, `tensor_object`).
 
 Boundary contract: the `CrossedMSet` and `XRelMorphism` constructors,
-`trivial_object`, `from_pairs`, the JSON readers and the samplers check
-every invariant.  Operations whose results are valid by theorem build
+`trivial_object`, `from_pairs` and the JSON readers check every
+invariant.  Operations whose results are valid by theorem build
 through the trusted `_mk_obj` and finrel's `_mk`, which check nothing:
 the unit and tensor objects, `compose`, `converse`, `tensor`,
 `identity`, `domain_identity` (the points a closed relation relates
 are action-closed), `theta` (the degrees of a nuclear relation square
-to the identity), `enum_morphisms` and the instance's sampled objects.
+to the identity), `enum_morphisms`, the instance's sampled objects and
+the sampled morphisms (the orbits of degree-matching pairs: closed
+because the action is a monoid action, degree-matching because degrees
+are action-invariant, and both hold of every `CrossedMSet`).
 `theta_inv` and the instance's `reindex` are not valid by theorem (a
 state may pair degrees whose squares are not trivial, and an arbitrary
 bijection need not be equivariant), and `empty` may be handed objects
@@ -389,11 +392,19 @@ def _sample_closed(rng, a: CrossedMSet, b: CrossedMSet, nuclear: bool) -> XRelMo
         if a.degree[x] == b.degree[y]
         and (not nuclear or mon.square_trivial(a.degree[x]))
     ]
-    chosen: set = set()
+    chosen = []
     if candidates:
         for _ in range(rng.below(3)):
-            chosen.add(rng.choice(candidates))
-    return XRelMorphism(a, b, orbit_closure(a, b, chosen))
+            chosen.append(rng.choice(candidates))
+    if mon is not b.monoid and mon != b.monoid:
+        raise ShapeMismatch("morphism endpoints over different monoids")
+    # the orbit of a pair is action-closed because the action is a monoid
+    # action, and degree-matching because degrees are action-invariant
+    rows = [0] * a.size
+    for x, y in chosen:
+        for ax, by in zip(a.action, b.action):
+            rows[ax[x]] |= 1 << by[y]
+    return _mk(a, b, tuple(rows), XRelMorphism)
 
 
 def is_nuclear(r: XRelMorphism) -> bool:

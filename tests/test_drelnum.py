@@ -8,6 +8,7 @@ import pytest
 
 from nucleal import drelnum
 from nucleal.core.errors import InvariantViolation, ParseError, ShapeMismatch
+from nucleal.core.rng import Lcg
 
 
 def box(n=101):
@@ -163,6 +164,71 @@ def test_boundary_support_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         drelnum.gaussian_kernel(iv, iv, 0.5, 0.5, 0.12)
+
+
+def _fresh_window(iv):
+    t = (2.0 * np.linspace(iv.lower, iv.upper, iv.n) - (iv.lower + iv.upper)) / (
+        iv.upper - iv.lower
+    )
+    w = np.zeros(iv.n)
+    inside = np.abs(t) < 1.0
+    w[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
+    return w
+
+
+def _validated_gaussian(a, b, x0, y0, width, amp):
+    """The windowed Gaussian from fresh grids, through `grid_kernel`."""
+    xs = np.linspace(a.lower, a.upper, a.n)[:, None]
+    ys = np.linspace(b.lower, b.upper, b.n)[None, :]
+    g = amp * np.exp(-(((xs - x0) ** 2) + ((ys - y0) ** 2)) / width**2)
+    g = g * _fresh_window(a)[:, None] * _fresh_window(b)[None, :]
+    return drelnum.grid_kernel(a, b, g)
+
+
+def _validated_sample_hom(rng, a, b):
+    """`DRelInstance.sample_hom` with every term validated."""
+    total = np.zeros((a.n, b.n))
+    for _ in range(1 + rng.below(2)):
+        x0 = a.lower + (0.1 + 0.8 * rng.unit()) * (a.upper - a.lower)
+        y0 = b.lower + (0.1 + 0.8 * rng.unit()) * (b.upper - b.lower)
+        w = (0.15 + 0.25 * rng.unit()) * min(a.upper - a.lower, b.upper - b.lower)
+        amp = rng.uniform(-1.5, 1.5)
+        total = total + _validated_gaussian(a, b, x0, y0, w, amp).samples
+    return total
+
+
+def test_trusted_sample_hom_matches_validated_gaussians():
+    inst = drelnum.instance()
+    trusted, checked = Lcg(11), Lcg(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no term is ever near the boundary
+        for _ in range(500):
+            a, b = inst.sample_object(trusted), inst.sample_object(trusted)
+            assert (a, b) == (inst.sample_object(checked), inst.sample_object(checked))
+            k = inst.sample_hom(trusted, a, b)
+            assert (k.source, k.target) == (a, b)
+            assert np.array_equal(k.samples, _validated_sample_hom(checked, a, b))
+            assert trusted.state == checked.state
+
+
+def test_interval_arrays_are_cached_and_read_only():
+    for iv in (box(61), drelnum.Interval(-2.0, 1.0, 61), box(201).refined()):
+        w = np.ones(iv.n)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        fresh = (
+            np.linspace(iv.lower, iv.upper, iv.n),
+            w * (iv.step / 3.0),
+            _fresh_window(iv),
+        )
+        cached = (iv.nodes(), iv.weights(), drelnum.bump_window(iv))
+        again = (iv.nodes(), iv.weights(), drelnum.bump_window(iv))
+        assert all(x is y for x, y in zip(cached, again))
+        for got, want in zip(cached, fresh):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert cached[2][0] == cached[2][-1] == 0.0
 
 
 def test_json_round_trips():

@@ -49,6 +49,16 @@ def test_rejects_non_finite_entries():
         finhilb.from_rows([[float("nan")]])
 
 
+def test_products_that_overflow_are_rejected():
+    big = finhilb.from_rows([[1e200]])
+    with pytest.raises(InvariantViolation, match="non-finite entry"):
+        finhilb.matmul(big, big)
+    with pytest.raises(InvariantViolation, match="non-finite entry"):
+        finhilb.tensor(big, big)
+    with pytest.raises(InvariantViolation, match="non-finite entry"):
+        finhilb.scale(big, 1e200)
+
+
 def test_hs_norm_of_identity():
     assert finhilb.hs_norm(finhilb.identity_matrix(2)) == pytest.approx(
         np.sqrt(2), abs=1e-12

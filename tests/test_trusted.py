@@ -1,15 +1,18 @@
-"""Safety net for the trusted builders of finrel, pinj, xrel and finstoch.
+"""Safety net for the trusted builders of finrel, pinj, xrel, finstoch
+and finhilb.
 
 Model operations build their results through private builders that
 skip constructor validation: finrel's `_mk` for every relation
-(`Relation`, `PartialInjection` and `XRelMorphism` alike), `_mk_set`
-for sets, xrel's `_mk_obj` for crossed sets, and finstoch's `_mk` and
-`_mk_space` for joint measures and probability spaces.  These tests swap
-each builder for one that goes through the validating constructor of the
-value's type and also demands that it reproduce the same fields, then
-rerun the law checks: the verdicts must not change, and one invalid
-value fails the run.  The finstoch builders also demand absolute
-continuity and canonical integers.  finrel's interned sets and xrel's
+(`Relation`, `PartialInjection` and `XRelMorphism` alike, the sampled
+crossed-set relations included), `_mk_set` for sets, xrel's `_mk_obj`
+for crossed sets, finstoch's `_mk` and `_mk_space` for joint measures
+and probability spaces, and finhilb's `_mk` for matrices, which keeps
+only the finiteness check.  These tests swap each builder for one that
+goes through the validating constructor of the value's type and also
+demands that it reproduce the same fields, then rerun the law checks:
+the verdicts must not change, and one invalid value fails the run.  The
+finstoch builders also demand absolute continuity and canonical
+integers, and the finhilb builder a `complex` for every entry.  finrel's interned sets and xrel's
 interned monoids and crossed sets are built once, so the relation tests
 start from empty intern tables: every set and crossed set the rerun
 uses goes through the validating builder.
@@ -21,7 +24,7 @@ from math import gcd
 
 import pytest
 
-from nucleal import cli, finrel, finstoch, pinj, xrel
+from nucleal import cli, finhilb, finrel, finstoch, pinj, xrel
 from nucleal.core import harness
 from nucleal.core.errors import InvariantViolation
 
@@ -99,18 +102,18 @@ def _validate_builders(monkeypatch) -> list:
     return built
 
 
-def _all_checks(structures, budget, max_size=None):
+def _all_checks(structures, budget, max_size=None, seed=1):
     inst, nuc, tr = structures
     reps = [
-        harness.check_star_laws(inst, budget, 1, max_size=max_size),
-        harness.check_nuclear_axioms(inst, nuc, budget, 1, max_size=max_size),
-        harness.check_sliding(inst, nuc, SMALL_BUDGET, 1),
-        harness.check_tracedness(inst, nuc, tr, SMALL_BUDGET, 1),
-        harness.check_trace_axioms(inst, nuc, tr, SMALL_BUDGET, 1),
+        harness.check_star_laws(inst, budget, seed, max_size=max_size),
+        harness.check_nuclear_axioms(inst, nuc, budget, seed, max_size=max_size),
+        harness.check_sliding(inst, nuc, SMALL_BUDGET, seed),
+        harness.check_tracedness(inst, nuc, tr, SMALL_BUDGET, seed),
+        harness.check_trace_axioms(inst, nuc, tr, SMALL_BUDGET, seed),
     ]
     if tr.has_param:
         reps.append(
-            harness.check_param_trace_axioms(inst, tr, SMALL_BUDGET, 1, max_size=2)
+            harness.check_param_trace_axioms(inst, tr, SMALL_BUDGET, seed, max_size=2)
         )
     return reps
 
@@ -272,3 +275,55 @@ def test_validated_builders_catch_unreduced_compose(monkeypatch):
     inst, _, _ = finstoch.structures()
     rep = harness.check_star_laws(inst, 200, 1)
     assert any("not in canonical form" in f for f in rep.failures)
+
+
+# -- finhilb ----------------------------------------------------------------
+
+
+def _validate_finhilb_builder(monkeypatch) -> list:
+    """Swap in a validating `_mk`; returns the shape of every matrix it builds."""
+    built = []
+
+    def mk(rows, cols, entries):
+        if type(entries) is not tuple or any(type(z) is not complex for z in entries):
+            raise InvariantViolation(f"entries are not a tuple of complex: {entries!r}")
+        built.append((rows, cols))
+        value = finhilb.CMatrix(rows, cols, entries)
+        return _same_or_raise(value, (rows, cols, entries), ("rows", "cols", "entries"))
+
+    monkeypatch.setattr(finhilb, "_mk", mk)
+    return built
+
+
+def _finhilb_reports(seeds=(1, 7), budget=200):
+    return [
+        rep for seed in seeds
+        for rep in _all_checks(finhilb.structures(), budget, seed=seed)
+    ]
+
+
+def test_validated_finhilb_builder_changes_no_verdict(monkeypatch):
+    trusted = _finhilb_reports()
+    built = _validate_finhilb_builder(monkeypatch)
+    checked = _finhilb_reports()
+    # scalars and transposed states (a column) went through it too
+    assert {(1, 1), (4, 1)} <= set(built)
+    assert not [
+        f for r in checked for f in r.failures if "InvariantViolation" in f
+    ]
+    assert all(r.ok for r in checked)
+    assert _signature(checked) == _signature(trusted)
+
+
+def test_validated_finhilb_builder_catches_a_short_tensor(monkeypatch):
+    real = finhilb.tensor
+
+    def tensor(f, g):  # seeded fault: the last entry is dropped
+        out = real(f, g)
+        return finhilb._mk(out.rows, out.cols, out.entries[:-1])
+
+    monkeypatch.setattr(finhilb, "tensor", tensor)
+    _validate_finhilb_builder(monkeypatch)
+    inst, _, _ = finhilb.structures()
+    rep = harness.check_star_laws(inst, SMALL_BUDGET, 1)
+    assert any("needs" in f and "entries" in f for f in rep.failures)

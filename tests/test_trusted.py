@@ -12,10 +12,10 @@ goes through the validating constructor of the value's type and also
 demands that it reproduce the same fields, then rerun the law checks:
 the verdicts must not change, and one invalid value fails the run.  The
 finstoch builders also demand absolute continuity and canonical
-integers, and the finhilb builder a `complex` for every entry.  finrel's interned sets and xrel's
-interned monoids and crossed sets are built once, so the relation tests
-start from empty intern tables: every set and crossed set the rerun
-uses goes through the validating builder.
+integers, and the finhilb builder a `complex` for every entry.  finrel's
+interned sets and xrel's interned monoids and crossed sets are built
+once, so the relation tests start from empty intern tables: every set
+and crossed set the rerun uses goes through the validating builder.
 """
 
 import dataclasses
@@ -286,10 +286,11 @@ def _validate_finhilb_builder(monkeypatch) -> list:
 
     def mk(rows, cols, entries):
         if type(entries) is not tuple or any(type(z) is not complex for z in entries):
-            raise InvariantViolation(f"entries are not a tuple of complex: {entries!r}")
+            raise InvariantViolation(f"entries are not complex: {entries!r}")
         built.append((rows, cols))
         value = finhilb.CMatrix(rows, cols, entries)
-        return _same_or_raise(value, (rows, cols, entries), ("rows", "cols", "entries"))
+        fields = ("rows", "cols", "entries")
+        return _same_or_raise(value, (rows, cols, entries), fields)
 
     monkeypatch.setattr(finhilb, "_mk", mk)
     return built

@@ -205,6 +205,33 @@ def test_case_streams_are_pinned(monkeypatch):
     assert (len(log), digest) == CASE_STREAM_DIGEST
 
 
+#: the same pin over the trace checks; it logs only each case's first
+#: entry (the member or first morphism), so the listed objects that
+#: follow it may change shape without moving the digest
+TRACE_CASE_STREAM_DIGEST = (
+    6594, "60f30076ca762a665862de532515f24f1771a82508fbf9c2468752838f6857bd"
+)
+
+
+def test_trace_case_streams_are_pinned(monkeypatch):
+    log = []
+    run = harness._Runner._run
+
+    def logged(self, name, fn, case):
+        log.append(f"{name}:{case[0]!r}")
+        return run(self, name, fn, case)
+
+    monkeypatch.setattr(harness._Runner, "_run", logged)
+    for mod in (pinj, finrel):
+        inst, nuc, tr = mod.structures()
+        harness.check_trace_axioms(inst, nuc, tr, 300, 3, max_size=2)
+        harness.check_param_trace_axioms(inst, tr, 300, 3, max_size=2)
+    for inst, nuc, tr in (finstoch.structures(), xrel.structures(xrel.cyclic_monoid(2))):
+        harness.check_trace_axioms(inst, nuc, tr, 60, 3)
+    digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
+    assert (len(log), digest) == TRACE_CASE_STREAM_DIGEST
+
+
 # -- no listed stream is dropped once the budget runs out --------------------
 
 

@@ -417,11 +417,21 @@ def _emit_reports(reports, fmt, out=None, extra=None):
     return EXIT_FAIL if failed else 0
 
 
+def _check_bounds(budget, tol=None) -> None:
+    """A negative budget passes vacuously and a negative tolerance fails
+    every numeric comparison, so both are input errors."""
+    if budget < 0:
+        raise ParseError(f"--budget must be nonnegative, not {budget}")
+    if tol is not None and not tol >= 0:
+        raise ParseError(f"--tol must be nonnegative, not {tol}")
+
+
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}"
         )
+    _check_bounds(args.budget, args.tol)
     t0 = time.perf_counter()
     reports = run_suite(args.suite, args.budget, args.seed, args.tol, args.n)
     code = _emit_reports(reports, args.format)
@@ -431,6 +441,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_bounds(args.budget)
     reports = run_suite("all", args.budget, args.seed)
     return _emit_reports(
         reports, "json", args.out,

@@ -1,9 +1,12 @@
 """Law-checking harness over the instance contracts.
 
 Every check is a deterministic function of (instance, budget, seed).
-A sub-law runs over case streams: one per object tuple when the
-instance lists its objects, a single sampled stream otherwise.  A
-stream whose full case count fits into the remaining budget is swept
+Each one opens a `_Runner`, which owns the seeded generator, the budget,
+the report and the clock, and sends every sub-law through its `sweep`;
+tracedness too, so an exception raised by a model becomes a witness in
+every check.  A sub-law runs over case streams: one per object tuple
+when the instance lists its objects, a single sampled stream otherwise.
+A stream whose full case count fits into the remaining budget is swept
 exhaustively, anything larger is sampled with the seeded generator,
 and the report flags say which happened.  A sampler that dries up
 simply yields fewer cases; that is never an error.
@@ -11,8 +14,9 @@ simply yields fewer cases; that is never an error.
 Tuples of morphisms come from one builder, `_streams`, driven by specs
 (homs, i, j): each draws a morphism from object slot i to slot j, where
 homs is (count, enum, sample) over the instance's hom-sets or over its
-nuclear ideal.  Streams over explicitly listed cases (objects, states,
-trace-class members) come from `_listed` and sample by drawing among
+nuclear ideal.  Members over objects (states, trace-class members) come
+from `_members`, listed where the structure lists them.  Streams over
+explicitly listed cases come from `_listed` and sample by drawing among
 their cases.  Every stream therefore has a sampler: none is dropped
 without a case once the budget runs out.
 
@@ -48,13 +52,23 @@ Stream = tuple[Optional[int], Optional[Callable], Callable]
 
 
 class _Runner:
-    """Shared bookkeeping for one check invocation."""
+    """One check invocation: its report, seeded generator, budget and clock.
 
-    def __init__(self, report: AxiomReport, budget: int, samples: int, rng: Lcg):
-        self.report = report
+    Each sampled sub-law draws `samples` cases, by default the budget
+    capped at `cap`.
+    """
+
+    def __init__(self, law: str, budget: int, seed: int, samples: Optional[int],
+                 cap: int):
+        self.report = AxiomReport(law, 0)
         self.remaining = budget
-        self.samples = samples
-        self.rng = rng
+        self.samples = min(budget, cap) if samples is None else samples
+        self.rng = Lcg(seed)
+        self.t0 = time.perf_counter()
+
+    def finish(self) -> AxiomReport:
+        self.report.elapsed = time.perf_counter() - self.t0
+        return self.report
 
     def sweep(self, name: str, streams: list[Stream], fn, enabled=True, note=None):
         if not enabled:
@@ -182,24 +196,27 @@ def _streams_scalar(inst) -> list[Stream]:
     return [(count, enum, lambda rng: (inst.sample_scalar(rng),))]
 
 
-def _streams_states(nuc, objs) -> list[Stream]:
+def _members(inst, objs, n_objs: int, enum, sample) -> list[Stream]:
+    """Cases (m, *xs): a member m over a tuple xs of `n_objs` objects.
+
+    Listed objects give one stream per tuple, over the members enum(*xs)
+    lists, or drawn by sample(rng, *xs) where enum returns None.
+    Unlisted objects are drawn first and then the member.  A sampler
+    returns None when it has no member to give.
+    """
+    def draw(rng, xs):
+        m = sample(rng, *xs)
+        return None if m is None else (m, *xs)
+
     if objs is None:
-        def samp(rng):
-            a, b = nuc.inst.sample_object(rng), nuc.inst.sample_object(rng)
-            m = nuc.sample_state(rng, a, b)
-            return None if m is None else (m, a, b)
-        return _single(samp)
+        return _single(
+            lambda rng: draw(rng, [inst.sample_object(rng) for _ in range(n_objs)])
+        )
     out = []
-    for a in objs:
-        for b in objs:
-            it = nuc.enum_states(a, b)
-            if it is None:
-                def samp(rng, a=a, b=b):
-                    m = nuc.sample_state(rng, a, b)
-                    return None if m is None else (m, a, b)
-                out.append((None, None, samp))
-                continue
-            out.append(_listed(list(it), a, b))
+    for xs in itertools.product(objs, repeat=n_objs):
+        it = enum(*xs)
+        out.append((None, None, lambda rng, xs=xs: draw(rng, xs)) if it is None
+                   else _listed(list(it), *xs))
     return out
 
 
@@ -216,10 +233,7 @@ def check_star_laws(
     tol: Optional[float] = None,
 ) -> AxiomReport:
     """Category, symmetric tensor, star, and conjugation laws."""
-    rng = Lcg(seed)
-    rep = AxiomReport(f"star-laws[{inst.name}]", 0)
-    run = _Runner(rep, budget, min(budget, 500) if samples is None else samples, rng)
-    t0 = time.perf_counter()
+    run = _Runner(f"star-laws[{inst.name}]", budget, seed, samples, 500)
     objs = inst.objects(max_size)
     eq = lambda f, g: inst.mor_eq(f, g, tol)
     d = inst.describe
@@ -344,8 +358,7 @@ def check_star_laws(
               scalar_square, enabled=inst.has_unit and inst.has_identity,
               note="no unit object")
 
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return run.finish()
 
 
 def check_nuclear_axioms(
@@ -359,10 +372,7 @@ def check_nuclear_axioms(
     tol: Optional[float] = None,
 ) -> AxiomReport:
     """Ideal closure, transpose bijectivity, naturality, compactness."""
-    rng = Lcg(seed)
-    rep = AxiomReport(f"nuclear[{inst.name}]", 0)
-    run = _Runner(rep, budget, min(budget, 500) if samples is None else samples, rng)
-    t0 = time.perf_counter()
+    run = _Runner(f"nuclear[{inst.name}]", budget, seed, samples, 500)
     objs = inst.objects(max_size)
     eq = lambda f, g: inst.mor_eq(f, g, tol)
     d = inst.describe
@@ -421,7 +431,8 @@ def check_nuclear_axioms(
             out.append(f"transpose not onto states: m={d(m)}")
         return out
 
-    run.sweep("transpose-onto", _streams_states(nuc, objs), onto,
+    run.sweep("transpose-onto",
+              _members(inst, objs, 2, nuc.enum_states, nuc.sample_state), onto,
               enabled=theta_ok and nuc.theta_onto,
               note="surjectivity audited separately" if not nuc.theta_onto else "no transpose")
 
@@ -499,8 +510,7 @@ def check_nuclear_axioms(
               compactness,
               enabled=theta_ok and inst.has_identity, note="no transpose")
 
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return run.finish()
 
 
 def check_sliding(
@@ -514,10 +524,7 @@ def check_sliding(
     tol: Optional[float] = None,
 ) -> AxiomReport:
     """Transpose pairing is symmetric in its two distinguished factors."""
-    rng = Lcg(seed)
-    rep = AxiomReport(f"sliding[{inst.name}]", 0)
-    run = _Runner(rep, budget, min(budget, 500) if samples is None else samples, rng)
-    t0 = time.perf_counter()
+    run = _Runner(f"sliding[{inst.name}]", budget, seed, samples, 500)
     objs = inst.objects(max_size)
 
     def slide(f, g):
@@ -532,8 +539,7 @@ def check_sliding(
 
     nhom = (nuc.count_nuclear, nuc.enum_nuclear, nuc.sample_nuclear)
     run.sweep("sliding", _streams(inst, objs, 2, [(nhom, 0, 1), (nhom, 1, 0)]), slide)
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return run.finish()
 
 
 def derive_trace(inst: CategoryInstance, nuc: NuclearStructure, f, g):
@@ -559,45 +565,35 @@ def check_tracedness(
     tol: Optional[float] = None,
 ) -> AxiomReport:
     """The derived trace is independent of the chosen factorization."""
-    rng = Lcg(seed)
-    rep = AxiomReport(f"traced[{inst.name}]", 0)
-    n = min(budget, 300) if samples is None else samples
-    t0 = time.perf_counter()
-    for _ in range(n):
+    run = _Runner(f"traced[{inst.name}]", budget, seed, samples, 300)
+    rend = lambda x: scalars.render(inst.scalar_kind, x)
+
+    def factorizations(rng):
         pair = tr.sample_equal_factorizations(rng)
         if pair is None:
-            rep.flags.append("skipped:tracedness (no factorization sampler)")
-            break
-        (f, g), (f2, g2) = pair
-        rep.cases += 1
+            run.report.flags.append("skipped:tracedness (no factorization sampler)")
+        return pair
+
+    def tracedness(fg, fg2):
+        (f, g), (f2, g2) = fg, fg2
         h1 = inst.compose(g, f)
-        h2 = inst.compose(g2, f2)
-        if not inst.mor_eq(h1, h2, tol):
-            rep.add_failure("tracedness: sampler produced unequal composites")
-            continue
+        if not inst.mor_eq(h1, inst.compose(g2, f2), tol):
+            return "sampler produced unequal composites"
         if not (nuc.is_nuclear(f) and nuc.is_nuclear(g)
                 and nuc.is_nuclear(f2) and nuc.is_nuclear(g2)):
-            rep.add_failure("tracedness: sampler produced non-distinguished factors")
-            continue
+            return "sampler produced non-distinguished factors"
         v1 = nuc.derived_trace(f, g)
         v2 = nuc.derived_trace(f2, g2)
         if not inst.scalar_eq(v1, v2, tol):
-            rep.add_failure(
-                "tracedness: factorizations disagree "
-                f"{scalars.render(inst.scalar_kind, v1)} vs "
-                f"{scalars.render(inst.scalar_kind, v2)} for h={inst.describe(h1)}"
-            )
-            continue
+            return (f"factorizations disagree {rend(v1)} vs {rend(v2)} "
+                    f"for h={inst.describe(h1)}")
         if tr.in_trace_class(h1):
             v3 = tr.trace(h1)
             if not inst.scalar_eq(v1, v3, tol):
-                rep.add_failure(
-                    "tracedness: direct trace disagrees with derived "
-                    f"{scalars.render(inst.scalar_kind, v3)} vs "
-                    f"{scalars.render(inst.scalar_kind, v1)}"
-                )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                return f"direct trace disagrees with derived {rend(v3)} vs {rend(v1)}"
+
+    run.sweep("tracedness", _single(factorizations), tracedness)
+    return run.finish()
 
 
 def check_trace_axioms(
@@ -612,37 +608,13 @@ def check_trace_axioms(
     tol: Optional[float] = None,
 ) -> AxiomReport:
     """Two-sided ideal, dinaturality, vanishing, tensor, star, conjugation."""
-    rng = Lcg(seed)
-    rep = AxiomReport(f"trace-axioms[{inst.name}]", 0)
-    run = _Runner(rep, budget, min(budget, 300) if samples is None else samples, rng)
-    t0 = time.perf_counter()
-    objs = inst.objects(max_size)
+    run = _Runner(f"trace-axioms[{inst.name}]", budget, seed, samples, 300)
+    rng = run.rng
     seq = lambda x, y: inst.scalar_eq(x, y, tol)
     rend = lambda x: scalars.render(inst.scalar_kind, x)
+    members = _members(inst, inst.objects(max_size), 1, tr.enum_members, tr.sample_member)
 
-    def member_streams():
-        if objs is None:
-            def samp(rng):
-                a = inst.sample_object(rng)
-                h = tr.sample_member(rng, a)
-                return None if h is None else (h,)
-            return _single(samp)
-        out = []
-        for a in objs:
-            it = tr.enum_members(a)
-            if it is None:
-                def samp(rng, a=a):
-                    h = tr.sample_member(rng, a)
-                    return None if h is None else (h,)
-                out.append((None, None, samp))
-            else:
-                out.append(_listed(list(it)))
-        return out
-
-    members = member_streams()
-
-    def ideal(h):
-        a = inst.source(h)
+    def ideal(h, a):
         k = inst.sample_hom(rng, a, a)
         out = []
         if not tr.in_trace_class(inst.compose(k, h)):
@@ -686,7 +658,7 @@ def check_trace_axioms(
     run.sweep("vanishing-unit", _streams_scalar(inst) if inst.has_unit else [],
               vanishing_unit, enabled=inst.has_unit, note="no unit object")
 
-    def vanishing_tensor(h):
+    def vanishing_tensor(h, a):
         padded = inst.tensor(h, inst.identity(inst.unit()))
         out = []
         if not tr.in_trace_class(padded):
@@ -701,7 +673,7 @@ def check_trace_axioms(
               enabled=inst.has_tensor and inst.has_unit and inst.has_identity,
               note="no tensor/unit")
 
-    def tensor_mult(h):
+    def tensor_mult(h, a):
         b = inst.sample_object(rng)
         k = tr.sample_member(rng, b)
         if k is None:
@@ -719,7 +691,7 @@ def check_trace_axioms(
     run.sweep("tensor", members, tensor_mult,
               enabled=inst.has_tensor, note="no tensor")
 
-    def star_conj(h):
+    def star_conj(h, a):
         out = []
         want = scalars.star(inst.scalar_kind, tr.trace(h))
         hs = inst.star(h)
@@ -736,8 +708,7 @@ def check_trace_axioms(
 
     run.sweep("star-conj", members, star_conj)
 
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return run.finish()
 
 
 def check_param_trace_axioms(
@@ -753,54 +724,26 @@ def check_param_trace_axioms(
     """Axioms for the parametrized trace over a chosen parameter object."""
     if not tr.has_param:
         raise UnsupportedCheck(f"{inst.name}: no parametrized trace structure")
-    rng = Lcg(seed)
-    rep = AxiomReport(f"param-trace[{inst.name}]", 0)
-    run = _Runner(rep, budget, min(budget, 300) if samples is None else samples, rng)
-    t0 = time.perf_counter()
     objs = inst.objects(max_size)
+    if objs is None:
+        raise UnsupportedCheck(f"{inst.name}: the parametrized trace needs listed objects")
+    run = _Runner(f"param-trace[{inst.name}]", budget, seed, samples, 300)
+    rng = run.rng
     eq = lambda f, g: inst.mor_eq(f, g, tol)
     i_obj = inst.unit()
+    pick = inst.sample_object
 
-    def pick(rng):
-        return inst.sample_object(rng)
-
-    # each object triple's members, listed once and shared by every sub-law
-    members = []
-    if objs is not None:
-        for aub in itertools.product(objs, repeat=3):
-            it = tr.enum_param_members(*aub)
-            members.append((aub, None if it is None else list(it)))
-
-    def member_streams(extra: int):
-        """Streams of (member, a, u, b) plus `extra` sampled objects."""
-        if objs is None:
-            def samp(rng):
-                a, u, b = pick(rng), pick(rng), pick(rng)
-                f = tr.sample_param_member(rng, a, u, b)
-                if f is None:
-                    return None
-                return (f, a, u, b, *[pick(rng) for _ in range(extra)])
-            return _single(samp)
-        out = []
-        for (a, u, b), ms in members:
-            if ms is None:
-                def samp(rng, a=a, u=u, b=b):
-                    f = tr.sample_param_member(rng, a, u, b)
-                    if f is None:
-                        return None
-                    return (f, a, u, b, *[pick(rng) for _ in range(extra)])
-                out.append((None, None, samp))
-                continue
-            if extra == 0:
-                out.append(_listed(ms, a, u, b))
-            else:
-                def samp(rng, ms=ms, a=a, u=u, b=b):
-                    if not ms:
-                        return None
-                    f = rng.choice(ms)
-                    return (f, a, u, b, *[pick(rng) for _ in range(extra)])
-                out.append((None, None, samp))
-        return out
+    # each object triple's members, listed once: `listed` sweeps them and
+    # `framed` draws one with two more objects to frame it by
+    members = [(aub, list(tr.enum_param_members(*aub)))
+               for aub in itertools.product(objs, repeat=3)]
+    listed = [_listed(ms, *aub) for aub, ms in members]
+    framed = [
+        (None, None,
+         lambda rng, ms=ms, aub=aub:
+             (rng.choice(ms), *aub, pick(rng), pick(rng)) if ms else None)
+        for aub, ms in members
+    ]
 
     def ideal_closure(f, a, u, b):
         out = []
@@ -823,7 +766,7 @@ def check_param_trace_axioms(
             out.append("framing by g, k leaves the class")
         return out
 
-    run.sweep("ideal-closure", member_streams(0), ideal_closure)
+    run.sweep("ideal-closure", listed, ideal_closure)
 
     def vanishing_unit_sample(rng):
         a, b = pick(rng), pick(rng)
@@ -906,7 +849,7 @@ def check_param_trace_axioms(
         if not eq(lhs, rhs):
             return f"superposing broken: f={inst.describe(f)} g={inst.describe(g)}"
 
-    run.sweep("superposing", member_streams(2), superposing)
+    run.sweep("superposing", framed, superposing)
 
     def yanking_sample(rng):
         a, u, b = pick(rng), pick(rng), pick(rng)
@@ -960,10 +903,9 @@ def check_param_trace_axioms(
         if not eq(lhs, rhs):
             return f"tightening broken: f={inst.describe(f)} g={inst.describe(g)} k={inst.describe(k)}"
 
-    run.sweep("tightening", member_streams(2), tightening)
+    run.sweep("tightening", framed, tightening)
 
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return run.finish()
 
 
 def find_nuclear_factorization(

@@ -224,7 +224,11 @@ class NuclearStructure:
 
 
 class TraceStructure:
-    """Trace operator on the two-sided ideal generated by nuclear maps."""
+    """Trace operator on the two-sided ideal generated by nuclear maps.
+
+    The parametrized form (`has_param`) is checked only over listed
+    objects, and must list its members through `enum_param_members`.
+    """
 
     has_param: bool = False
 
@@ -268,8 +272,7 @@ class TraceStructure:
         """Partial trace over u of f: a (x) u -> b (x) u."""
         raise UnsupportedCheck(f"{self.inst.name}: no parametrized trace")
 
-    def sample_param_member(self, rng: Lcg, a, u, b):
-        return None
-
-    def enum_param_members(self, a, u, b) -> Optional[Iterable]:
-        return None
+    def enum_param_members(self, a, u, b) -> Iterable:
+        """Every member of the class over (a, u, b); a structure with
+        `has_param` must list them, over objects the instance lists."""
+        raise UnsupportedCheck(f"{self.inst.name}: no parametrized trace")

@@ -34,7 +34,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -582,29 +582,8 @@ class DRelInstance(CategoryInstance):
     def compose(self, g, f):
         return compose(f, g)
 
-    def identity(self, a):
-        raise UnsupportedCheck("identity is too singular for a grid kernel")
-
     def star(self, f):
         return star(f)
-
-    def tensor(self, f, g):
-        raise UnsupportedCheck("products of intervals are out of scope")
-
-    def tensor_obj(self, a, b):
-        raise UnsupportedCheck("products of intervals are out of scope")
-
-    def unit(self):
-        raise UnsupportedCheck("no unit object on grids")
-
-    def reindex(self, a, b, index_map):
-        raise UnsupportedCheck("no structural regroupings without a tensor")
-
-    def scalar_of(self, s):
-        raise UnsupportedCheck("no unit object on grids")
-
-    def scalar_eq(self, x, y, tol: Optional[float] = None) -> bool:
-        return abs(x - y) <= (self.tol if tol is None else tol)
 
     def mor_eq(self, f, g, tol: Optional[float] = None) -> bool:
         if f.source != g.source or f.target != g.target:
@@ -613,12 +592,6 @@ class DRelInstance(CategoryInstance):
 
     def obj_size(self, a) -> int:
         return a.n
-
-    def describe_obj(self, a) -> str:
-        return repr(a)
-
-    def describe(self, f) -> str:
-        return repr(f)
 
     def sample_object(self, rng):
         return rng.choice(self._pool)

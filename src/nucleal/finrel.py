@@ -562,9 +562,6 @@ class FinRelTrace(TraceStructure):
     def param_trace(self, f, a, u, b):
         return param_trace(f, a, u, b)
 
-    def sample_param_member(self, rng, a, u, b):
-        return self.inst.sample_hom(rng, product(a, u), product(b, u))
-
     def enum_param_members(self, a, u, b):
         return enum_relations(product(a, u), product(b, u))
 

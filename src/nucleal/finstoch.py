@@ -56,7 +56,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Sequence
 
 from nucleal.core import scalars
 from nucleal.core.errors import InvariantViolation, ParseError, ShapeMismatch
@@ -561,9 +561,6 @@ class FinDist:
     def __repr__(self):
         body = ", ".join(f"{x!r}:{m}" for x, m in self.pairs)
         return f"FinDist({body})"
-
-
-FinDist2 = FinDist
 
 
 def fin_dist(mapping: dict) -> FinDist:

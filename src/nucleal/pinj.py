@@ -435,19 +435,6 @@ class PInjTrace(TraceStructure):
     def param_trace(self, f, a, u, b):
         return param_trace(f, a, u, b)
 
-    def sample_param_member(self, rng, a, u, b):
-        if u.size == 0:
-            return empty(product(a, u), product(b, u))
-        k = rng.below(min(a.size, b.size) + 1)
-        xs = rng.subset(list(range(a.size)), k)
-        ys = rng.subset(list(range(b.size)), k)
-        rng.shuffle(ys)
-        pairs = tuple(
-            (x * u.size + rng.below(u.size), y * u.size + rng.below(u.size))
-            for x, y in zip(xs, ys)
-        )
-        return PartialInjection(product(a, u), product(b, u), pairs)
-
     def enum_param_members(self, a, u, b):
         return [
             f

@@ -267,6 +267,21 @@ def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "star-laws", "--budget", "-5"],
+        ["verify", "drel-numeric", "--tol", "-1"],
+        ["verify", "drel-numeric", "--tol", "nan"],
+        ["report", "--budget", "-1"],
+    ],
+    ids=["verify-budget", "verify-tol", "verify-tol-nan", "report-budget"],
+)
+def test_negative_budget_or_tol_exits_parse(capsys, argv):
+    assert cli.main(argv) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
 def test_category_flag_conflicts_with_envelope(tmp_path, capsys):
     f = pinj.from_map(XY, XY, {"x": "x"})
     path = pinj_file(tmp_path, "f.json", f)

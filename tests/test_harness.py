@@ -271,3 +271,31 @@ def test_param_trace_sublaws_run_past_the_budget(monkeypatch):
     # every (a, u, b) among sets of size <= 2 has members, the empty relation
     reached = {tuple(x.size for x in case[1:]) for case in cases["ideal-closure"]}
     assert len(reached) == 3 ** 3
+
+
+# -- a broken model yields a witness, not a crash ----------------------------
+
+
+class RaisingTraceFinRel(finrel.FinRelTrace):
+    def trace(self, h):
+        raise RuntimeError("seeded trace fault")
+
+
+def test_tracedness_reports_a_raising_trace():
+    inst, nuc, _ = finrel.structures()
+    rep = harness.check_tracedness(inst, nuc, RaisingTraceFinRel(inst, nuc), 50, 1)
+    assert rep.law == "traced[finrel]" and rep.cases > 0 and not rep.ok
+    assert rep.failures[0] == "tracedness: exception RuntimeError: seeded trace fault"
+
+
+class UnlistedFinRel(finrel.FinRelInstance):
+    def objects(self, max_size=None):
+        return None
+
+
+def test_param_trace_needs_listed_objects():
+    inst = UnlistedFinRel(2)
+    tr = finrel.FinRelTrace(inst, finrel.FinRelNuclear(inst))
+    assert tr.has_param
+    with pytest.raises(UnsupportedCheck):
+        harness.check_param_trace_axioms(inst, tr, 100, 1)

@@ -207,6 +207,13 @@ class SupMap:
         return f"SupMap({list(self.values)})"
 
 
+def _mk_sup(source: FinLattice, target: FinLattice, values: tuple) -> SupMap:
+    """Trusted builder: `values` must be those of a sup map source -> target."""
+    f = object.__new__(SupMap)
+    f.__dict__.update(source=source, target=target, values=values)
+    return f
+
+
 def identity_sup(lat: FinLattice) -> SupMap:
     return SupMap(lat, lat, tuple(range(lat.size)))
 
@@ -219,7 +226,8 @@ def compose_sup(f: SupMap, g: SupMap) -> SupMap:
     """Diagrammatic composite: first f, then g."""
     if f.target != g.source:
         raise ShapeMismatch("middle lattices differ")
-    return SupMap(f.source, g.target, tuple(g.values[v] for v in f.values))
+    # a composite of sup maps preserves sups
+    return _mk_sup(f.source, g.target, tuple(g.values[v] for v in f.values))
 
 
 def enum_sup_maps(source: FinLattice, target: FinLattice) -> Iterator[SupMap]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 import time
 from importlib import resources
@@ -347,51 +348,163 @@ def _drel_numeric_reports(n, tol):
     )
 
 
-def run_suite(name, budget=200, seed=1, tol=None, n=None):
-    reports = []
+def _one(check, *args, **kwargs):
+    """A job that runs one check and returns its report."""
+    return lambda: [check(*args, **kwargs)]
+
+
+def _cjsl_reports():
+    lats = cjsl.enumerate_lattices(5)
+    return [
+        cjsl.check_characterization(5, lats),
+        cjsl.check_closure_lemma(4, lats),
+        cjsl.check_hr_wellformed(4, lats),
+        cjsl.check_galois(5, lats),
+    ]
+
+
+def suite_jobs(name, budget=200, seed=1, tol=None, n=None):
+    """The suite as zero-argument jobs, in report order.
+
+    Each job returns a list of reports and shares no state with the
+    others that its reports depend on: every check seeds its own
+    generator, so a job gives the same reports in whichever process,
+    and after whichever other jobs, it runs.
+    """
+    jobs = []
     instances = _suite_instances()
     if name in ("star-laws", "all"):
-        for inst, _, _ in instances:
-            reports.append(harness.check_star_laws(inst, budget, seed, tol=tol))
+        jobs += [
+            _one(harness.check_star_laws, inst, budget, seed, tol=tol)
+            for inst, _, _ in instances
+        ]
     if name in ("nuclear", "all"):
-        for inst, nuc, _ in instances:
-            reports.append(
-                harness.check_nuclear_axioms(inst, nuc, budget, seed, tol=tol)
-            )
+        jobs += [
+            _one(harness.check_nuclear_axioms, inst, nuc, budget, seed, tol=tol)
+            for inst, nuc, _ in instances
+        ]
     if name in ("sliding", "all"):
-        for inst, nuc, _ in instances:
-            reports.append(harness.check_sliding(inst, nuc, budget, seed, tol=tol))
+        jobs += [
+            _one(harness.check_sliding, inst, nuc, budget, seed, tol=tol)
+            for inst, nuc, _ in instances
+        ]
     if name in ("traced", "all"):
-        for inst, nuc, tr in instances:
-            reports.append(
-                harness.check_tracedness(inst, nuc, tr, budget, seed, tol=tol)
-            )
+        jobs += [
+            _one(harness.check_tracedness, inst, nuc, tr, budget, seed, tol=tol)
+            for inst, nuc, tr in instances
+        ]
     if name in ("trace-axioms", "all"):
-        for inst, nuc, tr in instances:
-            reports.append(
-                harness.check_trace_axioms(inst, nuc, tr, budget, seed, tol=tol)
-            )
+        jobs += [
+            _one(harness.check_trace_axioms, inst, nuc, tr, budget, seed, tol=tol)
+            for inst, nuc, tr in instances
+        ]
     if name in ("param-trace", "all"):
         # exhaustive member streams explode above two-element sets
-        for inst, nuc, tr in instances:
-            if tr.has_param:
-                reports.append(
-                    harness.check_param_trace_axioms(
-                        inst, tr, budget, seed, max_size=2, tol=tol
-                    )
-                )
+        jobs += [
+            _one(
+                harness.check_param_trace_axioms, inst, tr, budget, seed,
+                max_size=2, tol=tol,
+            )
+            for inst, _, tr in instances
+            if tr.has_param
+        ]
     if name in ("cjsl-hr", "all"):
-        lats = cjsl.enumerate_lattices(5)
-        reports.append(cjsl.check_characterization(5, lats))
-        reports.append(cjsl.check_closure_lemma(4, lats))
-        reports.append(cjsl.check_hr_wellformed(4, lats))
-        reports.append(cjsl.check_galois(5, lats))
+        jobs.append(_cjsl_reports)
     if name in ("xrel-audit", "all"):
-        reports.extend(_xrel_audit_reports())
+        jobs.append(_xrel_audit_reports)
     if name in ("stoch-monad", "all"):
-        reports.extend(_stoch_monad_reports(budget, seed))
+        jobs.append(lambda: _stoch_monad_reports(budget, seed))
     if name in ("drel-numeric", "all"):
-        reports.extend(_drel_numeric_reports(n, tol))
+        jobs.append(lambda: _drel_numeric_reports(n, tol))
+    return jobs
+
+
+def _run_share(jobs, w, k) -> dict:
+    """Outcomes of jobs w, w + k, ... by index: a list of reports, or the
+    exception the job raised.  Stops at the first exception, since no
+    later job of the share can come first in job order."""
+    out = {}
+    for i in range(w, len(jobs), k):
+        try:
+            out[i] = jobs[i]()
+        except Exception as exc:
+            out[i] = exc
+            break
+    return out
+
+
+def _fork_share(jobs, w, k):
+    """Fork a child that runs share w of k and pickles its outcomes into
+    a pipe; returns (pid, read end of the pipe)."""
+    r, wr = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(wr)
+        raise
+    if pid == 0:
+        # the child never returns: os._exit runs no atexit handler and
+        # flushes no buffer inherited from the parent, and a child that
+        # fails before the dump ends with status 1
+        status = 1
+        try:
+            os.close(r)
+            with os.fdopen(wr, "wb") as out:
+                pickle.dump(_run_share(jobs, w, k), out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wr)
+    return pid, r
+
+
+def _collect(pid, fd):
+    """What the child sent, and its wait status.  The pipe is read to
+    its end before the wait, so a child blocked on a full pipe can
+    finish."""
+    with os.fdopen(fd, "rb") as src:
+        data = src.read()
+    return data, os.waitpid(pid, 0)[1]
+
+
+def run_suite(name, budget=200, seed=1, tol=None, n=None):
+    """The suite's reports, in job order, computed on every CPU this
+    process may run on.
+
+    With k CPUs (at most one per job), k - 1 forked children run jobs
+    w, w + k, ... for w = 1 .. k - 1 and this process runs jobs 0, k,
+    ....  The split is a fixed function of the job list and k, so each
+    process does the same work on every run.  Every child is reaped
+    before this returns or raises.  If jobs raise, the exception of the
+    first of them in job order is raised, as a serial run would; a
+    child that dies or sends no complete result raises RuntimeError.
+    Forking is safe here: the one other thread is numpy's OpenBLAS
+    pool, which stops itself before a fork.
+    """
+    jobs = suite_jobs(name, budget, seed, tol, n)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = max(1, min(cpus, len(jobs)))
+    children = []
+    try:
+        for w in range(1, k):
+            children.append(_fork_share(jobs, w, k))
+        outcomes = _run_share(jobs, 0, k)
+    finally:
+        sent = [_collect(pid, fd) for pid, fd in children]
+    for w, (data, status) in enumerate(sent, 1):
+        if status != 0:
+            raise RuntimeError(
+                f"worker {w} of {k} ended with wait status {status} "
+                "before sending its reports"
+            )
+        outcomes.update(pickle.loads(data))
+    reports = []
+    for i in range(len(jobs)):
+        out = outcomes[i]
+        if isinstance(out, Exception):
+            raise out
+        reports += out
     return reports
 
 

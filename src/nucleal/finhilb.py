@@ -13,9 +13,9 @@ Inner products are linear in the first variable throughout.
 Boundary contract: the `CMatrix` constructor, `from_rows` and
 `from_json` check the shape and the finiteness of every entry and store
 each entry as a `complex`.  The operations (`matmul`, `add`, `scale`,
-`adjoint`, `conjugate`, `tensor`, `u_map`, the transpose) and
-`random_matrix` build through the private `_mk`, which trusts the shape
-and the entry type, both right by construction, but still checks
+`adjoint`, `conjugate`, `tensor`, `u_map`, the transpose, `reindex`)
+and `random_matrix` build through the private `_mk`, which trusts the
+shape and the entry type, both right by construction, but still checks
 finiteness: products and sums of finite entries can overflow to
 infinity, and such a matrix must not pass.
 """
@@ -519,10 +519,11 @@ class HilbInstance(CategoryInstance):
     def reindex(self, a, b, index_map):
         if len(index_map) != a or sorted(index_map) != list(range(b)):
             raise ShapeMismatch("index map is not a bijection")
-        out = zeros(b, a).row_lists()
+        # the 0/1 matrix of a bijection is right by construction
+        entries = [0j] * (b * a)
         for i, j in enumerate(index_map):
-            out[j][i] = 1 + 0j
-        return from_rows(out)
+            entries[j * a + i] = 1 + 0j
+        return _mk(b, a, tuple(entries))
 
     def scalar_of(self, s):
         if (s.rows, s.cols) != (1, 1):

@@ -1,12 +1,18 @@
 """Command-line interface, driven in process."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nucleal
 from nucleal import cjsl, cli, finstoch, pinj, xrel
+from nucleal.core.errors import ParseError, ShapeMismatch
 
 X = pinj.FinSet(("x",))
 XY = pinj.FinSet(("x", "y"))
@@ -315,3 +321,114 @@ def test_report_command(tmp_path):
     assert doc["schema"] == "nucleal-report/1"
     assert doc["failures"] == 0
     assert len(doc["reports"]) > 30
+
+
+# -- the suite runner -------------------------------------------------------
+
+SUITES = [name for name in cli.SUITES if name != "all"]
+
+
+def _signature(reports):
+    return [(r.law, r.cases, r.failures, r.flags) for r in reports]
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _jobs(monkeypatch, jobs):
+    monkeypatch.setattr(cli, "suite_jobs", lambda *args: jobs)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_run_suite_matches_every_job_run_in_process(monkeypatch, seed):
+    # three workers, so that children also inherit each other's pipes
+    _cpus(monkeypatch, 3)
+    want = {
+        name: _signature(
+            [rep for job in cli.suite_jobs(name, 20, seed) for rep in job()]
+        )
+        for name in SUITES
+    }
+    for name in SUITES:
+        assert _signature(cli.run_suite(name, 20, seed)) == want[name]
+    got = _signature(cli.run_suite("all", 20, seed))
+    assert got == [sig for name in SUITES for sig in want[name]]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_run_suite_raises_the_first_failing_job(monkeypatch, first):
+    # with two workers, odd jobs run in the child and even ones here
+    def fail(exc):
+        def job():
+            raise exc
+
+        return job
+
+    jobs = [lambda: [] for _ in range(5)]
+    jobs[first] = fail(ParseError(f"job {first}"))
+    jobs[first + 1] = fail(ShapeMismatch(f"job {first + 1}"))
+    _cpus(monkeypatch, 2)
+    _jobs(monkeypatch, jobs)
+    with pytest.raises(ParseError, match=f"^job {first}$"):
+        cli.run_suite("all")
+    _no_child_left()
+
+
+def test_run_suite_reaps_its_children_after_a_normal_return(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert len(cli.run_suite("xrel-audit") + cli.run_suite("star-laws", 20)) > 8
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["dies", "unpicklable"])
+def test_run_suite_raises_when_a_child_sends_no_result(monkeypatch, fault):
+    here = os.getpid()
+
+    def job():
+        if os.getpid() == here:
+            return []
+        if fault == "dies":
+            os._exit(3)
+        return [lambda: None]  # pickling fails part way through the dump
+
+    _cpus(monkeypatch, 2)
+    _jobs(monkeypatch, [job, job])
+    with pytest.raises(RuntimeError, match="before sending its reports"):
+        cli.run_suite("all")
+    _no_child_left()
+
+
+def test_run_suite_forks_nothing_on_one_cpu(monkeypatch):
+    def fork():
+        raise AssertionError("forked on one CPU")
+
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", fork)
+    want = [rep for job in cli.suite_jobs("star-laws", 20, 1) for rep in job()]
+    assert _signature(cli.run_suite("star-laws", 20, 1)) == _signature(want)
+
+
+def test_verify_all_prints_each_summary_once():
+    src = str(Path(nucleal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]
+    ))
+    out = subprocess.run(
+        [sys.executable, "-m", "nucleal.cli", "verify", "all", "--budget", "50"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    # 63 summaries, then the totals; a child that printed or flushed
+    # anything would add lines
+    assert len(lines) == 65
+    assert all(line.startswith(("PASS", "FINDING")) for line in lines[:-2])
+    assert lines[-2] == "63 reports, 0 failed, 2 documented findings"
+    assert lines[-1].startswith("total time ")

@@ -1,14 +1,8 @@
 """Relations between finite sets: composition, duals, trace."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nucleal
 from nucleal import finrel, pinj
 from nucleal.core import harness
 from nucleal.core.errors import InvariantViolation, ShapeMismatch
@@ -276,28 +270,6 @@ def test_set_is_unequal_to_other_types():
     assert finrel.fin_set(0) != ()
     assert finrel.UNIT != (finrel.UNIT_LABEL,)
     assert not finrel.fin_set(1) == [0]
-
-
-def _intern_count_after_report(seed: int) -> subprocess.Popen:
-    # a fresh process, so that only this run fills the intern tables
-    code = (
-        "import sys; from nucleal import cli, finrel; "
-        f"cli.run_suite('all', 200, {seed}); print(len(finrel._INTERNED))"
-    )
-    src = str(Path(nucleal.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]
-    ))
-    return subprocess.Popen(
-        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True
-    )
-
-
-def test_intern_tables_stay_bounded_across_seeds():
-    runs = [_intern_count_after_report(seed) for seed in (1, 7)]
-    counts = [int(p.communicate(timeout=300)[0]) for p in runs]
-    assert all(p.returncode == 0 for p in runs)
-    assert counts[0] == counts[1] > 0
 
 
 # -- closed-form braiding ---------------------------------------------------

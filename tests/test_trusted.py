@@ -1,5 +1,5 @@
-"""Safety net for the trusted builders of finrel, pinj, xrel, finstoch
-and finhilb.
+"""Safety net for the trusted builders of finrel, pinj, xrel, finstoch,
+finhilb and cjsl.
 
 Model operations build their results through private builders that
 skip constructor validation: finrel's `_mk` for every relation
@@ -12,7 +12,8 @@ goes through the validating constructor of the value's type and also
 demands that it reproduce the same fields, then rerun the law checks:
 the verdicts must not change, and one invalid value fails the run.  The
 finstoch builders also demand absolute continuity and canonical
-integers, and the finhilb builder a `complex` for every entry.  finrel's
+integers, and the finhilb builder a `complex` for every entry; cjsl's
+`_mk_sup` builds composites of sup maps.  finrel's
 interned sets and xrel's interned monoids and crossed sets are built
 once, so the relation tests start from empty intern tables: every set
 and crossed set the rerun uses goes through the validating builder.
@@ -24,9 +25,9 @@ from math import gcd
 
 import pytest
 
-from nucleal import cli, finhilb, finrel, finstoch, pinj, xrel
+from nucleal import cjsl, cli, finhilb, finrel, finstoch, pinj, xrel
 from nucleal.core import harness
-from nucleal.core.errors import InvariantViolation
+from nucleal.core.errors import InvariantViolation, ShapeMismatch
 
 # every module that holds finrel's relation builder under its own name
 RELATION_BUILDERS = (finrel, pinj, xrel)
@@ -316,6 +317,17 @@ def test_validated_finhilb_builder_changes_no_verdict(monkeypatch):
     assert _signature(checked) == _signature(trusted)
 
 
+def test_reindex_builds_its_permutation_through_the_builder(monkeypatch):
+    inst, _, _ = finhilb.structures()
+    built = _validate_finhilb_builder(monkeypatch)
+    got = inst.reindex(3, 3, (2, 0, 1))  # point i goes to index_map[i]
+    assert built == [(3, 3)]
+    assert got == finhilb.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert inst.reindex(2, 2, (0, 1)) == finhilb.identity_matrix(2)
+    with pytest.raises(ShapeMismatch, match="not a bijection"):
+        inst.reindex(3, 3, (0, 0, 1))
+
+
 def test_validated_finhilb_builder_catches_a_short_tensor(monkeypatch):
     real = finhilb.tensor
 
@@ -328,3 +340,42 @@ def test_validated_finhilb_builder_catches_a_short_tensor(monkeypatch):
     inst, _, _ = finhilb.structures()
     rep = harness.check_star_laws(inst, SMALL_BUDGET, 1)
     assert any("needs" in f and "entries" in f for f in rep.failures)
+
+
+# -- cjsl -------------------------------------------------------------------
+
+
+def _validate_cjsl_builder(monkeypatch) -> list:
+    """Swap in a validating `_mk_sup`; returns the values of every map it builds."""
+    built = []
+    validating = _validating_object(cjsl.SupMap)
+
+    def mk_sup(source, target, values):
+        built.append(values)
+        return validating(source, target, values)
+
+    monkeypatch.setattr(cjsl, "_mk_sup", mk_sup)
+    return built
+
+
+def test_validated_cjsl_builder_changes_no_verdict(monkeypatch):
+    trusted = cli._cjsl_reports()
+    built = _validate_cjsl_builder(monkeypatch)
+    checked = cli._cjsl_reports()
+    assert len(built) > 1000  # the closure lemma's composites
+    assert all(r.ok for r in checked)
+    assert _signature(checked) == _signature(trusted)
+
+
+def test_validated_cjsl_builder_catches_a_composite_off_by_one(monkeypatch):
+    real = cjsl.compose_sup
+
+    def compose_sup(f, g):  # seeded fault: top goes to the target's bottom
+        out = real(f, g)
+        values = out.values[:-1] + (out.target.bot,)
+        return cjsl._mk_sup(out.source, out.target, values)
+
+    monkeypatch.setattr(cjsl, "compose_sup", compose_sup)
+    _validate_cjsl_builder(monkeypatch)
+    with pytest.raises(InvariantViolation, match="joins are not preserved"):
+        cjsl.check_closure_lemma(3)

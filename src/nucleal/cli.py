@@ -479,8 +479,8 @@ def run_suite(name, budget=200, seed=1, tol=None, n=None):
     before this returns or raises.  If jobs raise, the exception of the
     first of them in job order is raised, as a serial run would; a
     child that dies or sends no complete result raises RuntimeError.
-    Forking is safe here: the one other thread is numpy's OpenBLAS
-    pool, which stops itself before a fork.
+    nucleal starts no threads, and numpy's OpenBLAS pool stops itself
+    before a fork, so forking here is safe.
     """
     jobs = suite_jobs(name, budget, seed, tol, n)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _intern_counts
 from nucleal import finrel, pinj
 from nucleal.core import harness
 from nucleal.core.errors import InvariantViolation, ShapeMismatch
@@ -270,6 +271,15 @@ def test_set_is_unequal_to_other_types():
     assert finrel.fin_set(0) != ()
     assert finrel.UNIT != (finrel.UNIT_LABEL,)
     assert not finrel.fin_set(1) == [0]
+
+
+def test_intern_tables_stay_bounded_across_seeds():
+    counts = _intern_counts.counts()
+    # a second report interns no new set
+    assert all(after_one[0] == after_two[0] for after_one, after_two in counts)
+    (seed1, _), (seed7, _) = counts
+    # finrel interns the same sets at every seed
+    assert seed1[0] == seed7[0] > 0
 
 
 # -- closed-form braiding ---------------------------------------------------

@@ -333,7 +333,7 @@ def _stoch_monad_reports(budget, seed):
     ]
 
 
-def _drel_numeric_reports(n, tol):
+def _drel_numeric_reports(tol):
     doc = _fixture("gaussians.json")
     box = doc.get("interval", {})
     if (box.get("lo"), box.get("hi")) != (-1.0, 1.0):
@@ -341,7 +341,7 @@ def _drel_numeric_reports(n, tol):
     kparams = [tuple(p) for p in doc["kernels"]]
     fparams = [tuple(p) for p in doc["test_fns"]]
     return drelnum.fixture_reports(
-        n or int(doc.get("n", drelnum.FIXTURE_N)),
+        int(doc.get("n", drelnum.FIXTURE_N)),
         tol or float(doc.get("tol", drelnum.DEFAULT_TOL)),
         kparams,
         fparams,
@@ -363,7 +363,7 @@ def _cjsl_reports():
     ]
 
 
-def suite_jobs(name, budget=200, seed=1, tol=None, n=None):
+def suite_jobs(name, budget=200, seed=1, tol=None):
     """The suite as zero-argument jobs, in report order.
 
     Each job returns a list of reports and shares no state with the
@@ -415,7 +415,7 @@ def suite_jobs(name, budget=200, seed=1, tol=None, n=None):
     if name in ("stoch-monad", "all"):
         jobs.append(lambda: _stoch_monad_reports(budget, seed))
     if name in ("drel-numeric", "all"):
-        jobs.append(lambda: _drel_numeric_reports(n, tol))
+        jobs.append(lambda: _drel_numeric_reports(tol))
     return jobs
 
 
@@ -468,7 +468,7 @@ def _collect(pid, fd):
     return data, os.waitpid(pid, 0)[1]
 
 
-def run_suite(name, budget=200, seed=1, tol=None, n=None):
+def run_suite(name, budget=200, seed=1, tol=None):
     """The suite's reports, in job order, computed on every CPU this
     process may run on.
 
@@ -482,7 +482,7 @@ def run_suite(name, budget=200, seed=1, tol=None, n=None):
     nucleal starts no threads, and numpy's OpenBLAS pool stops itself
     before a fork, so forking here is safe.
     """
-    jobs = suite_jobs(name, budget, seed, tol, n)
+    jobs = suite_jobs(name, budget, seed, tol)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(jobs)))
     children = []
@@ -546,7 +546,7 @@ def cmd_verify(args) -> int:
         )
     _check_bounds(args.budget, args.tol)
     t0 = time.perf_counter()
-    reports = run_suite(args.suite, args.budget, args.seed, args.tol, args.n)
+    reports = run_suite(args.suite, args.budget, args.seed, args.tol)
     code = _emit_reports(reports, args.format)
     if args.format == "text":
         print(f"total time {time.perf_counter() - t0:.1f}s")
@@ -609,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 

@@ -676,8 +676,6 @@ def check_trace_axioms(
     def tensor_mult(h, a):
         b = inst.sample_object(rng)
         k = tr.sample_member(rng, b)
-        if k is None:
-            return None
         hk = inst.tensor(h, k)
         if not tr.in_trace_class(hk):
             return "tensor of traced members is not traced"

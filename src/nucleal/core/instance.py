@@ -21,6 +21,29 @@ parametrized form.  The distinguished class is an ideal: a composite
 with a distinguished factor is distinguished, so a morphism factors
 through the ideal exactly when it lies in it.  `factorize` is therefore
 asked only for distinguished morphisms and returns one witness.
+
+What a model supplies: `compose`, `star`, `mor_eq`, `obj_size`,
+`sample_object` and `sample_hom` on its instance, `is_nuclear` on its
+nuclear structure and `trace` on its trace structure.  These have no
+default and raise `NotImplementedError` until a model gives them: a
+membership predicate or a trace that defaulted to some answer would let
+every law about it pass while checking nothing, so a model that forgets
+one must fail loudly instead.
+
+What a model inherits, and overrides only where it differs:
+- `source`/`target` read `f.source`/`f.target`;
+- `sample_nuclear` is `sample_hom`, as in the models where every map is
+  distinguished (finrel, finhilb, finstoch and drelnum's kernels);
+- `enum_states`/`sample_state` are `enum_hom`/`sample_hom` from the
+  unit into conj(A) (x) B;
+- `in_trace_class` holds for an endomorphism (`obj_eq` of its source and
+  target) that `is_nuclear`.  The trace class is the ideal the nuclear
+  maps generate; they already form an ideal, so its endomorphisms are
+  exactly the nuclear endomorphisms;
+- `sample_member` draws a nuclear endomorphism with `sample_nuclear`;
+- `sample_dinat_pair` draws both maps with `sample_hom`, which is enough
+  where every map is distinguished; a smaller ideal (pinj, xrel) draws
+  one side with `sample_nuclear`.
 """
 
 from __future__ import annotations
@@ -49,10 +72,10 @@ class CategoryInstance:
     # -- morphism structure -------------------------------------------------
 
     def source(self, f):
-        raise NotImplementedError
+        return f.source
 
     def target(self, f):
-        raise NotImplementedError
+        return f.target
 
     def compose(self, g, f):
         raise NotImplementedError
@@ -201,7 +224,8 @@ class NuclearStructure:
         return inst.scalar_of(inst.compose(left, self.theta(f)))
 
     def sample_nuclear(self, rng: Lcg, a, b):
-        raise NotImplementedError
+        """Random distinguished a -> b; any map, where every map is."""
+        return self.inst.sample_hom(rng, a, b)
 
     def enum_nuclear(self, a, b) -> Optional[Iterable]:
         return None
@@ -212,11 +236,15 @@ class NuclearStructure:
     def enum_states(self, a, b) -> Optional[Iterable]:
         """All of Hom(I, conj(A) (x) B) when enumerable; used for
         round-trip and surjectivity checks."""
-        return None
+        inst = self.inst
+        return inst.enum_hom(inst.unit(), inst.tensor_obj(inst.conj_obj(a), b))
 
     def sample_state(self, rng: Lcg, a, b):
-        """Random element of Hom(I, conj(A) (x) B), or None."""
-        return None
+        """Random element of Hom(I, conj(A) (x) B)."""
+        inst = self.inst
+        return inst.sample_hom(
+            rng, inst.unit(), inst.tensor_obj(inst.conj_obj(a), b)
+        )
 
     def factorize(self, h) -> FactorizationResult:
         """h = g o f with both factors distinguished, for a distinguished h."""
@@ -237,15 +265,20 @@ class TraceStructure:
         self.nuclear = nuclear
 
     def in_trace_class(self, h) -> bool:
-        raise NotImplementedError
+        """A nuclear endomorphism (see the module docstring)."""
+        inst = self.inst
+        return (
+            inst.obj_eq(inst.source(h), inst.target(h))
+            and self.nuclear.is_nuclear(h)
+        )
 
     def trace(self, h):
         """Scalar trace of an endomorphism in the trace class."""
         raise NotImplementedError
 
     def sample_member(self, rng: Lcg, a):
-        """Random endomorphism of `a` inside the trace class, or None."""
-        return None
+        """Random endomorphism of `a` inside the trace class."""
+        return self.nuclear.sample_nuclear(rng, a, a)
 
     def enum_members(self, a) -> Optional[Iterable]:
         """All trace-class endomorphisms of `a`, or None when infeasible."""
@@ -253,7 +286,7 @@ class TraceStructure:
 
     def sample_dinat_pair(self, rng: Lcg, a, b):
         """Random (f: a -> b, g: b -> a) with g o f in the trace class."""
-        return None
+        return self.inst.sample_hom(rng, a, b), self.inst.sample_hom(rng, b, a)
 
     def sample_equal_factorizations(self, rng: Lcg):
         """Two nuclear factorizations of one morphism, or None.

@@ -573,12 +573,6 @@ class DRelInstance(CategoryInstance):
             Interval(-2.0, 1.0, sample_n),
         ]
 
-    def source(self, f):
-        return f.source
-
-    def target(self, f):
-        return f.target
-
     def compose(self, g, f):
         return compose(f, g)
 
@@ -626,24 +620,12 @@ class DRelNuclear(NuclearStructure):
     def derived_trace(self, f, g):
         return trace(compose(f, g))
 
-    def sample_nuclear(self, rng, a, b):
-        return self.inst.sample_hom(rng, a, b)
-
 
 class DRelTrace(TraceStructure):
-    def in_trace_class(self, h) -> bool:
-        return h.source == h.target
-
     def trace(self, h):
         if h.source != h.target:
             raise TraceClassError("only endomorphisms carry a trace")
         return trace(h)
-
-    def sample_member(self, rng, a):
-        return self.inst.sample_hom(rng, a, a)
-
-    def sample_dinat_pair(self, rng, a, b):
-        return self.inst.sample_hom(rng, a, b), self.inst.sample_hom(rng, b, a)
 
     def sample_equal_factorizations(self, rng):
         a = self.inst.sample_object(rng)

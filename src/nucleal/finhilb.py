@@ -536,9 +536,6 @@ class HilbInstance(CategoryInstance):
     def obj_size(self, a):
         return a
 
-    def describe(self, f):
-        return repr(f)
-
     def describe_obj(self, a):
         return f"C^{a}"
 
@@ -563,31 +560,16 @@ class HilbNuclear(NuclearStructure):
             raise ShapeMismatch("state shape mismatch")
         return u_map(list(m.entries), a, b)
 
-    def sample_nuclear(self, rng, a, b):
-        return random_matrix(rng, b, a)
-
-    def sample_state(self, rng, a, b):
-        return random_matrix(rng, a * b, 1)
-
     def factorize(self, h):
         f, g = hs_factorize(h)
         return FactorizationResult(True, left=f, right=g, middle=h.cols)
 
 
 class HilbTrace(TraceStructure):
-    def in_trace_class(self, h):
-        return h.rows == h.cols
-
     def trace(self, h):
         if h.rows != h.cols:
             raise ShapeMismatch("trace needs an endomorphism")
         return trace(h)
-
-    def sample_member(self, rng, a):
-        return random_matrix(rng, a, a)
-
-    def sample_dinat_pair(self, rng, a, b):
-        return random_matrix(rng, b, a), random_matrix(rng, a, b)
 
     def sample_equal_factorizations(self, rng):
         a = self.inst.sample_object(rng)

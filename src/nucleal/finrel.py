@@ -415,21 +415,17 @@ class FinRelInstance(CategoryInstance):
     name = "finrel"
     scalar_kind = scalars.BOOL
     tol = 0.0
+    #: the `Relation` subclass that `identity`, `symmetry` and `reindex` build
+    morphism = Relation
 
     def __init__(self, max_object_size: int = 3):
         self.max_object_size = max_object_size
-
-    def source(self, f):
-        return f.source
-
-    def target(self, f):
-        return f.target
 
     def compose(self, g, f):
         return compose(f, g)
 
     def identity(self, a):
-        return identity(a)
+        return identity(a, self.morphism)
 
     def star(self, f):
         return converse(f)
@@ -444,10 +440,10 @@ class FinRelInstance(CategoryInstance):
         return UNIT
 
     def symmetry(self, a, b):
-        return symmetry(a, b)
+        return symmetry(a, b, self.morphism)
 
     def reindex(self, a, b, index_map):
-        return reindex(a, b, index_map)
+        return reindex(a, b, index_map, self.morphism)
 
     def obj_size(self, a):
         return a.size
@@ -506,20 +502,11 @@ class FinRelNuclear(NuclearStructure):
     def theta_inv(self, m: Relation, a: FinSet, b: FinSet) -> Relation:
         return theta_inv(m, a, b)
 
-    def sample_nuclear(self, rng, a, b):
-        return self.inst.sample_hom(rng, a, b)
-
     def enum_nuclear(self, a, b):
         return enum_relations(a, b)
 
     def count_nuclear(self, a, b):
         return 1 << (a.size * b.size)
-
-    def enum_states(self, a, b):
-        return enum_relations(UNIT, product(a, b))
-
-    def sample_state(self, rng, a, b):
-        return self.inst.sample_hom(rng, UNIT, product(a, b))
 
     def factorize(self, h) -> FactorizationResult:
         # Identities are themselves distinguished here, so h = h o id.
@@ -531,17 +518,8 @@ class FinRelNuclear(NuclearStructure):
 class FinRelTrace(TraceStructure):
     has_param = True
 
-    def in_trace_class(self, h) -> bool:
-        return h.source == h.target
-
     def trace(self, h):
         return trace_endo(h)
-
-    def sample_member(self, rng, a):
-        return self.inst.sample_hom(rng, a, a)
-
-    def sample_dinat_pair(self, rng, a, b):
-        return self.inst.sample_hom(rng, a, b), self.inst.sample_hom(rng, b, a)
 
     def sample_equal_factorizations(self, rng):
         inst = self.inst

@@ -722,12 +722,6 @@ class StochInstance(CategoryInstance):
     def __init__(self, max_points: int = 3):
         self.max_points = max_points
 
-    def source(self, f):
-        return f.source
-
-    def target(self, f):
-        return f.target
-
     def compose(self, g, f):
         return compose(f, g)
 
@@ -761,12 +755,6 @@ class StochInstance(CategoryInstance):
     def obj_size(self, a):
         return a.size
 
-    def describe(self, f):
-        return repr(f)
-
-    def describe_obj(self, a):
-        return repr(a)
-
     def sample_object(self, rng):
         return sample_space(rng, self.max_points)
 
@@ -784,12 +772,6 @@ class StochNuclear(NuclearStructure):
     def theta_inv(self, m, a, b):
         return theta_inv(m, a, b)
 
-    def sample_nuclear(self, rng, a, b):
-        return sample_joint(rng, a, b)
-
-    def sample_state(self, rng, a, b):
-        return sample_joint(rng, UNIT_SPACE, product_space(a, b))
-
     def factorize(self, h):
         return FactorizationResult(
             True, left=delta(h.source), right=h, middle=h.source
@@ -797,17 +779,8 @@ class StochNuclear(NuclearStructure):
 
 
 class StochTrace(TraceStructure):
-    def in_trace_class(self, h):
-        return h.source == h.target and is_nuclear(h)
-
     def trace(self, h):
         return trace_nuclear(h)
-
-    def sample_member(self, rng, a):
-        return sample_joint(rng, a, a)
-
-    def sample_dinat_pair(self, rng, a, b):
-        return sample_joint(rng, a, b), sample_joint(rng, b, a)
 
     def sample_equal_factorizations(self, rng):
         inst = self.inst

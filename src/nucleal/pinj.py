@@ -13,7 +13,9 @@ most one bit each, and no bit in two rows.  The relation kernel of
 `finrel` does all the algebra: `compose`, `converse`, `tensor`,
 `theta`, `theta_inv`, the trace and `param_trace` are finrel's, guarded
 here by the membership predicates `is_nuclear` and `in_param_class`.
-Objects and serialization conventions are shared with `finrel` too.
+Objects and serialization conventions are shared with `finrel` too, and
+`PInjInstance` is finrel's adapter with pinj's hom-sets, scalars and
+stricter equality.
 
 Boundary contract: the `PartialInjection` constructor, `from_map`,
 `from_json` and the samplers validate their (source index, target
@@ -37,16 +39,15 @@ from nucleal.core.errors import (
     TraceClassError,
 )
 from nucleal.core.instance import (
-    CategoryInstance,
     FactorizationResult,
     NuclearStructure,
     TraceStructure,
 )
 from nucleal.core.rng import Lcg
-from nucleal.core import scalars
 from nucleal import finrel
 from nucleal.finrel import (
     UNIT,
+    FinRelInstance,
     FinSet,
     Relation,
     _mk,
@@ -115,11 +116,6 @@ def empty(source: FinSet, target: FinSet) -> PartialInjection:
 
 def identity(x: FinSet) -> PartialInjection:
     return finrel.identity(x, PartialInjection)
-
-
-def reindex(a: FinSet, b: FinSet, index_map) -> PartialInjection:
-    """Total bijection realizing a structural relabeling of slots."""
-    return finrel.reindex(a, b, index_map, PartialInjection)
 
 
 def is_nuclear(f: PartialInjection) -> bool:
@@ -261,44 +257,12 @@ def from_json(data: dict) -> PartialInjection:
 # -- instance adapters ------------------------------------------------------
 
 
-class PInjInstance(CategoryInstance):
-    """Finite sets with partial injections, boolean scalars."""
+class PInjInstance(FinRelInstance):
+    """Finite sets with partial injections, boolean scalars: finrel's
+    adapter on partial injections, with pinj's own hom-sets."""
 
     name = "pinj"
-    scalar_kind = scalars.BOOL
-
-    def __init__(self, max_object_size: int = 3):
-        self.max_object_size = max_object_size
-
-    def source(self, f):
-        return f.source
-
-    def target(self, f):
-        return f.target
-
-    def compose(self, g, f):
-        return compose(f, g)
-
-    def identity(self, a):
-        return identity(a)
-
-    def star(self, f):
-        return converse(f)
-
-    def tensor(self, f, g):
-        return tensor(f, g)
-
-    def tensor_obj(self, a, b):
-        return product(a, b)
-
-    def unit(self):
-        return UNIT
-
-    def symmetry(self, a, b):
-        return finrel.symmetry(a, b, PartialInjection)
-
-    def reindex(self, a, b, index_map):
-        return reindex(a, b, index_map)
+    morphism = PartialInjection
 
     def scalar_of(self, s):
         if s.source != UNIT or s.target != UNIT:
@@ -310,24 +274,14 @@ class PInjInstance(CategoryInstance):
             f.source == g.source and f.target == g.target and f.rows == g.rows
         )
 
-    def obj_size(self, a):
-        return a.size
-
     def describe(self, f):
         return repr(f)
 
     def describe_obj(self, a):
         return repr(a)
 
-    def sample_object(self, rng):
-        return fin_set(rng.below(self.max_object_size + 1))
-
     def sample_hom(self, rng, a, b):
         return sample_pinj(rng, a, b)
-
-    def objects(self, max_size=None):
-        cap = self.max_object_size if max_size is None else max_size
-        return [fin_set(n) for n in range(cap + 1)]
 
     def enum_hom(self, a, b):
         return enum_pinj(a, b)
@@ -365,12 +319,6 @@ class PInjNuclear(NuclearStructure):
     def count_nuclear(self, a, b):
         return 1 + a.size * b.size
 
-    def enum_states(self, a, b):
-        return enum_pinj(UNIT, product(a, b))
-
-    def sample_state(self, rng, a, b):
-        return sample_pinj(rng, UNIT, product(a, b))
-
     def factorize(self, h):
         if not any(h.rows):
             mid = UNIT
@@ -390,16 +338,10 @@ class PInjNuclear(NuclearStructure):
 class PInjTrace(TraceStructure):
     has_param = True
 
-    def in_trace_class(self, h):
-        return h.source == h.target and is_nuclear(h)
-
     def trace(self, h):
         if not self.in_trace_class(h):
             raise TraceClassError("endomorphism is outside the trace class")
         return trace_endo(h)
-
-    def sample_member(self, rng, a):
-        return self.nuclear.sample_nuclear(rng, a, a)
 
     def enum_members(self, a):
         return self.nuclear.enum_nuclear(a, a)

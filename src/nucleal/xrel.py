@@ -620,12 +620,6 @@ class XRelInstance(CategoryInstance):
         # permutations whose monoid-order power is the identity, per carrier size
         self._perm_cache: dict[int, list[tuple[int, ...]]] = {}
 
-    def source(self, f):
-        return f.source
-
-    def target(self, f):
-        return f.target
-
     def compose(self, g, f):
         return compose(f, g)
 
@@ -662,12 +656,6 @@ class XRelInstance(CategoryInstance):
 
     def obj_size(self, a):
         return a.size
-
-    def describe(self, f):
-        return repr(f)
-
-    def describe_obj(self, a):
-        return repr(a)
 
     def _order_perms(self, n: int) -> list[tuple[int, ...]]:
         """Permutations p with p^(monoid generator order) = id."""
@@ -738,16 +726,6 @@ class XRelNuclear(NuclearStructure):
     def enum_nuclear(self, a, b):
         return (r for r in enum_morphisms(a, b) if is_nuclear(r))
 
-    def enum_states(self, a, b):
-        return enum_morphisms(
-            unit_object(a.monoid), tensor_object(a, b)
-        )
-
-    def sample_state(self, rng, a, b):
-        return self.inst.sample_hom(
-            rng, unit_object(a.monoid), tensor_object(a, b)
-        )
-
     def factorize(self, h):
         return FactorizationResult(
             True, left=domain_identity(h), right=h, middle=h.source
@@ -755,16 +733,10 @@ class XRelNuclear(NuclearStructure):
 
 
 class XRelTrace(TraceStructure):
-    def in_trace_class(self, h):
-        return h.source == h.target and is_nuclear(h)
-
     def trace(self, h):
         if not self.in_trace_class(h):
             raise TraceClassError("endomorphism is outside the trace class")
         return finrel.trace_endo(h)
-
-    def sample_member(self, rng, a):
-        return self.nuclear.sample_nuclear(rng, a, a)
 
     def sample_dinat_pair(self, rng, a, b):
         if rng.below(2) == 0:

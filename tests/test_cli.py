@@ -288,6 +288,15 @@ def test_negative_budget_or_tol_exits_parse(capsys, argv):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
+def test_verify_has_no_grid_size_option(capsys):
+    # drel-numeric runs on the fixture's grid; a user-set size would cost
+    # n^3 with no cap
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "drel-numeric", "--n", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+
+
 def test_category_flag_conflicts_with_envelope(tmp_path, capsys):
     f = pinj.from_map(XY, XY, {"x": "x"})
     path = pinj_file(tmp_path, "f.json", f)

@@ -1,10 +1,11 @@
-"""Seeded generator and scalar-kind dispatch."""
+"""Seeded generator, scalar-kind dispatch and the instance contracts."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
+from nucleal import cli
 from nucleal.core import scalars
 from nucleal.core.rng import Lcg
 
@@ -88,3 +89,35 @@ def test_json_float_round_trip():
     # the JSON layer serializes floats at full repr precision
     for v in (0.1, 1 / 3, 2.0 ** -52, 1e300):
         assert json.loads(json.dumps(v)) == v
+
+
+# -- the instance contracts, on every model of the suites -------------------
+
+SUITE_INSTANCES = cli._suite_instances()
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize(
+    "structures", SUITE_INSTANCES, ids=[inst.name for inst, _, _ in SUITE_INSTANCES]
+)
+def test_instance_contracts_hold_on_sampled_objects(structures, seed):
+    inst, nuc, tr = structures
+    rng = Lcg(seed)
+
+    def runs(f, a, b):
+        return inst.obj_eq(inst.source(f), a) and inst.obj_eq(inst.target(f), b)
+
+    for _ in range(20):
+        a, b = inst.sample_object(rng), inst.sample_object(rng)
+        homs = [inst.sample_hom(rng, a, a), inst.sample_hom(rng, a, b)]
+        homs += [nuc.sample_nuclear(rng, a, a), nuc.sample_nuclear(rng, a, b)]
+        for h in homs:
+            endo = inst.obj_eq(inst.source(h), inst.target(h))
+            assert tr.in_trace_class(h) == (endo and nuc.is_nuclear(h))
+        m = tr.sample_member(rng, a)
+        assert runs(m, a, a) and tr.in_trace_class(m)
+        f, g = tr.sample_dinat_pair(rng, a, b)
+        assert runs(f, a, b) and runs(g, b, a)
+        if inst.has_unit:
+            state = nuc.sample_state(rng, a, b)
+            assert runs(state, inst.unit(), inst.tensor_obj(inst.conj_obj(a), b))

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import _intern_counts
 from nucleal import finhilb, finrel, finstoch, pinj, xrel
 from nucleal.core import harness
 from nucleal.core.errors import UnsupportedCheck
@@ -230,6 +231,23 @@ def test_trace_case_streams_are_pinned(monkeypatch):
         harness.check_trace_axioms(inst, nuc, tr, 60, 3)
     digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
     assert (len(log), digest) == TRACE_CASE_STREAM_DIGEST
+
+
+#: sha256 of the ordered (law, cases, failures, flags) of every report of
+#: `suite_jobs("all", 200, seed)`, the signature of `nucleal report
+#: --budget 200`, per seed.  Every report passes but the documented
+#: findings, so the two seeds agree; the case-stream pins above see the
+#: draws.  ROADMAP item 1's unbiased `below` changes the signature and
+#: must re-record this pin, with the new signature in CHANGES.
+REPORT_SIGNATURE_DIGESTS = {
+    1: "5dd256555928cb53090072a47475c50832a8d25d309eff7a9abdb756862a63d4",
+    7: "5dd256555928cb53090072a47475c50832a8d25d309eff7a9abdb756862a63d4",
+}
+
+
+def test_report_signatures_are_pinned():
+    got = dict(zip(_intern_counts.SEEDS, _intern_counts.signatures()))
+    assert got == REPORT_SIGNATURE_DIGESTS
 
 
 # -- no listed stream is dropped once the budget runs out --------------------

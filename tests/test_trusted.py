@@ -150,14 +150,16 @@ def test_validated_builders_change_no_verdict(monkeypatch):
 
 
 def test_validated_builders_catch_non_injective_pinj(monkeypatch):
-    def converse(f):  # seeded fault: two or more points all land on point 0
+    def star(self, f):  # seeded fault: two or more points all land on point 0
         out = finrel.converse(f)
         if pinj.is_nuclear(out):
             return out
         rows = tuple(1 if row else 0 for row in out.rows)
         return pinj._mk(out.source, out.target, rows, pinj.PartialInjection)
 
-    monkeypatch.setattr(pinj, "converse", converse)
+    # pinj's adapter inherits `star` from finrel's, so the fault is
+    # seeded on the adapter rather than on a module function
+    monkeypatch.setattr(pinj.PInjInstance, "star", star)
     _validate_builders(monkeypatch)
     inst, _, _ = pinj.structures()
     rep = harness.check_star_laws(inst, EXHAUSTIVE_BUDGET, 1, max_size=2)

@@ -161,11 +161,14 @@ def _read_object(path, cat: Category):
 
 def _write_out(doc, out):
     text = json.dumps(doc, indent=2) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from exc
 
 
 def _manifest(cat: Category, value) -> dict:
@@ -179,15 +182,8 @@ def _render_trace(kind: str, value) -> str:
     return scalars.render(kind, value)
 
 
-def fixtures_dir():
-    override = os.environ.get("NUCLEAL_FIXTURES")
-    if override:
-        return override
-    return str(resources.files("nucleal") / "fixtures")
-
-
 def _fixture(name: str):
-    return _load_json(os.path.join(fixtures_dir(), name))
+    return _load_json(str(resources.files("nucleal") / "fixtures" / name))
 
 
 # -- commands ---------------------------------------------------------------
@@ -333,21 +329,6 @@ def _stoch_monad_reports(budget, seed):
     ]
 
 
-def _drel_numeric_reports(tol):
-    doc = _fixture("gaussians.json")
-    box = doc.get("interval", {})
-    if (box.get("lo"), box.get("hi")) != (-1.0, 1.0):
-        raise ParseError("gaussian fixtures must live on [-1, 1]")
-    kparams = [tuple(p) for p in doc["kernels"]]
-    fparams = [tuple(p) for p in doc["test_fns"]]
-    return drelnum.fixture_reports(
-        int(doc.get("n", drelnum.FIXTURE_N)),
-        tol or float(doc.get("tol", drelnum.DEFAULT_TOL)),
-        kparams,
-        fparams,
-    )
-
-
 def _one(check, *args, **kwargs):
     """A job that runs one check and returns its report."""
     return lambda: [check(*args, **kwargs)]
@@ -363,7 +344,7 @@ def _cjsl_reports():
     ]
 
 
-def suite_jobs(name, budget=200, seed=1, tol=None):
+def suite_jobs(name, budget=200, seed=1):
     """The suite as zero-argument jobs, in report order.
 
     Each job returns a list of reports and shares no state with the
@@ -375,27 +356,27 @@ def suite_jobs(name, budget=200, seed=1, tol=None):
     instances = _suite_instances()
     if name in ("star-laws", "all"):
         jobs += [
-            _one(harness.check_star_laws, inst, budget, seed, tol=tol)
+            _one(harness.check_star_laws, inst, budget, seed)
             for inst, _, _ in instances
         ]
     if name in ("nuclear", "all"):
         jobs += [
-            _one(harness.check_nuclear_axioms, inst, nuc, budget, seed, tol=tol)
+            _one(harness.check_nuclear_axioms, inst, nuc, budget, seed)
             for inst, nuc, _ in instances
         ]
     if name in ("sliding", "all"):
         jobs += [
-            _one(harness.check_sliding, inst, nuc, budget, seed, tol=tol)
+            _one(harness.check_sliding, inst, nuc, budget, seed)
             for inst, nuc, _ in instances
         ]
     if name in ("traced", "all"):
         jobs += [
-            _one(harness.check_tracedness, inst, nuc, tr, budget, seed, tol=tol)
+            _one(harness.check_tracedness, inst, nuc, tr, budget, seed)
             for inst, nuc, tr in instances
         ]
     if name in ("trace-axioms", "all"):
         jobs += [
-            _one(harness.check_trace_axioms, inst, nuc, tr, budget, seed, tol=tol)
+            _one(harness.check_trace_axioms, inst, nuc, tr, budget, seed)
             for inst, nuc, tr in instances
         ]
     if name in ("param-trace", "all"):
@@ -403,7 +384,7 @@ def suite_jobs(name, budget=200, seed=1, tol=None):
         jobs += [
             _one(
                 harness.check_param_trace_axioms, inst, tr, budget, seed,
-                max_size=2, tol=tol,
+                max_size=2,
             )
             for inst, _, tr in instances
             if tr.has_param
@@ -415,7 +396,7 @@ def suite_jobs(name, budget=200, seed=1, tol=None):
     if name in ("stoch-monad", "all"):
         jobs.append(lambda: _stoch_monad_reports(budget, seed))
     if name in ("drel-numeric", "all"):
-        jobs.append(lambda: _drel_numeric_reports(tol))
+        jobs.append(drelnum.fixture_reports)
     return jobs
 
 
@@ -468,7 +449,7 @@ def _collect(pid, fd):
     return data, os.waitpid(pid, 0)[1]
 
 
-def run_suite(name, budget=200, seed=1, tol=None):
+def run_suite(name, budget=200, seed=1):
     """The suite's reports, in job order, computed on every CPU this
     process may run on.
 
@@ -482,7 +463,7 @@ def run_suite(name, budget=200, seed=1, tol=None):
     nucleal starts no threads, and numpy's OpenBLAS pool stops itself
     before a fork, so forking here is safe.
     """
-    jobs = suite_jobs(name, budget, seed, tol)
+    jobs = suite_jobs(name, budget, seed)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(jobs)))
     children = []
@@ -530,13 +511,10 @@ def _emit_reports(reports, fmt, out=None, extra=None):
     return EXIT_FAIL if failed else 0
 
 
-def _check_bounds(budget, tol=None) -> None:
-    """A negative budget passes vacuously and a negative tolerance fails
-    every numeric comparison, so both are input errors."""
+def _check_bounds(budget) -> None:
+    """A negative budget would pass vacuously, so it is an input error."""
     if budget < 0:
         raise ParseError(f"--budget must be nonnegative, not {budget}")
-    if tol is not None and not tol >= 0:
-        raise ParseError(f"--tol must be nonnegative, not {tol}")
 
 
 def cmd_verify(args) -> int:
@@ -544,9 +522,9 @@ def cmd_verify(args) -> int:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}"
         )
-    _check_bounds(args.budget, args.tol)
+    _check_bounds(args.budget)
     t0 = time.perf_counter()
-    reports = run_suite(args.suite, args.budget, args.seed, args.tol)
+    reports = run_suite(args.suite, args.budget, args.seed)
     code = _emit_reports(reports, args.format)
     if args.format == "text":
         print(f"total time {time.perf_counter() - t0:.1f}s")
@@ -608,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 

@@ -8,8 +8,7 @@ every check.  A sub-law runs over case streams: one per object tuple
 when the instance lists its objects, a single sampled stream otherwise.
 A stream whose full case count fits into the remaining budget is swept
 exhaustively, anything larger is sampled with the seeded generator,
-and the report flags say which happened.  A sampler that dries up
-simply yields fewer cases; that is never an error.
+and the report flags say which happened.
 
 Tuples of morphisms come from one builder, `_streams`, driven by specs
 (homs, i, j): each draws a morphism from object slot i to slot j, where
@@ -86,10 +85,7 @@ class _Runner:
             else:
                 fully_exhaustive = False
                 for _ in range(per_samples):
-                    case = sample(self.rng)
-                    if case is None:
-                        break
-                    self._run(name, fn, case)
+                    self._run(name, fn, sample(self.rng))
         if fully_exhaustive:
             self.report.flags.append(f"exhaustive:{name}")
 
@@ -148,7 +144,7 @@ def _listed(items: list, *rest) -> Stream:
     return (
         len(items),
         lambda: ((x, *rest) for x in items),
-        lambda rng: (rng.choice(items), *rest) if items else None,
+        lambda rng: (rng.choice(items), *rest),
     )
 
 
@@ -201,12 +197,10 @@ def _members(inst, objs, n_objs: int, enum, sample) -> list[Stream]:
 
     Listed objects give one stream per tuple, over the members enum(*xs)
     lists, or drawn by sample(rng, *xs) where enum returns None.
-    Unlisted objects are drawn first and then the member.  A sampler
-    returns None when it has no member to give.
+    Unlisted objects are drawn first and then the member.
     """
     def draw(rng, xs):
-        m = sample(rng, *xs)
-        return None if m is None else (m, *xs)
+        return (sample(rng, *xs), *xs)
 
     if objs is None:
         return _single(
@@ -568,12 +562,6 @@ def check_tracedness(
     run = _Runner(f"traced[{inst.name}]", budget, seed, samples, 300)
     rend = lambda x: scalars.render(inst.scalar_kind, x)
 
-    def factorizations(rng):
-        pair = tr.sample_equal_factorizations(rng)
-        if pair is None:
-            run.report.flags.append("skipped:tracedness (no factorization sampler)")
-        return pair
-
     def tracedness(fg, fg2):
         (f, g), (f2, g2) = fg, fg2
         h1 = inst.compose(g, f)
@@ -592,7 +580,7 @@ def check_tracedness(
             if not inst.scalar_eq(v1, v3, tol):
                 return f"direct trace disagrees with derived {rend(v3)} vs {rend(v1)}"
 
-    run.sweep("tracedness", _single(factorizations), tracedness)
+    run.sweep("tracedness", _single(tr.sample_equal_factorizations), tracedness)
     return run.finish()
 
 
@@ -738,8 +726,7 @@ def check_param_trace_axioms(
     listed = [_listed(ms, *aub) for aub, ms in members]
     framed = [
         (None, None,
-         lambda rng, ms=ms, aub=aub:
-             (rng.choice(ms), *aub, pick(rng), pick(rng)) if ms else None)
+         lambda rng, ms=ms, aub=aub: (rng.choice(ms), *aub, pick(rng), pick(rng)))
         for aub, ms in members
     ]
 

@@ -24,11 +24,12 @@ asked only for distinguished morphisms and returns one witness.
 
 What a model supplies: `compose`, `star`, `mor_eq`, `obj_size`,
 `sample_object` and `sample_hom` on its instance, `is_nuclear` on its
-nuclear structure and `trace` on its trace structure.  These have no
-default and raise `NotImplementedError` until a model gives them: a
-membership predicate or a trace that defaulted to some answer would let
-every law about it pass while checking nothing, so a model that forgets
-one must fail loudly instead.
+nuclear structure, and `trace` and `sample_equal_factorizations` on its
+trace structure.  These have no default and raise `NotImplementedError`
+until a model gives them: a membership predicate, a trace or a sampler
+that defaulted to some answer (or to no case at all) would let every
+law about it pass while checking nothing, so a model that forgets one
+must fail loudly instead.
 
 What a model inherits, and overrides only where it differs:
 - `source`/`target` read `f.source`/`f.target`;
@@ -289,12 +290,12 @@ class TraceStructure:
         return self.inst.sample_hom(rng, a, b), self.inst.sample_hom(rng, b, a)
 
     def sample_equal_factorizations(self, rng: Lcg):
-        """Two nuclear factorizations of one morphism, or None.
+        """Two nuclear factorizations of one morphism.
 
         Returns ((f, g), (f2, g2)) with g o f = g2 o f2, both factors
         nuclear on each side, for factorization-independence checks.
         """
-        return None
+        raise NotImplementedError
 
     # -- parametrized form --------------------------------------------------
 

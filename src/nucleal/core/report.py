@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+FAILURE_CAP = 20
+
 
 @dataclass
 class AxiomReport:
@@ -31,11 +33,11 @@ class AxiomReport:
     def is_finding(self) -> bool:
         return any(f.startswith("documented-finding") for f in self.flags)
 
-    def add_failure(self, witness: str, cap: int = 20) -> None:
+    def add_failure(self, witness: str) -> None:
         # Keep reports readable: cap stored witnesses, count the rest.
-        if len(self.failures) < cap:
+        if len(self.failures) < FAILURE_CAP:
             self.failures.append(witness[:400])
-        elif len(self.failures) == cap:
+        elif len(self.failures) == FAILURE_CAP:
             self.failures.append("... further failures suppressed")
 
     def to_dict(self) -> dict:

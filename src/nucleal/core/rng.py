@@ -62,11 +62,8 @@ class Lcg:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def subset(self, items, k=None):
-        """Random subset of `items`; of fixed size k when given."""
-        if k is None:
-            mask = self.bits(len(items))
-            return [x for i, x in enumerate(items) if (mask >> i) & 1]
+    def subset(self, items, k: int):
+        """Random subset of `items` of size k."""
         pool = list(items)
         self.shuffle(pool)
         return pool[:k]

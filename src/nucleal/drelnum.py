@@ -12,7 +12,9 @@ Pairing, associativity, and trace symmetry are exact reassociations of
 one discrete triple sum, so they hold to rounding error at any
 resolution; the genuinely approximate statements (refinement
 convergence, the Dirac obstruction) get their own checks on a pinned
-Gaussian fixture family.
+Gaussian fixture family: the kernels of `FIXTURE_KERNEL_PARAMS` and the
+test functions of `FIXTURE_TESTFN_PARAMS`, on [-1, 1] at `FIXTURE_N`
+nodes, checked to `DEFAULT_TOL`.
 
 Boundary contract: `grid_kernel`, `test_fn`, `quad`, the `Interval`
 constructor and the JSON readers validate (shape, finiteness, and a
@@ -22,7 +24,7 @@ them.  The instance's `sample_hom` builds its sum of windowed Gaussians
 trusted: each term is a bounded amplitude times a Gaussian times a
 window that is exactly 0 at both ends, so it is finite and vanishes on
 the boundary by construction.  Model operations (`compose`, `star`,
-`scale`, `add`) build their results directly.  Each `Interval`
+`scale`) build their results directly.  Each `Interval`
 computes its `nodes()`, `weights()` and bump window once, on first use,
 and hands out the same read-only arrays after that.
 """
@@ -252,12 +254,6 @@ def scale(k: GridKernel, c: float) -> GridKernel:
     return GridKernel(k.source, k.target, c * k.samples)
 
 
-def add(k1: GridKernel, k2: GridKernel) -> GridKernel:
-    if k1.source != k2.source or k1.target != k2.target:
-        raise ShapeMismatch("kernels live on different grids")
-    return GridKernel(k1.source, k1.target, k1.samples + k2.samples)
-
-
 def kernel_distance(k1: GridKernel, k2: GridKernel) -> float:
     if k1.source != k2.source or k1.target != k2.target:
         raise ShapeMismatch("kernels live on different grids")
@@ -333,33 +329,32 @@ def fixture_interval(n: int = FIXTURE_N) -> Interval:
     return Interval(-1.0, 1.0, n)
 
 
-def fixture_kernels(n: int = FIXTURE_N, params=None) -> list[GridKernel]:
+def fixture_kernels(n: int = FIXTURE_N) -> list[GridKernel]:
     box = fixture_interval(n)
     return [
         gaussian_kernel(box, box, x0, y0, w, a)
-        for x0, y0, w, a in (FIXTURE_KERNEL_PARAMS if params is None else params)
+        for x0, y0, w, a in FIXTURE_KERNEL_PARAMS
     ]
 
 
-def fixture_test_fns(n: int = FIXTURE_N, params=None) -> list[TestFn]:
+def fixture_test_fns(n: int = FIXTURE_N) -> list[TestFn]:
     box = fixture_interval(n)
     return [
         gaussian_test_fn(box, x0, w, a)
-        for x0, w, a in (FIXTURE_TESTFN_PARAMS if params is None else params)
+        for x0, w, a in FIXTURE_TESTFN_PARAMS
     ]
 
 
 # -- fixture-family checks --------------------------------------------------
 
 
-def check_pairing(n: int = FIXTURE_N, tol: float = DEFAULT_TOL,
-                  kparams=None, fparams=None) -> AxiomReport:
+def check_pairing(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Composite kernels pair with products the way iterated integrals do."""
     t0 = time.perf_counter()
     rep = AxiomReport("drel-pairing", 0)
     box = fixture_interval(n)
-    kers = fixture_kernels(n, kparams)
-    fns = fixture_test_fns(n, fparams)
+    kers = fixture_kernels(n)
+    fns = fixture_test_fns(n)
     for f in kers:
         for g in kers:
             for phi in fns:
@@ -389,11 +384,10 @@ def check_pairing(n: int = FIXTURE_N, tol: float = DEFAULT_TOL,
     return rep
 
 
-def check_associativity(n: int = FIXTURE_N, tol: float = DEFAULT_TOL,
-                        kparams=None) -> AxiomReport:
+def check_associativity(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
     t0 = time.perf_counter()
     rep = AxiomReport("drel-associativity", 0)
-    kers = fixture_kernels(n, kparams)
+    kers = fixture_kernels(n)
     for f in kers:
         for g in kers:
             for h in kers:
@@ -407,11 +401,10 @@ def check_associativity(n: int = FIXTURE_N, tol: float = DEFAULT_TOL,
     return rep
 
 
-def check_trace_symmetry(n: int = FIXTURE_N, tol: float = DEFAULT_TOL,
-                         kparams=None) -> AxiomReport:
+def check_trace_symmetry(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
     t0 = time.perf_counter()
     rep = AxiomReport("drel-trace-symmetry", 0)
-    kers = fixture_kernels(n, kparams)
+    kers = fixture_kernels(n)
     for f in kers:
         for g in kers:
             rep.cases += 1
@@ -422,14 +415,13 @@ def check_trace_symmetry(n: int = FIXTURE_N, tol: float = DEFAULT_TOL,
     return rep
 
 
-def check_refinement(n: int = FIXTURE_N, tol: float = DEFAULT_TOL,
-                     kparams=None, fparams=None) -> AxiomReport:
+def check_refinement(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Halving the grid spacing moves composites and traces below tolerance."""
     t0 = time.perf_counter()
     rep = AxiomReport("drel-refinement", 0)
-    coarse = fixture_kernels(n, kparams)
-    fine = fixture_kernels(2 * n - 1, kparams)
-    for fc, ff in zip(fixture_test_fns(n, fparams), fixture_test_fns(2 * n - 1, fparams)):
+    coarse = fixture_kernels(n)
+    fine = fixture_kernels(2 * n - 1)
+    for fc, ff in zip(fixture_test_fns(n), fixture_test_fns(2 * n - 1)):
         rep.cases += 1
         d = abs(quad(fc.samples, fc.domain) - quad(ff.samples, ff.domain))
         if d > tol:
@@ -452,7 +444,7 @@ def check_refinement(n: int = FIXTURE_N, tol: float = DEFAULT_TOL,
 DIRAC_FLOOR = 1e-2
 
 
-def check_dirac_obstruction(n: int = FIXTURE_N, kparams=None) -> AxiomReport:
+def check_dirac_obstruction(n: int = FIXTURE_N) -> AxiomReport:
     """No windowed Gaussian ridge acts as the identity on the fixtures.
 
     Sweeps diagonal-ridge candidates over widths from two grid steps up
@@ -464,7 +456,7 @@ def check_dirac_obstruction(n: int = FIXTURE_N, kparams=None) -> AxiomReport:
     t0 = time.perf_counter()
     rep = AxiomReport("drel-dirac-obstruction", 0)
     box = fixture_interval(n)
-    kers = fixture_kernels(n, kparams)
+    kers = fixture_kernels(n)
     xs = box.nodes()
     window = bump_window(box)
     best = math.inf
@@ -500,14 +492,13 @@ def check_dirac_obstruction(n: int = FIXTURE_N, kparams=None) -> AxiomReport:
     return rep
 
 
-def fixture_reports(n: int = FIXTURE_N, tol: float = DEFAULT_TOL,
-                    kparams=None, fparams=None) -> list[AxiomReport]:
+def fixture_reports(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> list[AxiomReport]:
     return [
-        check_pairing(n, tol, kparams, fparams),
-        check_associativity(n, tol, kparams),
-        check_trace_symmetry(n, tol, kparams),
-        check_refinement(n, tol, kparams, fparams),
-        check_dirac_obstruction(n, kparams),
+        check_pairing(n, tol),
+        check_associativity(n, tol),
+        check_trace_symmetry(n, tol),
+        check_refinement(n, tol),
+        check_dirac_obstruction(n),
     ]
 
 

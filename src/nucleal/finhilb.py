@@ -145,12 +145,10 @@ def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
     return _mk(a.rows, b.cols, tuple(out))
 
 
-def add(a: CMatrix, b: CMatrix, coeff: complex = 1) -> CMatrix:
+def add(a: CMatrix, b: CMatrix) -> CMatrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeMismatch("shape mismatch in addition")
-    return _mk(
-        a.rows, a.cols, tuple(x + coeff * y for x, y in zip(a.entries, b.entries))
-    )
+    return _mk(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
 
 
 def scale(a: CMatrix, coeff: complex) -> CMatrix:
@@ -235,7 +233,7 @@ def u_inv(m: CMatrix) -> list[complex]:
     return [m.at(j, i) for i in range(dim_h) for j in range(dim_k)]
 
 
-def hermitian_eig(a: CMatrix, tol: float = HERMITIAN_TOL):
+def hermitian_eig(a: CMatrix):
     """Eigensystem of a Hermitian matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues ascending, V) with a = V diag(lam) V* and V
@@ -244,7 +242,7 @@ def hermitian_eig(a: CMatrix, tol: float = HERMITIAN_TOL):
     """
     if a.rows != a.cols:
         raise ShapeMismatch("eigensolver needs a square matrix")
-    if max_abs_diff(a, adjoint(a)) > tol:
+    if max_abs_diff(a, adjoint(a)) > HERMITIAN_TOL:
         raise InvariantViolation("matrix is not Hermitian within tolerance")
     n = a.rows
     if n == 0:
@@ -424,12 +422,13 @@ def hs_factorize(h: CMatrix):
     return root, matmul(w, root)
 
 
-def random_matrix(rng: Lcg, rows: int, cols: int, spread: float = 1.0) -> CMatrix:
+def random_matrix(rng: Lcg, rows: int, cols: int) -> CMatrix:
+    """Entries with real and imaginary parts uniform in [-1, 1)."""
     return _mk(
         rows,
         cols,
         tuple(
-            complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             for _ in range(rows * cols)
         ),
     )

@@ -202,11 +202,6 @@ def empty(source: FinSet, target: FinSet, cls=Relation) -> Relation:
     return _mk(source, target, (0,) * source.size, cls)
 
 
-def full(source: FinSet, target: FinSet) -> Relation:
-    mask = (1 << target.size) - 1
-    return _mk(source, target, (mask,) * source.size)
-
-
 def identity(x: FinSet, cls=Relation) -> Relation:
     return _mk(x, x, tuple([1 << i for i in range(x.size)]), cls)
 

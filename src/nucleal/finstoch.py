@@ -365,8 +365,8 @@ class StochKernel:
                 raise InvariantViolation("kernel row does not sum to 1")
 
 
-def _dirac_row(n: int, at: int = 0) -> tuple[Fraction, ...]:
-    return tuple(ONE if j == at else ZERO for j in range(n))
+def _dirac_row(n: int) -> tuple[Fraction, ...]:
+    return tuple(ONE if j == 0 else ZERO for j in range(n))
 
 
 def _conditional(lines, width: int) -> tuple[tuple[Fraction, ...], ...]:

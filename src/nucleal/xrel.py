@@ -701,9 +701,6 @@ class XRelInstance(CategoryInstance):
     def sample_hom(self, rng, a, b):
         return _sample_closed(rng, a, b, nuclear=False)
 
-    def enum_hom(self, a, b):
-        return enum_morphisms(a, b)
-
 
 class XRelNuclear(NuclearStructure):
     def __init__(self, inst: XRelInstance):
@@ -722,9 +719,6 @@ class XRelNuclear(NuclearStructure):
 
     def sample_nuclear(self, rng, a, b):
         return _sample_closed(rng, a, b, nuclear=True)
-
-    def enum_nuclear(self, a, b):
-        return (r for r in enum_morphisms(a, b) if is_nuclear(r))
 
     def factorize(self, h):
         return FactorizationResult(

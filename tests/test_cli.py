@@ -189,6 +189,26 @@ def test_disintegrate_diagonal(tmp_path, capsys):
     assert fwd[0] == ["1", "0"] and fwd[1] == ["0", "1"]
 
 
+@pytest.mark.parametrize("command", ["compose", "transpose", "disintegrate", "report"])
+def test_unwritable_out_exits_parse(tmp_path, capsys, command):
+    f = pinj_file(tmp_path, "f.json", pinj.from_map(XY, XY, {"x": "x"}))
+    m = dump(tmp_path, "m.json", finstoch.to_json(finstoch.joint(
+        finstoch.uniform_space(("a",)), finstoch.uniform_space(("a",)),
+        ((Fraction(1),),),
+    )), "finstoch")
+    argv = {
+        "compose": ["compose", f, f],
+        "transpose": ["transpose", f],
+        "disintegrate": ["disintegrate", m],
+        "report": ["report", "--budget", "0"],
+    }[command]
+    out = tmp_path / "missing" / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: cannot write {out}")
+    assert "Traceback" not in err
+
+
 def test_finrel_duplicate_labels_exit_invariant(tmp_path, capsys):
     doc = {"source": ["a", "a"], "target": ["b"], "pairs": [[True], [False]]}
     assert cli.main(["trace", dump(tmp_path, "r.json", doc, "finrel")]) == 4
@@ -277,24 +297,23 @@ def test_verify_unknown_suite(capsys):
     "argv",
     [
         ["verify", "star-laws", "--budget", "-5"],
-        ["verify", "drel-numeric", "--tol", "-1"],
-        ["verify", "drel-numeric", "--tol", "nan"],
         ["report", "--budget", "-1"],
     ],
-    ids=["verify-budget", "verify-tol", "verify-tol-nan", "report-budget"],
+    ids=["verify-budget", "report-budget"],
 )
 def test_negative_budget_or_tol_exits_parse(capsys, argv):
     assert cli.main(argv) == 2
     assert "must be nonnegative" in capsys.readouterr().err
 
 
-def test_verify_has_no_grid_size_option(capsys):
-    # drel-numeric runs on the fixture's grid; a user-set size would cost
-    # n^3 with no cap
+@pytest.mark.parametrize("flag", [["--n", "3"], ["--tol", "1e-9"]], ids=["n", "tol"])
+def test_verify_has_no_grid_size_option(capsys, flag):
+    # drel-numeric runs on its pinned fixture's grid and tolerance; a
+    # user-set size would cost n^3 with no cap
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "drel-numeric", "--n", "3"])
+        cli.main(["verify", "drel-numeric", *flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_category_flag_conflicts_with_envelope(tmp_path, capsys):

@@ -9,6 +9,7 @@ import _intern_counts
 from nucleal import finhilb, finrel, finstoch, pinj, xrel
 from nucleal.core import harness
 from nucleal.core.errors import UnsupportedCheck
+from nucleal.core.instance import TraceStructure
 from nucleal.core.report import AxiomReport
 from nucleal.core.rng import Lcg
 
@@ -304,6 +305,18 @@ def test_tracedness_reports_a_raising_trace():
     rep = harness.check_tracedness(inst, nuc, RaisingTraceFinRel(inst, nuc), 50, 1)
     assert rep.law == "traced[finrel]" and rep.cases > 0 and not rep.ok
     assert rep.failures[0] == "tracedness: exception RuntimeError: seeded trace fault"
+
+
+class NoFactorizationsTrace(TraceStructure):
+    def trace(self, h):
+        return finrel.trace_endo(h)
+
+
+def test_tracedness_needs_a_factorization_sampler():
+    # a model that forgets the sampler fails loudly, not with a vacuous pass
+    inst, nuc, _ = finrel.structures()
+    with pytest.raises(NotImplementedError):
+        harness.check_tracedness(inst, nuc, NoFactorizationsTrace(inst, nuc), 50, 1)
 
 
 class UnlistedFinRel(finrel.FinRelInstance):

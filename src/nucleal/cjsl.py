@@ -23,11 +23,11 @@ than assumed.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from nucleal.core.errors import InvariantViolation, ParseError, ShapeMismatch
+from nucleal.core.harness import _Runner
 from nucleal.core.report import AxiomReport
 from nucleal.finrel import FinSet, fin_set, finset_from_json, finset_to_json
 
@@ -392,32 +392,29 @@ def check_characterization(
     max_elems: int = 5, lats: Optional[list[FinLattice]] = None
 ) -> AxiomReport:
     """Identity tight exactly on distributive lattices, at this scale."""
-    t0 = time.perf_counter()
-    rep = AxiomReport(f"cjsl-higgs-rowe[<={max_elems}]", 0)
+    run = _Runner(f"cjsl-higgs-rowe[<={max_elems}]")
     lats = _lattices_upto(max_elems, lats)
-    rep.flags.append(f"lattices:{len(lats)}")
-    bad = 0
-    for lat in lats:
-        rep.cases += 1
-        res = hr_nuclear(identity_sup(lat))
+    run.report.flags.append(f"lattices:{len(lats)}")
+    bad = []
+
+    def tight_iff_distributive(lat):
+        tight = hr_nuclear(identity_sup(lat)).nuclear
         dist = is_distributive(lat)
-        if res.nuclear != dist:
-            rep.add_failure(
-                f"{lat!r}: tight={res.nuclear} but distributive={dist}"
-            )
         if not dist:
-            bad += 1
-    rep.flags.append(f"non-distributive:{bad}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+            bad.append(lat)
+        if tight != dist:
+            return f"{lat!r}: tight={tight} but distributive={dist}"
+
+    run.each("tight-iff-distributive", zip(lats), tight_iff_distributive)
+    run.report.flags.append(f"non-distributive:{len(bad)}")
+    return run.finish()
 
 
 def check_closure_lemma(
     bound: int = 4, lats: Optional[list[FinLattice]] = None
 ) -> AxiomReport:
     """Tight maps absorb composition on both sides and pass to adjoints."""
-    t0 = time.perf_counter()
-    rep = AxiomReport(f"cjsl-closure[<={bound}]", 0)
+    run = _Runner(f"cjsl-closure[<={bound}]")
     lats = _lattices_upto(bound, lats)
     ops = [opposite(lat) for lat in lats]
     maps = {
@@ -430,30 +427,30 @@ def check_closure_lemma(
         pair: {f.values for f in ms if hr_nuclear(f).nuclear}
         for pair, ms in maps.items()
     }
-    n = len(lats)
-    for (i, j), ms in maps.items():
-        for f in ms:
-            if f.values not in tight[(i, j)]:
-                continue
-            rep.cases += 1
-            adj = SupMap(ops[j], ops[i], adjoint_values(f))
-            if not hr_nuclear(adj).nuclear:
-                rep.add_failure(f"adjoint of tight {f!r} is not tight")
-            for k in range(n):
-                for f2 in maps[(j, k)]:
-                    rep.cases += 1
-                    if compose_sup(f, f2).values not in tight[(i, k)]:
-                        rep.add_failure(
-                            f"post-composite {f!r};{f2!r} is not tight"
-                        )
-                for h in maps[(k, i)]:
-                    rep.cases += 1
-                    if compose_sup(h, f).values not in tight[(k, j)]:
-                        rep.add_failure(
-                            f"pre-composite {h!r};{f!r} is not tight"
-                        )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    tight_maps = [
+        (f, i, j) for (i, j), ms in maps.items() for f in ms
+        if f.values in tight[(i, j)]
+    ]
+    ks = range(len(lats))
+
+    def adjoint(f, i, j):
+        if not hr_nuclear(SupMap(ops[j], ops[i], adjoint_values(f))).nuclear:
+            return f"adjoint of tight {f!r} is not tight"
+
+    def post(f, g, i, k):
+        if compose_sup(f, g).values not in tight[(i, k)]:
+            return f"post-composite {f!r};{g!r} is not tight"
+
+    def pre(h, f, k, j):
+        if compose_sup(h, f).values not in tight[(k, j)]:
+            return f"pre-composite {h!r};{f!r} is not tight"
+
+    run.each("adjoint", tight_maps, adjoint)
+    run.each("post-composite", ((f, g, i, k) for f, i, j in tight_maps
+                                for k in ks for g in maps[(j, k)]), post)
+    run.each("pre-composite", ((h, f, k, j) for f, i, j in tight_maps
+                               for k in ks for h in maps[(k, i)]), pre)
+    return run.finish()
 
 
 def check_hr_wellformed(
@@ -463,42 +460,38 @@ def check_hr_wellformed(
 
     Recorded, not assumed: failures become a documented finding.
     """
-    t0 = time.perf_counter()
-    rep = AxiomReport(f"cjsl-hr-wellformed[<={bound}]", 0)
+    run = _Runner(f"cjsl-hr-wellformed[<={bound}]")
     lats = _lattices_upto(bound, lats)
-    for a in lats:
-        for b in lats:
-            for g in enum_sup_maps(b, a):
-                rep.cases += 1
-                values = hr_values(a, b, g.values)
-                try:
-                    SupMap(a, b, values)
-                except InvariantViolation as exc:
-                    rep.add_failure(
-                        f"criterion image of {g!r} between {a!r},{b!r} "
-                        f"is not a sup map: {exc}"
-                    )
-    if not rep.ok:
-        rep.flags.append("documented-finding:criterion-image-not-sup-map")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+
+    def sup_map(g, a, b):
+        try:
+            SupMap(a, b, hr_values(a, b, g.values))
+        except InvariantViolation as exc:
+            return (
+                f"criterion image of {g!r} between {a!r},{b!r} "
+                f"is not a sup map: {exc}"
+            )
+
+    run.each("sup-map", ((g, a, b) for a in lats for b in lats
+                         for g in enum_sup_maps(b, a)), sup_map)
+    run.finding("sup-map", "criterion-image-not-sup-map")
+    return run.finish()
 
 
 def check_galois(
     bound: int = 5, lats: Optional[list[FinLattice]] = None
 ) -> AxiomReport:
     """Adjunction law for every sup map between enumerated lattices."""
-    t0 = time.perf_counter()
-    rep = AxiomReport(f"cjsl-galois[<={bound}]", 0)
+    run = _Runner(f"cjsl-galois[<={bound}]")
     lats = _lattices_upto(bound, lats)
-    for a in lats:
-        for b in lats:
-            for f in enum_sup_maps(a, b):
-                rep.cases += 1
-                if not galois_law_holds(f):
-                    rep.add_failure(f"Galois law fails for {f!r}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+
+    def galois(f):
+        if not galois_law_holds(f):
+            return f"Galois law fails for {f!r}"
+
+    run.each("galois", ((f,) for a in lats for b in lats
+                        for f in enum_sup_maps(a, b)), galois)
+    return run.finish()
 
 
 # -- serialization ----------------------------------------------------------

@@ -164,11 +164,15 @@ def _write_out(doc, out):
     if not out:
         sys.stdout.write(text)
         return
+    _write_file(out, text)
+
+
+def _write_file(path, text):
     try:
-        with open(out, "w") as fh:
+        with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ParseError(f"cannot write {out}: {exc}") from exc
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _manifest(cat: Category, value) -> dict:
@@ -344,6 +348,18 @@ def _cjsl_reports():
     ]
 
 
+#: (suite, harness check, the slots of (inst, nuc, tr) it takes), in
+#: report order; each gives one job per suite instance
+_HARNESS_SUITES = (
+    ("star-laws", "check_star_laws", (0,)),
+    ("nuclear", "check_nuclear_axioms", (0, 1)),
+    ("sliding", "check_sliding", (0, 1)),
+    ("traced", "check_tracedness", (0, 1, 2)),
+    ("trace-axioms", "check_trace_axioms", (0, 1, 2)),
+    ("param-trace", "check_param_trace_axioms", (0, 2)),
+)
+
+
 def suite_jobs(name, budget=200, seed=1):
     """The suite as zero-argument jobs, in report order.
 
@@ -354,41 +370,18 @@ def suite_jobs(name, budget=200, seed=1):
     """
     jobs = []
     instances = _suite_instances()
-    if name in ("star-laws", "all"):
-        jobs += [
-            _one(harness.check_star_laws, inst, budget, seed)
-            for inst, _, _ in instances
-        ]
-    if name in ("nuclear", "all"):
-        jobs += [
-            _one(harness.check_nuclear_axioms, inst, nuc, budget, seed)
-            for inst, nuc, _ in instances
-        ]
-    if name in ("sliding", "all"):
-        jobs += [
-            _one(harness.check_sliding, inst, nuc, budget, seed)
-            for inst, nuc, _ in instances
-        ]
-    if name in ("traced", "all"):
-        jobs += [
-            _one(harness.check_tracedness, inst, nuc, tr, budget, seed)
-            for inst, nuc, tr in instances
-        ]
-    if name in ("trace-axioms", "all"):
-        jobs += [
-            _one(harness.check_trace_axioms, inst, nuc, tr, budget, seed)
-            for inst, nuc, tr in instances
-        ]
-    if name in ("param-trace", "all"):
-        # exhaustive member streams explode above two-element sets
-        jobs += [
-            _one(
-                harness.check_param_trace_axioms, inst, tr, budget, seed,
-                max_size=2,
-            )
-            for inst, _, tr in instances
-            if tr.has_param
-        ]
+    for suite, check_name, slots in _HARNESS_SUITES:
+        if name not in (suite, "all"):
+            continue
+        # looked up here, so that a check swapped on `harness` is the one run
+        check = getattr(harness, check_name)
+        for structures in instances:
+            args = [structures[i] for i in slots]
+            if suite != "param-trace":
+                jobs.append(_one(check, *args, budget, seed))
+            elif structures[2].has_param:
+                # exhaustive member streams explode above two-element sets
+                jobs.append(_one(check, *args, budget, seed, max_size=2))
     if name in ("cjsl-hr", "all"):
         jobs.append(_cjsl_reports)
     if name in ("xrel-audit", "all"):
@@ -533,6 +526,9 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     _check_bounds(args.budget)
+    if args.out:
+        # an --out that cannot be written fails before the run, not after it
+        _write_file(args.out, "")
     reports = run_suite("all", args.budget, args.seed)
     return _emit_reports(
         reports, "json", args.out,

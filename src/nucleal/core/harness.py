@@ -3,8 +3,11 @@
 Every check is a deterministic function of (instance, budget, seed).
 Each one opens a `_Runner`, which owns the seeded generator, the budget,
 the report and the clock, and sends every sub-law through its `sweep`;
-tracedness too, so an exception raised by a model becomes a witness in
-every check.  A sub-law runs over case streams: one per object tuple
+tracedness too.  The helper checks in the model modules (cjsl, the
+theta audit, Giry laws, mass loss, drelnum's fixtures) run the cases
+they list through its `each`, so every report goes through a `_Runner`
+and a raising case of any report is a witness, never a crash.  A
+harness sub-law runs over case streams: one per object tuple
 when the instance lists its objects, a single sampled stream otherwise.
 A stream whose full case count fits into the remaining budget is swept
 exhaustively, anything larger is sampled with the seeded generator,
@@ -54,20 +57,35 @@ class _Runner:
     """One check invocation: its report, seeded generator, budget and clock.
 
     Each sampled sub-law draws `samples` cases, by default the budget
-    capped at `cap`.
+    capped at `cap`.  A check over cases it lists itself needs only the
+    law: it runs them through `each`.
     """
 
-    def __init__(self, law: str, budget: int, seed: int, samples: Optional[int],
-                 cap: int):
+    def __init__(self, law: str, budget: int = 0, seed: int = 0,
+                 samples: Optional[int] = None, cap: int = 0):
         self.report = AxiomReport(law, 0)
         self.remaining = budget
         self.samples = min(budget, cap) if samples is None else samples
         self.rng = Lcg(seed)
+        self.failing: set[str] = set()  # sub-laws that returned a witness
+        self.raised = False
         self.t0 = time.perf_counter()
 
     def finish(self) -> AxiomReport:
         self.report.elapsed = time.perf_counter() - self.t0
         return self.report
+
+    def finding(self, name: str, flag: str) -> None:
+        """Flag `documented-finding:<flag>` when sub-law `name` is the only
+        one with witnesses and no case raised, so that a finding, which
+        does not fail the report, never hides a crash or another law."""
+        if self.failing == {name} and not self.raised:
+            self.report.flags.append(f"documented-finding:{flag}")
+
+    def each(self, name: str, cases, fn) -> None:
+        """Run `fn` on every case, in order; sets no flag."""
+        for case in cases:
+            self._run(name, fn, case)
 
     def sweep(self, name: str, streams: list[Stream], fn, enabled=True, note=None):
         if not enabled:
@@ -80,12 +98,11 @@ class _Runner:
         for count, enum, sample in streams:
             if count is not None and enum is not None and count <= self.remaining:
                 self.remaining -= count
-                for case in enum():
-                    self._run(name, fn, case)
+                self.each(name, enum(), fn)
             else:
                 fully_exhaustive = False
-                for _ in range(per_samples):
-                    self._run(name, fn, sample(self.rng))
+                # lazy, so each draw follows the law run on the one before
+                self.each(name, (sample(self.rng) for _ in range(per_samples)), fn)
         if fully_exhaustive:
             self.report.flags.append(f"exhaustive:{name}")
 
@@ -94,12 +111,14 @@ class _Runner:
         try:
             out = fn(*case)
         except Exception as exc:  # a broken instance must yield a witness, not a crash
+            self.raised = True
             self.report.add_failure(f"{name}: exception {type(exc).__name__}: {exc}")
             return
         if out is None:
             return
         for witness in [out] if isinstance(out, str) else out:
             if witness:
+                self.failing.add(name)
                 self.report.add_failure(f"{name}: {witness}")
 
 

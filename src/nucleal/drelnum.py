@@ -31,11 +31,10 @@ and hands out the same read-only arrays after that.
 
 from __future__ import annotations
 
-import math
-import time
+import itertools
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -48,6 +47,7 @@ from nucleal.core.errors import (
     TraceClassError,
     UnsupportedCheck,
 )
+from nucleal.core.harness import _Runner
 from nucleal.core.instance import (
     CategoryInstance,
     NuclearStructure,
@@ -350,95 +350,87 @@ def fixture_test_fns(n: int = FIXTURE_N) -> list[TestFn]:
 
 def check_pairing(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Composite kernels pair with products the way iterated integrals do."""
-    t0 = time.perf_counter()
-    rep = AxiomReport("drel-pairing", 0)
+    run = _Runner("drel-pairing")
     box = fixture_interval(n)
     kers = fixture_kernels(n)
     fns = fixture_test_fns(n)
-    for f in kers:
-        for g in kers:
-            for phi in fns:
-                for psi in fns:
-                    rep.cases += 1
-                    iterated = quad(
-                        apply_left(f, phi).samples * apply_right(g, psi).samples,
-                        box,
-                    )
-                    direct = pair_with(compose(f, g), phi, psi)
-                    if abs(iterated - direct) > tol:
-                        rep.add_failure(
-                            f"pairing gap {abs(iterated - direct):.3g} for "
-                            f"{f!r};{g!r}"
-                        )
-    for f in kers:
-        for phi in fns:
-            for psi in fns:
-                rep.cases += 1
-                lhs = quad(apply_left(f, phi).samples * psi.samples, box)
-                rhs = quad(phi.samples * apply_right(f, psi).samples, box)
-                if abs(lhs - rhs) > tol:
-                    rep.add_failure(
-                        f"left/right application disagree by {abs(lhs - rhs):.3g}"
-                    )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+
+    def composite(f, g, phi, psi):
+        iterated = quad(apply_left(f, phi).samples * apply_right(g, psi).samples, box)
+        gap = abs(iterated - pair_with(compose(f, g), phi, psi))
+        if gap > tol:
+            return f"pairing gap {gap:.3g} for {f!r};{g!r}"
+
+    def sides(f, phi, psi):
+        lhs = quad(apply_left(f, phi).samples * psi.samples, box)
+        rhs = quad(phi.samples * apply_right(f, psi).samples, box)
+        if abs(lhs - rhs) > tol:
+            return f"left/right application disagree by {abs(lhs - rhs):.3g}"
+
+    run.each("composite", itertools.product(kers, kers, fns, fns), composite)
+    run.each("sides", itertools.product(kers, fns, fns), sides)
+    return run.finish()
 
 
 def check_associativity(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
-    t0 = time.perf_counter()
-    rep = AxiomReport("drel-associativity", 0)
-    kers = fixture_kernels(n)
-    for f in kers:
-        for g in kers:
-            for h in kers:
-                rep.cases += 1
-                d = kernel_distance(
-                    compose(compose(f, g), h), compose(f, compose(g, h))
-                )
-                if d > tol:
-                    rep.add_failure(f"associativity gap {d:.3g}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    run = _Runner("drel-associativity")
+
+    def associativity(f, g, h):
+        d = kernel_distance(compose(compose(f, g), h), compose(f, compose(g, h)))
+        if d > tol:
+            return f"associativity gap {d:.3g}"
+
+    run.each("associativity", itertools.product(fixture_kernels(n), repeat=3),
+             associativity)
+    return run.finish()
 
 
 def check_trace_symmetry(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
-    t0 = time.perf_counter()
-    rep = AxiomReport("drel-trace-symmetry", 0)
-    kers = fixture_kernels(n)
-    for f in kers:
-        for g in kers:
-            rep.cases += 1
-            d = abs(trace(compose(f, g)) - trace(compose(g, f)))
-            if d > tol:
-                rep.add_failure(f"trace asymmetry {d:.3g} for {f!r},{g!r}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    run = _Runner("drel-trace-symmetry")
+
+    def symmetry(f, g):
+        d = abs(trace(compose(f, g)) - trace(compose(g, f)))
+        if d > tol:
+            return f"trace asymmetry {d:.3g} for {f!r},{g!r}"
+
+    run.each("symmetry", itertools.product(fixture_kernels(n), repeat=2), symmetry)
+    return run.finish()
 
 
 def check_refinement(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Halving the grid spacing moves composites and traces below tolerance."""
-    t0 = time.perf_counter()
-    rep = AxiomReport("drel-refinement", 0)
+    run = _Runner("drel-refinement")
     coarse = fixture_kernels(n)
     fine = fixture_kernels(2 * n - 1)
-    for fc, ff in zip(fixture_test_fns(n), fixture_test_fns(2 * n - 1)):
-        rep.cases += 1
+
+    def integral(fc, ff):
         d = abs(quad(fc.samples, fc.domain) - quad(ff.samples, ff.domain))
         if d > tol:
-            rep.add_failure(f"test-function integral moved by {d:.3g}")
-    for kc1, kf1 in zip(coarse, fine):
-        for kc2, kf2 in zip(coarse, fine):
-            rep.cases += 1
-            kc, kf = compose(kc1, kc2), compose(kf1, kf2)
-            d = float(np.max(np.abs(kc.samples - kf.samples[::2, ::2])))
-            if d > tol:
-                rep.add_failure(f"composite moved by {d:.3g} under refinement")
-            rep.cases += 1
-            dt = abs(trace(kc) - trace(kf))
-            if dt > tol:
-                rep.add_failure(f"trace moved by {dt:.3g} under refinement")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+            return f"test-function integral moved by {d:.3g}"
+
+    @lru_cache(maxsize=1)
+    def composites(i, j):
+        return compose(coarse[i], coarse[j]), compose(fine[i], fine[j])
+
+    def composite(i, j):
+        kc, kf = composites(i, j)
+        d = float(np.max(np.abs(kc.samples - kf.samples[::2, ::2])))
+        if d > tol:
+            return f"composite moved by {d:.3g} under refinement"
+
+    def trace_moved(i, j):
+        kc, kf = composites(i, j)
+        dt = abs(trace(kc) - trace(kf))
+        if dt > tol:
+            return f"trace moved by {dt:.3g} under refinement"
+
+    run.each("integral", zip(fixture_test_fns(n), fixture_test_fns(2 * n - 1)),
+             integral)
+    # the two sub-laws alternate, so one pair of composites is alive at a time
+    for ij in itertools.product(range(len(coarse)), repeat=2):
+        run.each("composite", [ij], composite)
+        run.each("trace", [ij], trace_moved)
+    return run.finish()
 
 
 DIRAC_FLOOR = 1e-2
@@ -449,20 +441,18 @@ def check_dirac_obstruction(n: int = FIXTURE_N) -> AxiomReport:
 
     Sweeps diagonal-ridge candidates over widths from two grid steps up
     to a quarter interval, each with its least-squares optimal
-    amplitude, and requires the best relative error to stay above a
-    fixed floor.  The identity would need a delta ridge, which no grid
+    amplitude, and requires every relative error to stay above a fixed
+    floor.  The identity would need a delta ridge, which no grid
     function supplies.
     """
-    t0 = time.perf_counter()
-    rep = AxiomReport("drel-dirac-obstruction", 0)
+    run = _Runner("drel-dirac-obstruction")
     box = fixture_interval(n)
     kers = fixture_kernels(n)
     xs = box.nodes()
     window = bump_window(box)
-    best = math.inf
-    widths = np.geomspace(2 * box.step, (box.upper - box.lower) / 4, 12)
-    for s in widths:
-        rep.cases += 1
+    defects = []
+
+    def candidate(s):
         ridge = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / s**2)
         ridge = ridge * window[:, None] * window[None, :]
         cand = GridKernel(box, box, ridge)
@@ -480,16 +470,18 @@ def check_dirac_obstruction(n: int = FIXTURE_N) -> AxiomReport:
             / float(np.max(np.abs(f.samples)))
             for u, f in zip(images, kers)
         )
-        best = min(best, defect)
-    if best < DIRAC_FLOOR:
-        rep.add_failure(
-            f"a ridge candidate imitates the identity to {best:.3g}; "
-            f"expected at least {DIRAC_FLOOR:g}"
-        )
-    else:
-        rep.flags.append(f"best-candidate-defect:{best:.3g}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+        defects.append(defect)
+        if defect < DIRAC_FLOOR:
+            return (
+                f"a ridge of width {s:.3g} imitates the identity to {defect:.3g}; "
+                f"expected at least {DIRAC_FLOOR:g}"
+            )
+
+    widths = np.geomspace(2 * box.step, (box.upper - box.lower) / 4, 12)
+    run.each("ridge", zip(widths), candidate)
+    if run.report.ok:
+        run.report.flags.append(f"best-candidate-defect:{min(defects):.3g}")
+    return run.finish()
 
 
 def fixture_reports(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> list[AxiomReport]:

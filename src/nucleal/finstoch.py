@@ -50,7 +50,6 @@ and `joint` drew, in the same order, and give the same fields.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -60,12 +59,14 @@ from typing import Callable, Sequence
 
 from nucleal.core import scalars
 from nucleal.core.errors import InvariantViolation, ParseError, ShapeMismatch
+from nucleal.core.harness import _Runner
 from nucleal.core.instance import (
     CategoryInstance,
     FactorizationResult,
     NuclearStructure,
     TraceStructure,
 )
+from nucleal.core.report import AxiomReport
 from nucleal.core.rng import Lcg
 from nucleal.finrel import (
     UNIT,
@@ -840,82 +841,77 @@ def _all_dists(points: Sequence, denom: int = 12) -> list[FinDist]:
     return out
 
 
-def check_giry_laws(budget: int = 200, seed: int = 1) -> "AxiomReport":
+def check_giry_laws(budget: int = 200, seed: int = 1) -> AxiomReport:
     """Unit, flattening, functoriality, and naturality of the
     finite-distribution monad, exhaustive on three points."""
-    from nucleal.core.report import AxiomReport
-
-    t0 = time.perf_counter()
-    rep = AxiomReport("giry-laws[finstoch]", 0)
+    run = _Runner("giry-laws[finstoch]", budget, seed)
     points = ("a", "b", "c")
     dists = _all_dists(points, 12)
-    rep.flags.append(f"exhaustive:unit-laws ({len(dists)} distributions)")
+    run.report.flags.append(f"exhaustive:unit-laws ({len(dists)} distributions)")
 
-    for p in dists:
-        rep.cases += 1
+    def left_unit(p):
         if giry_mult(giry_unit(p)) != p:
-            rep.add_failure(f"flatten(unit({p!r})) differs")
-        rep.cases += 1
+            return f"flatten(unit({p!r})) differs"
+
+    def right_unit(p):
         if giry_mult(giry_map(giry_unit, p)) != p:
-            rep.add_failure(f"flatten(map unit)({p!r}) differs")
+            return f"flatten(map unit)({p!r}) differs"
+
+    run.each("left-unit", zip(dists), left_unit)
+    run.each("right-unit", zip(dists), right_unit)
 
     funcs = [
-        dict(zip(points, img))
-        for img in (
-            (a, b, c) for a in points for b in points for c in points
-        )
+        dict(zip(points, (a, b, c))) for a in points for b in points for c in points
     ]
-    for p in dists[:: max(1, len(dists) // 40)]:
-        for fd in funcs:
-            f = fd.__getitem__
-            rep.cases += 1
-            if giry_map(f, p) != fin_dist(
-                {  # direct pushforward
-                    y: sum(
-                        (m for x, m in p.pairs if fd[x] == y), start=ZERO
-                    )
-                    for y in points
-                }
-            ):
-                rep.add_failure(f"pushforward along {fd} differs on {p!r}")
-        rep.cases += 1
-        if giry_map(lambda x: x, p) != p:
-            rep.add_failure(f"identity pushforward moved {p!r}")
 
-    rng = Lcg(seed)
-    for _ in range(budget):
-        pp = FinDist(
-            tuple(
-                (rng.choice(dists), Fraction(1, 4))
-                for _ in range(4)
-            )
+    def pushforward(p, fd):
+        direct = fin_dist(
+            {y: sum((m for x, m in p.pairs if fd[x] == y), start=ZERO) for y in points}
         )
-        ppp_support = [
+        if giry_map(fd.__getitem__, p) != direct:
+            return f"pushforward along {fd} differs on {p!r}"
+
+    def identity_map(p):
+        if giry_map(lambda x: x, p) != p:
+            return f"identity pushforward moved {p!r}"
+
+    spread = dists[:: max(1, len(dists) // 40)]
+    run.each("pushforward", ((p, fd) for p in spread for fd in funcs), pushforward)
+    run.each("identity-map", zip(spread), identity_map)
+
+    rng = run.rng
+    drawn = []  # all drawn first, in the order the three laws used to draw them
+    for _ in range(budget):
+        pp = FinDist(tuple((rng.choice(dists), Fraction(1, 4)) for _ in range(4)))
+        inner = [
             FinDist(tuple((rng.choice(dists), Fraction(1, 2)) for _ in range(2)))
             for _ in range(2)
         ]
-        ppp = FinDist(
-            ((ppp_support[0], Fraction(1, 3)), (ppp_support[1], Fraction(2, 3)))
-        )
-        rep.cases += 1
-        if giry_mult(giry_mult(ppp)) != giry_mult(giry_map(giry_mult, ppp)):
-            rep.add_failure("flattening is not associative")
+        ppp = FinDist(((inner[0], Fraction(1, 3)), (inner[1], Fraction(2, 3))))
         fd = {p: rng.choice(points) for p in points}
-        f = fd.__getitem__
-        rep.cases += 1
+        drawn.append((pp, ppp, fd.__getitem__, rng.choice(points)))
+
+    def associativity(ppp):
+        if giry_mult(giry_mult(ppp)) != giry_mult(giry_map(giry_mult, ppp)):
+            return "flattening is not associative"
+
+    def mult_natural(pp, f):
         lhs = giry_map(f, giry_mult(pp))
         rhs = giry_mult(giry_map(lambda q: giry_map(f, q), pp))
         if lhs != rhs:
-            rep.add_failure("flattening is not natural")
-        x = rng.choice(points)
-        rep.cases += 1
+            return "flattening is not natural"
+
+    def unit_natural(f, x):
         if giry_map(f, giry_unit(x)) != giry_unit(f(x)):
-            rep.add_failure("unit is not natural")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+            return "unit is not natural"
+
+    run.each("associativity", ((ppp,) for _, ppp, _, _ in drawn), associativity)
+    run.each("mult-natural", ((pp, f) for pp, _, f, _ in drawn), mult_natural)
+    run.each("unit-natural", ((f, x) for _, _, f, x in drawn), unit_natural)
+    return run.finish()
 
 
-def mass_loss_report(f: JointMeasure, g: JointMeasure) -> "AxiomReport":
+def mass_loss_report(f: JointMeasure, g: JointMeasure) -> AxiomReport:
     """Record a composition that loses total mass.
 
     Composition conditions on the middle marginal, so weight of one
@@ -924,26 +920,24 @@ def mass_loss_report(f: JointMeasure, g: JointMeasure) -> "AxiomReport":
     the expected behavior of measure-valued morphisms and is reported as
     a documented finding, not a failure.
     """
-    from nucleal.core.report import AxiomReport
+    run = _Runner("stoch-mass-loss")
+    totals = []
 
-    t0 = time.perf_counter()
-    rep = AxiomReport("stoch-mass-loss", 0)
-    rep.cases += 1
-    comp = compose(f, g)
-    check_abs_continuity(comp)
-    total = comp.total()
-    in_total = min(f.total(), g.total())
-    rep.cases += 1
-    if total >= in_total:
-        rep.add_failure(
-            f"fixture composite kept its mass (total {total}); "
-            "expected a loss through the unshared middle support"
-        )
-    else:
-        rep.flags.append("documented-finding:mass-loss-through-null-set")
-        rep.flags.append(f"composite-total:{total}/{in_total}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    def loses_mass(f, g):
+        total, in_total = compose(f, g).total(), min(f.total(), g.total())
+        if total >= in_total:
+            return (
+                f"fixture composite kept its mass (total {total}); "
+                "expected a loss through the unshared middle support"
+            )
+        totals.append(f"{total}/{in_total}")
+
+    run.each("composite", [(f, g)], lambda f, g: check_abs_continuity(compose(f, g)))
+    run.each("mass-loss", [(f, g)], loses_mass)
+    if run.report.ok:  # the loss, and nothing else
+        run.report.flags.append("documented-finding:mass-loss-through-null-set")
+        run.report.flags.append(f"composite-total:{totals[0]}")
+    return run.finish()
 
 
 def kernel_to_json(k: StochKernel) -> dict:

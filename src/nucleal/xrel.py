@@ -56,7 +56,6 @@ with the same fields are equal and hash alike.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -67,6 +66,7 @@ from nucleal.core.errors import (
     ShapeMismatch,
     TraceClassError,
 )
+from nucleal.core.harness import _Runner
 from nucleal.core.instance import (
     CategoryInstance,
     FactorizationResult,
@@ -463,26 +463,22 @@ def theta_bijectivity_report(a: CrossedMSet, b: CrossedMSet) -> AxiomReport:
     whose square is nontrivial.
     """
     mon = a.monoid
-    t0 = time.perf_counter()
-    rep = AxiomReport(f"theta-audit[{mon!r} {a!r} {b!r}]", 0)
-    unit = unit_object(mon)
+    run = _Runner(f"theta-audit[{mon!r} {a!r} {b!r}]")
     seen = {}
-    for r in enum_morphisms(a, b):
-        if not is_nuclear(r):
-            continue
-        rep.cases += 1
+
+    def roundtrip(r):
+        out = []
         s = theta(r)
         if s.rows in seen:
-            rep.add_failure(f"theta collision between {seen[s.rows]!r} and {r!r}")
+            out.append(f"theta collision between {seen[s.rows]!r} and {r!r}")
         seen[s.rows] = r
-        back = theta_inv(s, a, b)
-        if back != r:
-            rep.add_failure(f"theta round trip broken for {r!r}")
-    missing = []
-    for s in enum_morphisms(unit, tensor_object(a, b)):
-        rep.cases += 1
+        if theta_inv(s, a, b) != r:
+            out.append(f"theta round trip broken for {r!r}")
+        return out
+
+    def onto(s):
         if s.rows in seen:
-            continue
+            return None
         degs = sorted(
             (
                 mon.elements.labels[a.degree[k // b.size]],
@@ -490,14 +486,13 @@ def theta_bijectivity_report(a: CrossedMSet, b: CrossedMSet) -> AxiomReport:
             )
             for _, k in s.pairs
         )
-        missing.append(degs)
-        rep.add_failure(
-            f"state {s!r} with degree pairs {degs} is outside the transpose image"
-        )
-    if missing:
-        rep.flags.append("documented-finding:theta-not-surjective")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+        return f"state {s!r} with degree pairs {degs} is outside the transpose image"
+
+    run.each("roundtrip", ((r,) for r in enum_morphisms(a, b) if is_nuclear(r)),
+             roundtrip)
+    run.each("onto", zip(enum_morphisms(unit_object(mon), tensor_object(a, b))), onto)
+    run.finding("onto", "theta-not-surjective")
+    return run.finish()
 
 
 # -- serialization ----------------------------------------------------------

@@ -209,6 +209,18 @@ def test_galois_report():
     assert cjsl.check_galois(4).ok
 
 
+def test_galois_catches_an_off_by_one_adjoint(monkeypatch):
+    real = cjsl.adjoint_values
+
+    def adjoint_values(f):  # seeded fault: every value one element further on
+        return tuple((v + 1) % f.source.size for v in real(f))
+
+    monkeypatch.setattr(cjsl, "adjoint_values", adjoint_values)
+    rep = cjsl.check_galois(3)
+    assert not rep.ok
+    assert rep.failures[0].startswith("galois: Galois law fails for ")
+
+
 def test_cjsl_suite_outcomes_pinned():
     got = [
         (r.law, r.cases, r.failures, r.flags) for r in cli.run_suite("cjsl-hr")

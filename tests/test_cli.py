@@ -209,6 +209,16 @@ def test_unwritable_out_exits_parse(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_report_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def run_suite(*args):
+        raise AssertionError("the suite ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    out = tmp_path / "missing" / "r.json"
+    assert cli.main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot write {out}")
+
+
 def test_finrel_duplicate_labels_exit_invariant(tmp_path, capsys):
     doc = {"source": ["a", "a"], "target": ["b"], "pairs": [[True], [False]]}
     assert cli.main(["trace", dump(tmp_path, "r.json", doc, "finrel")]) == 4

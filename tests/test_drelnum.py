@@ -144,6 +144,19 @@ def test_fixture_checks_pass():
     assert drelnum.check_trace_symmetry(101).ok
 
 
+def test_pairing_catches_a_scaled_compose(monkeypatch):
+    real = drelnum.compose
+
+    def compose(f, g):  # seeded fault: every composite 1% too large
+        out = real(f, g)
+        return drelnum.GridKernel(out.source, out.target, 1.01 * out.samples)
+
+    monkeypatch.setattr(drelnum, "compose", compose)
+    rep = drelnum.check_pairing(101)
+    assert not rep.ok
+    assert rep.failures[0].startswith("composite: pairing gap ")
+
+
 def test_refinement_under_tolerance():
     rep = drelnum.check_refinement(201, 1e-6)
     assert rep.ok and rep.cases > 0

@@ -294,6 +294,22 @@ def test_giry_laws_report_passes_exhaustively():
     assert any(f.startswith("exhaustive:unit-laws") for f in rep.flags)
 
 
+def test_giry_laws_catch_a_mult_that_moves_mass(monkeypatch):
+    real = finstoch.giry_mult
+
+    def giry_mult(pp):  # seeded fault: the first two points swap their masses
+        out = real(pp)
+        if len(out.pairs) < 2:
+            return out
+        (x, m), (y, n), *rest = out.pairs
+        return finstoch.FinDist(((x, n), (y, m), *rest))
+
+    monkeypatch.setattr(finstoch, "giry_mult", giry_mult)
+    rep = finstoch.check_giry_laws(budget=20, seed=1)
+    assert not rep.ok
+    assert rep.failures[0].startswith("left-unit: flatten(unit(")
+
+
 def test_mass_loss_report_is_documented_finding():
     doc = cli._fixture("massloss.json")
     fixture = (finstoch.from_json(doc["first"]), finstoch.from_json(doc["second"]))

@@ -307,6 +307,24 @@ def test_tracedness_reports_a_raising_trace():
     assert rep.failures[0] == "tracedness: exception RuntimeError: seeded trace fault"
 
 
+def test_a_finding_needs_its_own_witnesses_and_no_crash():
+    missing = lambda: "state outside the image"
+    crash = lambda: 1 / 0
+
+    def is_finding(*sublaws):
+        run = harness._Runner("demo")
+        for name, fn in sublaws:
+            run.each(name, [()], fn)
+        run.finding("onto", "demo")
+        return run.finish().is_finding
+
+    assert is_finding(("roundtrip", lambda: None), ("onto", missing))
+    assert not is_finding(("onto", lambda: None))
+    assert not is_finding(("roundtrip", missing), ("onto", missing))
+    assert not is_finding(("roundtrip", crash), ("onto", missing))
+    assert not is_finding(("onto", crash))
+
+
 class NoFactorizationsTrace(TraceStructure):
     def trace(self, h):
         return finrel.trace_endo(h)

@@ -1,9 +1,11 @@
 """Crossed monoid-sets and the squared-degree ideal."""
 
+import json
+
 import pytest
 
 import _intern_counts
-from nucleal import xrel
+from nucleal import cli, xrel
 from nucleal.core import harness
 from nucleal.core.errors import InvariantViolation, ShapeMismatch
 from nucleal.core.instance import CategoryInstance
@@ -139,6 +141,22 @@ def test_theta_audit_z4_degree_pair_witness():
     assert rep.is_finding
     assert any("theta-not-surjective" in f for f in rep.flags)
     assert any("(1, 3)" in w for w in rep.failures)
+
+
+def test_a_raising_transpose_is_not_hidden_by_the_finding(monkeypatch, capsys):
+    # the Z4 audit's documented finding must not turn a crash into exit 0
+    def theta_inv(m, a, b):
+        raise RuntimeError("seeded theta_inv fault")
+
+    monkeypatch.setattr(xrel, "theta_inv", theta_inv)
+    assert cli.main(["verify", "xrel-audit", "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    z4 = reports[0]
+    assert z4["law"].startswith("theta-audit[CommMonoid([0, 1, 2, 3])")
+    assert z4["failures"][0] == (
+        "roundtrip: exception RuntimeError: seeded theta_inv fault"
+    )
+    assert not any(f.startswith("documented-finding") for f in z4["flags"])
 
 
 def test_empty_state_is_in_theta_image():

@@ -33,7 +33,7 @@ N = 4  # size of every set an operand runs between
 
 
 def _finrel():
-    inst, nuc, _ = finrel.structures(N)
+    inst, nuc, _ = finrel.structures()
     x = finrel.fin_set(N)
     rng = Lcg(7)
     f, g = inst.sample_hom(rng, x, x), inst.sample_hom(rng, x, x)
@@ -41,7 +41,7 @@ def _finrel():
 
 
 def _pinj():
-    inst, nuc, _ = pinj.structures(N)
+    inst, nuc, _ = pinj.structures()
     x = pinj.fin_set(N)
     f = pinj.PartialInjection(x, x, ((0, 1), (1, 3), (2, 0)))
     g = pinj.PartialInjection(x, x, ((0, 2), (1, 0), (3, 1)))
@@ -50,7 +50,7 @@ def _pinj():
 
 
 def _xrel():
-    inst, nuc, _ = xrel.structures(xrel.cyclic_monoid(2), N)
+    inst, nuc, _ = xrel.structures(xrel.cyclic_monoid(2))
     # the generator swaps p with q and r with s; p, q have degree 0, r, s degree 1
     x = xrel.CrossedMSet(
         inst.monoid,
@@ -103,14 +103,14 @@ def test_primitive(benchmark, model, op):
 
 
 def _samplers():
-    inst, nuc, _ = xrel.structures(xrel.cyclic_monoid(2), N)
+    inst, nuc, _ = xrel.structures(xrel.cyclic_monoid(2))
     rng = Lcg(7)
     a, b = inst.sample_object(rng), inst.sample_object(rng)
     while not (a.size and b.size):  # so that some pair can be related
         a, b = inst.sample_object(rng), inst.sample_object(rng)
     p = finstoch.sample_space(rng)
-    drel = drelnum.instance(61)
-    box = drelnum.Interval(-1.0, 1.0, 61)  # one of the instance's pool
+    drel = drelnum.instance()
+    box = drelnum.Interval(-1.0, 1.0, drel.sample_n)  # one of the instance's pool
     return {
         "xrel.sample_object": (inst.sample_object, rng),
         "xrel.tensor_obj": (inst.tensor_obj, a, b),

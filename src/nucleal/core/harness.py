@@ -56,16 +56,15 @@ Stream = tuple[Optional[int], Optional[Callable], Callable]
 class _Runner:
     """One check invocation: its report, seeded generator, budget and clock.
 
-    Each sampled sub-law draws `samples` cases, by default the budget
-    capped at `cap`.  A check over cases it lists itself needs only the
-    law: it runs them through `each`.
+    Each sampled sub-law draws `samples` cases, the budget capped at
+    `cap`.  A check over cases it lists itself needs only the law: it
+    runs them through `each`.
     """
 
-    def __init__(self, law: str, budget: int = 0, seed: int = 0,
-                 samples: Optional[int] = None, cap: int = 0):
+    def __init__(self, law: str, budget: int = 0, seed: int = 0, cap: int = 0):
         self.report = AxiomReport(law, 0)
         self.remaining = budget
-        self.samples = min(budget, cap) if samples is None else samples
+        self.samples = min(budget, cap)
         self.rng = Lcg(seed)
         self.failing: set[str] = set()  # sub-laws that returned a witness
         self.raised = False
@@ -208,7 +207,7 @@ def _streams_scalar(inst) -> list[Stream]:
     i = inst.unit()
     count = inst.count_hom(i, i)
     enum = (lambda: ((s,) for s in inst.enum_hom(i, i))) if count is not None else None
-    return [(count, enum, lambda rng: (inst.sample_scalar(rng),))]
+    return [(count, enum, lambda rng: (inst.sample_hom(rng, i, i),))]
 
 
 def _members(inst, objs, n_objs: int, enum, sample) -> list[Stream]:
@@ -241,14 +240,12 @@ def check_star_laws(
     budget: int,
     seed: int,
     *,
-    samples: Optional[int] = None,
     max_size: Optional[int] = None,
-    tol: Optional[float] = None,
 ) -> AxiomReport:
     """Category, symmetric tensor, star, and conjugation laws."""
-    run = _Runner(f"star-laws[{inst.name}]", budget, seed, samples, 500)
+    run = _Runner(f"star-laws[{inst.name}]", budget, seed, 500)
     objs = inst.objects(max_size)
-    eq = lambda f, g: inst.mor_eq(f, g, tol)
+    eq = inst.mor_eq
     d = inst.describe
     hom = (inst.count_hom, inst.enum_hom, inst.sample_hom)
     mor = _streams(inst, objs, 2, [(hom, 0, 1)])
@@ -364,7 +361,7 @@ def check_star_laws(
         iota = inst.iota()
         lhs = inst.star(s)
         rhs = inst.compose(inst.star(iota), inst.compose(inst.conj(s), iota))
-        if not inst.scalar_eq(inst.scalar_of(lhs), inst.scalar_of(rhs), tol):
+        if not inst.scalar_eq(inst.scalar_of(lhs), inst.scalar_of(rhs)):
             return f"scalar star != conj for s={d(s)}"
 
     run.sweep("scalar-star", _streams_scalar(inst) if inst.has_unit else [],
@@ -380,14 +377,12 @@ def check_nuclear_axioms(
     budget: int,
     seed: int,
     *,
-    samples: Optional[int] = None,
     max_size: Optional[int] = None,
-    tol: Optional[float] = None,
 ) -> AxiomReport:
     """Ideal closure, transpose bijectivity, naturality, compactness."""
-    run = _Runner(f"nuclear[{inst.name}]", budget, seed, samples, 500)
+    run = _Runner(f"nuclear[{inst.name}]", budget, seed, 500)
     objs = inst.objects(max_size)
-    eq = lambda f, g: inst.mor_eq(f, g, tol)
+    eq = inst.mor_eq
     d = inst.describe
     theta_ok = inst.has_tensor and inst.has_unit
     hom = (inst.count_hom, inst.enum_hom, inst.sample_hom)
@@ -532,18 +527,16 @@ def check_sliding(
     budget: int,
     seed: int,
     *,
-    samples: Optional[int] = None,
     max_size: Optional[int] = None,
-    tol: Optional[float] = None,
 ) -> AxiomReport:
     """Transpose pairing is symmetric in its two distinguished factors."""
-    run = _Runner(f"sliding[{inst.name}]", budget, seed, samples, 500)
+    run = _Runner(f"sliding[{inst.name}]", budget, seed, 500)
     objs = inst.objects(max_size)
 
     def slide(f, g):
         lhs = nuc.derived_trace(f, g)
         rhs = nuc.derived_trace(g, f)
-        if not inst.scalar_eq(lhs, rhs, tol):
+        if not inst.scalar_eq(lhs, rhs):
             return (
                 f"pairing asymmetry: f={inst.describe(f)} g={inst.describe(g)} "
                 f"lhs={scalars.render(inst.scalar_kind, lhs)} "
@@ -573,30 +566,27 @@ def check_tracedness(
     tr: TraceStructure,
     budget: int,
     seed: int,
-    *,
-    samples: Optional[int] = None,
-    tol: Optional[float] = None,
 ) -> AxiomReport:
     """The derived trace is independent of the chosen factorization."""
-    run = _Runner(f"traced[{inst.name}]", budget, seed, samples, 300)
+    run = _Runner(f"traced[{inst.name}]", budget, seed, 300)
     rend = lambda x: scalars.render(inst.scalar_kind, x)
 
     def tracedness(fg, fg2):
         (f, g), (f2, g2) = fg, fg2
         h1 = inst.compose(g, f)
-        if not inst.mor_eq(h1, inst.compose(g2, f2), tol):
+        if not inst.mor_eq(h1, inst.compose(g2, f2)):
             return "sampler produced unequal composites"
         if not (nuc.is_nuclear(f) and nuc.is_nuclear(g)
                 and nuc.is_nuclear(f2) and nuc.is_nuclear(g2)):
             return "sampler produced non-distinguished factors"
         v1 = nuc.derived_trace(f, g)
         v2 = nuc.derived_trace(f2, g2)
-        if not inst.scalar_eq(v1, v2, tol):
+        if not inst.scalar_eq(v1, v2):
             return (f"factorizations disagree {rend(v1)} vs {rend(v2)} "
                     f"for h={inst.describe(h1)}")
         if tr.in_trace_class(h1):
             v3 = tr.trace(h1)
-            if not inst.scalar_eq(v1, v3, tol):
+            if not inst.scalar_eq(v1, v3):
                 return f"direct trace disagrees with derived {rend(v3)} vs {rend(v1)}"
 
     run.sweep("tracedness", _single(tr.sample_equal_factorizations), tracedness)
@@ -610,14 +600,12 @@ def check_trace_axioms(
     budget: int,
     seed: int,
     *,
-    samples: Optional[int] = None,
     max_size: Optional[int] = None,
-    tol: Optional[float] = None,
 ) -> AxiomReport:
     """Two-sided ideal, dinaturality, vanishing, tensor, star, conjugation."""
-    run = _Runner(f"trace-axioms[{inst.name}]", budget, seed, samples, 300)
+    run = _Runner(f"trace-axioms[{inst.name}]", budget, seed, 300)
     rng = run.rng
-    seq = lambda x, y: inst.scalar_eq(x, y, tol)
+    seq = inst.scalar_eq
     rend = lambda x: scalars.render(inst.scalar_kind, x)
     members = _members(inst, inst.objects(max_size), 1, tr.enum_members, tr.sample_member)
 
@@ -722,9 +710,7 @@ def check_param_trace_axioms(
     budget: int,
     seed: int,
     *,
-    samples: Optional[int] = None,
     max_size: Optional[int] = None,
-    tol: Optional[float] = None,
 ) -> AxiomReport:
     """Axioms for the parametrized trace over a chosen parameter object."""
     if not tr.has_param:
@@ -732,9 +718,9 @@ def check_param_trace_axioms(
     objs = inst.objects(max_size)
     if objs is None:
         raise UnsupportedCheck(f"{inst.name}: the parametrized trace needs listed objects")
-    run = _Runner(f"param-trace[{inst.name}]", budget, seed, samples, 300)
+    run = _Runner(f"param-trace[{inst.name}]", budget, seed, 300)
     rng = run.rng
-    eq = lambda f, g: inst.mor_eq(f, g, tol)
+    eq = inst.mor_eq
     i_obj = inst.unit()
     pick = inst.sample_object
 

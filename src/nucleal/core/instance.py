@@ -31,9 +31,14 @@ that defaulted to some answer (or to no case at all) would let every
 law about it pass while checking nothing, so a model that forgets one
 must fail loudly instead.
 
+The tolerance of every comparison is the instance's `tol`: `mor_eq`
+and `scalar_eq` read it, and no check takes one of its own.  A caller
+that wants another tolerance sets `tol` on an instance of its own.
+
 What a model inherits, and overrides only where it differs:
 - `source`/`target` read `f.source`/`f.target`;
-- `sample_nuclear` is `sample_hom`, as in the models where every map is
+- `sample_nuclear`, `enum_nuclear` and `count_nuclear` are `sample_hom`,
+  `enum_hom` and `count_hom`, as in the models where every map is
   distinguished (finrel, finhilb, finstoch and drelnum's kernels);
 - `enum_states`/`sample_state` are `enum_hom`/`sample_hom` from the
   unit into conj(A) (x) B;
@@ -133,8 +138,8 @@ class CategoryInstance:
 
     # -- comparison and rendering ------------------------------------------
 
-    def mor_eq(self, f, g, tol: Optional[float] = None) -> bool:
-        """Slot-level equality of morphism data, up to the tolerance."""
+    def mor_eq(self, f, g) -> bool:
+        """Slot-level equality of morphism data, up to `tol`."""
         raise NotImplementedError
 
     def describe(self, f) -> str:
@@ -144,8 +149,8 @@ class CategoryInstance:
         """Scalar value of a morphism between unit-sized objects."""
         raise UnsupportedCheck(f"{self.name}: no scalar extraction")
 
-    def scalar_eq(self, x, y, tol: Optional[float] = None) -> bool:
-        return scalars.eq(self.scalar_kind, x, y, self.tol if tol is None else tol)
+    def scalar_eq(self, x, y) -> bool:
+        return scalars.eq(self.scalar_kind, x, y, self.tol)
 
     # -- sampling and enumeration ------------------------------------------
 
@@ -154,11 +159,6 @@ class CategoryInstance:
 
     def sample_hom(self, rng: Lcg, a, b):
         raise NotImplementedError
-
-    def sample_scalar(self, rng: Lcg):
-        """Random morphism on the unit object."""
-        i = self.unit()
-        return self.sample_hom(rng, i, i)
 
     def objects(self, max_size: Optional[int] = None) -> Optional[list]:
         """Canonical object universe for exhaustive runs, or None."""
@@ -229,10 +229,11 @@ class NuclearStructure:
         return self.inst.sample_hom(rng, a, b)
 
     def enum_nuclear(self, a, b) -> Optional[Iterable]:
-        return None
+        """All distinguished a -> b; all of them, where every map is."""
+        return self.inst.enum_hom(a, b)
 
     def count_nuclear(self, a, b) -> Optional[int]:
-        return None
+        return self.inst.count_hom(a, b)
 
     def enum_states(self, a, b) -> Optional[Iterable]:
         """All of Hom(I, conj(A) (x) B) when enumerable; used for

@@ -28,7 +28,15 @@ class Lcg:
         return self.state
 
     def below(self, n: int) -> int:
-        """Integer in [0, n).  Modulo bias is irrelevant at desk scale."""
+        """Integer in [0, n), as the state modulo n.
+
+        Known defect: the low bits of an LCG with a power-of-two modulus
+        have short periods, and for an even n the result has the state's
+        lowest bit; `below(2)` alternates between 0 and 1 for every
+        seed, so a sampler that branches on one draw fixes the next.
+        Kept as is because the pinned case streams depend on it; the
+        fix and what it unmasks are open item 1 of ROADMAP.md.
+        """
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n

@@ -35,7 +35,6 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -348,7 +347,7 @@ def fixture_test_fns(n: int = FIXTURE_N) -> list[TestFn]:
 # -- fixture-family checks --------------------------------------------------
 
 
-def check_pairing(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
+def check_pairing(n: int = FIXTURE_N) -> AxiomReport:
     """Composite kernels pair with products the way iterated integrals do."""
     run = _Runner("drel-pairing")
     box = fixture_interval(n)
@@ -358,13 +357,13 @@ def check_pairing(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
     def composite(f, g, phi, psi):
         iterated = quad(apply_left(f, phi).samples * apply_right(g, psi).samples, box)
         gap = abs(iterated - pair_with(compose(f, g), phi, psi))
-        if gap > tol:
+        if gap > DEFAULT_TOL:
             return f"pairing gap {gap:.3g} for {f!r};{g!r}"
 
     def sides(f, phi, psi):
         lhs = quad(apply_left(f, phi).samples * psi.samples, box)
         rhs = quad(phi.samples * apply_right(f, psi).samples, box)
-        if abs(lhs - rhs) > tol:
+        if abs(lhs - rhs) > DEFAULT_TOL:
             return f"left/right application disagree by {abs(lhs - rhs):.3g}"
 
     run.each("composite", itertools.product(kers, kers, fns, fns), composite)
@@ -372,12 +371,12 @@ def check_pairing(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
     return run.finish()
 
 
-def check_associativity(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
+def check_associativity(n: int = FIXTURE_N) -> AxiomReport:
     run = _Runner("drel-associativity")
 
     def associativity(f, g, h):
         d = kernel_distance(compose(compose(f, g), h), compose(f, compose(g, h)))
-        if d > tol:
+        if d > DEFAULT_TOL:
             return f"associativity gap {d:.3g}"
 
     run.each("associativity", itertools.product(fixture_kernels(n), repeat=3),
@@ -385,19 +384,19 @@ def check_associativity(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomRe
     return run.finish()
 
 
-def check_trace_symmetry(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
+def check_trace_symmetry(n: int = FIXTURE_N) -> AxiomReport:
     run = _Runner("drel-trace-symmetry")
 
     def symmetry(f, g):
         d = abs(trace(compose(f, g)) - trace(compose(g, f)))
-        if d > tol:
+        if d > DEFAULT_TOL:
             return f"trace asymmetry {d:.3g} for {f!r},{g!r}"
 
     run.each("symmetry", itertools.product(fixture_kernels(n), repeat=2), symmetry)
     return run.finish()
 
 
-def check_refinement(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomReport:
+def check_refinement(n: int = FIXTURE_N) -> AxiomReport:
     """Halving the grid spacing moves composites and traces below tolerance."""
     run = _Runner("drel-refinement")
     coarse = fixture_kernels(n)
@@ -405,7 +404,7 @@ def check_refinement(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomRepor
 
     def integral(fc, ff):
         d = abs(quad(fc.samples, fc.domain) - quad(ff.samples, ff.domain))
-        if d > tol:
+        if d > DEFAULT_TOL:
             return f"test-function integral moved by {d:.3g}"
 
     @lru_cache(maxsize=1)
@@ -415,13 +414,13 @@ def check_refinement(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> AxiomRepor
     def composite(i, j):
         kc, kf = composites(i, j)
         d = float(np.max(np.abs(kc.samples - kf.samples[::2, ::2])))
-        if d > tol:
+        if d > DEFAULT_TOL:
             return f"composite moved by {d:.3g} under refinement"
 
     def trace_moved(i, j):
         kc, kf = composites(i, j)
         dt = abs(trace(kc) - trace(kf))
-        if dt > tol:
+        if dt > DEFAULT_TOL:
             return f"trace moved by {dt:.3g} under refinement"
 
     run.each("integral", zip(fixture_test_fns(n), fixture_test_fns(2 * n - 1)),
@@ -484,12 +483,12 @@ def check_dirac_obstruction(n: int = FIXTURE_N) -> AxiomReport:
     return run.finish()
 
 
-def fixture_reports(n: int = FIXTURE_N, tol: float = DEFAULT_TOL) -> list[AxiomReport]:
+def fixture_reports(n: int = FIXTURE_N) -> list[AxiomReport]:
     return [
-        check_pairing(n, tol),
-        check_associativity(n, tol),
-        check_trace_symmetry(n, tol),
-        check_refinement(n, tol),
+        check_pairing(n),
+        check_associativity(n),
+        check_trace_symmetry(n),
+        check_refinement(n),
         check_dirac_obstruction(n),
     ]
 
@@ -546,14 +545,13 @@ class DRelInstance(CategoryInstance):
     has_unit = False
     has_identity = False
     tol = DEFAULT_TOL
+    sample_n = 61
 
-    def __init__(self, sample_n: int = 61):
-        if sample_n < 3 or sample_n % 2 == 0:
-            raise InvariantViolation("sampling grid size must be odd, at least 3")
+    def __init__(self):
         self._pool = [
-            Interval(-1.0, 1.0, sample_n),
-            Interval(0.0, 2.0, sample_n),
-            Interval(-2.0, 1.0, sample_n),
+            Interval(-1.0, 1.0, self.sample_n),
+            Interval(0.0, 2.0, self.sample_n),
+            Interval(-2.0, 1.0, self.sample_n),
         ]
 
     def compose(self, g, f):
@@ -562,13 +560,10 @@ class DRelInstance(CategoryInstance):
     def star(self, f):
         return star(f)
 
-    def mor_eq(self, f, g, tol: Optional[float] = None) -> bool:
+    def mor_eq(self, f, g) -> bool:
         if f.source != g.source or f.target != g.target:
             return False
-        return kernel_distance(f, g) <= (self.tol if tol is None else tol)
-
-    def obj_size(self, a) -> int:
-        return a.n
+        return kernel_distance(f, g) <= self.tol
 
     def sample_object(self, rng):
         return rng.choice(self._pool)
@@ -619,11 +614,11 @@ class DRelTrace(TraceStructure):
         return (f, g), (scale(f, c), scale(g, 1.0 / c))
 
 
-def instance(sample_n: int = 61) -> DRelInstance:
-    return DRelInstance(sample_n)
+def instance() -> DRelInstance:
+    return DRelInstance()
 
 
-def structures(sample_n: int = 61):
-    inst = instance(sample_n)
+def structures():
+    inst = instance()
     nuc = DRelNuclear(inst)
     return inst, nuc, DRelTrace(inst, nuc)

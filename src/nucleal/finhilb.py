@@ -484,9 +484,7 @@ class HilbInstance(CategoryInstance):
     name = "finhilb"
     scalar_kind = scalars.COMPLEX
     tol = 1e-9
-
-    def __init__(self, max_dim: int = 4):
-        self.max_dim = max_dim
+    max_dim = 4
 
     def source(self, f):
         return f.cols
@@ -529,8 +527,8 @@ class HilbInstance(CategoryInstance):
             raise ShapeMismatch("scalars are 1x1 matrices")
         return s.entries[0]
 
-    def mor_eq(self, f, g, tol=None):
-        return max_abs_diff(f, g) <= (self.tol if tol is None else tol)
+    def mor_eq(self, f, g):
+        return max_abs_diff(f, g) <= self.tol
 
     def obj_size(self, a):
         return a
@@ -579,11 +577,11 @@ class HilbTrace(TraceStructure):
         return (f, g), (matmul(u, f), matmul(g, adjoint(u)))
 
 
-def instance(max_dim: int = 4) -> HilbInstance:
-    return HilbInstance(max_dim)
+def instance() -> HilbInstance:
+    return HilbInstance()
 
 
-def structures(max_dim: int = 4):
-    inst = instance(max_dim)
+def structures():
+    inst = instance()
     nuc = HilbNuclear(inst)
     return inst, nuc, HilbTrace(inst, nuc)

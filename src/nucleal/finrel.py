@@ -412,9 +412,7 @@ class FinRelInstance(CategoryInstance):
     tol = 0.0
     #: the `Relation` subclass that `identity`, `symmetry` and `reindex` build
     morphism = Relation
-
-    def __init__(self, max_object_size: int = 3):
-        self.max_object_size = max_object_size
+    max_object_size = 3
 
     def compose(self, g, f):
         return compose(f, g)
@@ -446,7 +444,7 @@ class FinRelInstance(CategoryInstance):
     def describe_obj(self, a):
         return repr(list(a.labels))
 
-    def mor_eq(self, f, g, tol=None):
+    def mor_eq(self, f, g):
         # equal sizes and rows; identical endpoints need no size read
         fs, gs, ft, gt = f.source, g.source, f.target, g.target
         return (
@@ -497,12 +495,6 @@ class FinRelNuclear(NuclearStructure):
     def theta_inv(self, m: Relation, a: FinSet, b: FinSet) -> Relation:
         return theta_inv(m, a, b)
 
-    def enum_nuclear(self, a, b):
-        return enum_relations(a, b)
-
-    def count_nuclear(self, a, b):
-        return 1 << (a.size * b.size)
-
     def factorize(self, h) -> FactorizationResult:
         # Identities are themselves distinguished here, so h = h o id.
         return FactorizationResult(
@@ -539,11 +531,11 @@ class FinRelTrace(TraceStructure):
         return enum_relations(product(a, u), product(b, u))
 
 
-def instance(max_object_size: int = 3) -> FinRelInstance:
-    return FinRelInstance(max_object_size)
+def instance() -> FinRelInstance:
+    return FinRelInstance()
 
 
-def structures(max_object_size: int = 3):
-    inst = FinRelInstance(max_object_size)
+def structures():
+    inst = FinRelInstance()
     nuc = FinRelNuclear(inst)
     return inst, nuc, FinRelTrace(inst, nuc)

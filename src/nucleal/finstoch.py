@@ -29,14 +29,12 @@ Boundary contract: values that enter from outside are validated, values
 that operations make are trusted.  The `ProbSpace` and `JointMeasure`
 constructors, `prob_space`, `joint`, `from_json` and the samplers check
 shape, nonnegativity and a space's total mass; all of them but the
-`JointMeasure` constructor and `from_json(validate=False)` also check
-that a measure's marginals are absolutely continuous.  Operations whose
-results keep those invariants (`compose`, `converse`, `delta`,
-`product_joint`, `tensor_joint`, `product_space`, `reindex`, `theta`,
-`theta_inv`) build through the trusted `_mk`/`_mk_space`, which check
-nothing; each call says why the invariants hold.  That reasoning
-assumes valid operands: a measure loaded with `validate=False` is
-outside it.
+`JointMeasure` constructor also check that a measure's marginals are
+absolutely continuous.  Operations whose results keep those invariants
+(`compose`, `converse`, `delta`, `product_joint`, `tensor_joint`,
+`product_space`, `reindex`, `theta`, `theta_inv`) build through the
+trusted `_mk`/`_mk_space`, which check nothing; each call says why the
+invariants hold.
 
 The samplers draw integers and check them as integers: `sample_space`
 rejects a negative weight (so the total is positive), and
@@ -648,9 +646,8 @@ def to_json(a: JointMeasure) -> dict:
     }
 
 
-def from_json(data, validate: bool = True) -> JointMeasure:
-    """Parse a joint measure; `validate=False` skips the absolute
-    continuity check so deliberately leaky fixtures can load."""
+def from_json(data) -> JointMeasure:
+    """Parse a joint measure, checking absolute continuity."""
     if not isinstance(data, dict):
         raise ParseError("morphism document must be an object")
     for key in ("source", "target", "weight"):
@@ -666,8 +663,7 @@ def from_json(data, validate: bool = True) -> JointMeasure:
             tuple(_frac_from_json(w) for w in row) for row in rows
         )
         a = JointMeasure(src, tgt, weight)
-        if validate:
-            check_abs_continuity(a)
+        check_abs_continuity(a)
         return a
     except (InvariantViolation, ShapeMismatch) as exc:
         raise ParseError(f"invalid joint measure: {exc}") from exc
@@ -719,9 +715,7 @@ class StochInstance(CategoryInstance):
 
     name = "finstoch"
     scalar_kind = scalars.RATIONAL
-
-    def __init__(self, max_points: int = 3):
-        self.max_points = max_points
+    max_points = 3
 
     def compose(self, g, f):
         return compose(f, g)
@@ -749,7 +743,7 @@ class StochInstance(CategoryInstance):
             raise ShapeMismatch("scalars live on the unit space")
         return Fraction(s.num[0][0], s.den)
 
-    def mor_eq(self, f, g, tol=None):
+    def mor_eq(self, f, g):
         # canonical form: equal measures have equal integers
         return f == g
 
@@ -803,12 +797,12 @@ class StochTrace(TraceStructure):
         return (f, g), (f2, g2)
 
 
-def instance(max_points: int = 3) -> StochInstance:
-    return StochInstance(max_points)
+def instance() -> StochInstance:
+    return StochInstance()
 
 
-def structures(max_points: int = 3):
-    inst = instance(max_points)
+def structures():
+    inst = instance()
     nuc = StochNuclear(inst)
     return inst, nuc, StochTrace(inst, nuc)
 

@@ -269,7 +269,7 @@ class PInjInstance(FinRelInstance):
             raise ShapeMismatch("scalars live on the unit object")
         return bool(s.rows[0])
 
-    def mor_eq(self, f, g, tol=None):
+    def mor_eq(self, f, g):
         return (
             f.source == g.source and f.target == g.target and f.rows == g.rows
         )
@@ -385,11 +385,11 @@ class PInjTrace(TraceStructure):
         ]
 
 
-def instance(max_object_size: int = 3) -> PInjInstance:
-    return PInjInstance(max_object_size)
+def instance() -> PInjInstance:
+    return PInjInstance()
 
 
-def structures(max_object_size: int = 3):
-    inst = instance(max_object_size)
+def structures():
+    inst = instance()
     nuc = PInjNuclear(inst)
     return inst, nuc, PInjTrace(inst, nuc)

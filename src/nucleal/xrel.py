@@ -606,11 +606,13 @@ class XRelInstance(CategoryInstance):
     """Crossed-set relations over one fixed monoid; boolean scalars."""
 
     scalar_kind = scalars.BOOL
+    max_carrier = 3
 
-    def __init__(self, monoid: CommMonoid, max_carrier: int = 3, tag: str = ""):
+    def __init__(self, monoid: CommMonoid):
         self.monoid = monoid
-        self.max_carrier = max_carrier
-        self.name = f"xrel[{tag or monoid.size}]"
+        # cyclic monoids are named Z<n>, any other by its size
+        cyclic = monoid.table == cyclic_monoid(monoid.size).table
+        self.name = f"xrel[{'Z' if cyclic else ''}{monoid.size}]"
         self._unit = unit_object(monoid)
         # permutations whose monoid-order power is the identity, per carrier size
         self._perm_cache: dict[int, list[tuple[int, ...]]] = {}
@@ -646,7 +648,7 @@ class XRelInstance(CategoryInstance):
             raise ShapeMismatch("scalars live on the unit object")
         return bool(s.rows[0])
 
-    def mor_eq(self, f, g, tol=None):
+    def mor_eq(self, f, g):
         return f.rows == g.rows and f.source == g.source and f.target == g.target
 
     def obj_size(self, a):
@@ -747,13 +749,11 @@ class XRelTrace(TraceStructure):
         )
 
 
-def instance(monoid: Optional[CommMonoid] = None, max_carrier: int = 3) -> XRelInstance:
-    mon = cyclic_monoid(2) if monoid is None else monoid
-    tag = f"Z{mon.size}" if mon.table == cyclic_monoid(mon.size).table else ""
-    return XRelInstance(mon, max_carrier, tag)
+def instance(monoid: Optional[CommMonoid] = None) -> XRelInstance:
+    return XRelInstance(cyclic_monoid(2) if monoid is None else monoid)
 
 
-def structures(monoid: Optional[CommMonoid] = None, max_carrier: int = 3):
-    inst = instance(monoid, max_carrier)
+def structures(monoid: Optional[CommMonoid] = None):
+    inst = instance(monoid)
     nuc = XRelNuclear(inst)
     return inst, nuc, XRelTrace(inst, nuc)

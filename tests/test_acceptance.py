@@ -31,6 +31,14 @@ def criterion(num):
     return deco
 
 
+def _tight_hilb():
+    """finhilb structures of their own, checked to 1e-10, not the 1e-9
+    of the instance the CLI shares."""
+    inst, nuc, tr = finhilb.structures()
+    inst.tol = 1e-10
+    return inst, nuc, tr
+
+
 @criterion(1)
 def test_criterion_01_star_category_laws():
     t0 = time.perf_counter()
@@ -45,25 +53,16 @@ def test_criterion_01_star_category_laws():
     assert {"exhaustive:unary", "exhaustive:antihomomorphism"} <= set(rep.flags)
     reports.append(rep)
 
+    # unlisted objects: one sampled stream of min(budget, 500) cases
     for nmod in (2, 3, 4):
         reports.append(
-            harness.check_star_laws(
-                xrel.instance(xrel.cyclic_monoid(nmod)), 20_000, 1, samples=500
-            )
+            harness.check_star_laws(xrel.instance(xrel.cyclic_monoid(nmod)), 500, 1)
         )
-    reports.append(
-        harness.check_star_laws(finstoch.instance(), 20_000, 1, samples=500)
-    )
-    reports.append(
-        harness.check_star_laws(
-            finhilb.instance(), 20_000, 1, samples=500, tol=1e-10
-        )
-    )
-    reports.append(
-        harness.check_star_laws(
-            drelnum.instance(), 20_000, 1, samples=500, tol=1e-6
-        )
-    )
+    reports.append(harness.check_star_laws(finstoch.instance(), 500, 1))
+    hilb, drel = _tight_hilb()[0], drelnum.instance()
+    assert (hilb.tol, drel.tol, finhilb.instance().tol) == (1e-10, 1e-6, 1e-9)
+    reports.append(harness.check_star_laws(hilb, 500, 1))
+    reports.append(harness.check_star_laws(drel, 500, 1))
     elapsed = time.perf_counter() - t0
     assert all(r.ok for r in reports), [r.summary() for r in reports if not r.ok]
     assert elapsed <= 60.0
@@ -75,22 +74,21 @@ def test_criterion_02_nuclear_axioms_and_sliding():
     setups = [
         pinj.structures(),
         xrel.structures(xrel.cyclic_monoid(2)),
-        finhilb.structures(),
+        _tight_hilb(),
         finstoch.structures(),
         drelnum.structures(),
     ]
-    tols = {"finhilb": 1e-10, "drelnum": 1e-6}
+    assert setups[2][0].tol == 1e-10 and setups[4][0].tol == 1e-6
     reports = []
     for inst, nuc, _ in setups:
-        tol = tols.get(inst.name)
         if inst.name == "pinj":
             rep = harness.check_nuclear_axioms(inst, nuc, 400_000, 1, max_size=3)
+            slide = harness.check_sliding(inst, nuc, 20_000, 1)
         else:
-            rep = harness.check_nuclear_axioms(
-                inst, nuc, 20_000, 1, samples=500, tol=tol
-            )
+            # unlisted objects: one sampled stream of min(budget, 500) cases
+            rep = harness.check_nuclear_axioms(inst, nuc, 500, 1)
+            slide = harness.check_sliding(inst, nuc, 300, 1)
         reports.append(rep)
-        slide = harness.check_sliding(inst, nuc, 20_000, 1, samples=300, tol=tol)
         # an exhausted pair stream below 300 covers every pair there is
         assert slide.cases >= 300 or "exhaustive:sliding" in slide.flags
         reports.append(slide)
@@ -163,11 +161,12 @@ def test_criterion_05_tracedness():
         assert values == {tr.trace(h)}
 
     si, sn, st = finstoch.structures()
-    rep = harness.check_tracedness(si, sn, st, 10_000, 51, samples=300)
+    rep = harness.check_tracedness(si, sn, st, 300, 51)
     assert rep.ok and rep.cases == 300
 
-    hi, hn, ht = finhilb.structures()
-    rep = harness.check_tracedness(hi, hn, ht, 10_000, 52, samples=200, tol=1e-10)
+    hi, hn, ht = _tight_hilb()
+    assert hi.tol == 1e-10
+    rep = harness.check_tracedness(hi, hn, ht, 200, 52)
     assert rep.ok and rep.cases == 200
 
     sliding_setups = [
@@ -178,9 +177,11 @@ def test_criterion_05_tracedness():
         finstoch.structures(),
     ]
     for inst2, nuc2, _ in sliding_setups:
-        rep = harness.check_sliding(inst2, nuc2, 10_000, 53, samples=200)
+        # listed objects keep the budget, and draw at least as many cases
+        listed = inst2.objects() is not None
+        rep = harness.check_sliding(inst2, nuc2, 10_000 if listed else 200, 53)
         assert rep.ok and rep.cases > 0
-    assert drelnum.check_trace_symmetry(201, 1e-6).ok
+    assert drelnum.check_trace_symmetry(201).ok
     return "pinj exhaustive, finstoch 300 exact, finhilb 200 @1e-10"
 
 
@@ -314,6 +315,6 @@ def test_criterion_11_documented_findings():
 
 @criterion(12)
 def test_criterion_12_refinement_stability():
-    rep = drelnum.check_refinement(201, 1e-6)
+    rep = drelnum.check_refinement(201)
     assert rep.ok and rep.cases > 0
     return f"{rep.cases} refinement comparisons"

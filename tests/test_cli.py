@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nucleal
-from nucleal import cjsl, cli, finstoch, pinj, xrel
+from nucleal import cjsl, cli, finhilb, finrel, finstoch, pinj, xrel
 from nucleal.core.errors import ParseError, ShapeMismatch
 
 X = pinj.FinSet(("x",))
@@ -114,6 +114,76 @@ def test_transpose_round_trip(tmp_path, capsys):
     ) == 0
     doc = json.loads(back.read_text())
     assert pinj.from_json(doc["value"]) == f
+
+
+def test_bare_payloads_with_category_flag(tmp_path, capsys):
+    r = finrel.from_pairs(finrel.fin_set(2), finrel.fin_set(2), [(0, 1), (1, 1)])
+    path = dump(tmp_path, "r.json", finrel.to_json(r))
+    out = tmp_path / "rr.json"
+    assert cli.main(
+        ["compose", path, path, "--category", "finrel", "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text())
+    assert doc["category"] == "finrel"
+    assert finrel.from_json(doc["value"]) == finrel.compose(r, r)
+    # without the flag a bare payload names no category
+    assert cli.main(["compose", path, path]) == 2
+    assert "no category" in capsys.readouterr().err
+
+
+def test_compose_lattice_maps(tmp_path):
+    f = cjsl.identity_sup(cjsl.m3())
+    g = cjsl.const_bottom(cjsl.m3(), cjsl.chain(2))
+    out = tmp_path / "gf.json"
+    assert cli.main(
+        ["compose", dump(tmp_path, "f.json", cjsl.supmap_to_json(f), "cjsl"),
+         dump(tmp_path, "g.json", cjsl.supmap_to_json(g), "cjsl"), "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text())
+    assert doc["category"] == "cjsl"
+    assert cjsl.supmap_from_json(doc["value"]).values == g.values
+
+
+@pytest.mark.parametrize("category", ["pinj", "finrel", "finhilb"])
+def test_check_nuclear_yes_outside_lattices(tmp_path, capsys, category):
+    f = {
+        "pinj": lambda: pinj.to_json(pinj.from_map(XY, XYZ, {"x": "z"})),
+        "finrel": lambda: finrel.to_json(finrel.identity(finrel.fin_set(2))),
+        "finhilb": lambda: finhilb.to_json(finhilb.from_rows([[1, 2j], [0, 1]])),
+    }[category]()
+    assert cli.main(["check-nuclear", dump(tmp_path, "f.json", f, category)]) == 0
+    assert capsys.readouterr().out == "nuclear: yes\n"
+
+
+def _transpose_round_trip(tmp_path, category, f, left, right):
+    """The morphism document `transpose --inverse` gives back for f."""
+    state = tmp_path / "state.json"
+    assert cli.main(
+        ["transpose", dump(tmp_path, "f.json", f, category), "--out", str(state)]
+    ) == 0
+    back = tmp_path / "back.json"
+    assert cli.main(
+        ["transpose", str(state), "--inverse",
+         "--left", dump(tmp_path, "a.json", left),
+         "--right", dump(tmp_path, "b.json", right), "--out", str(back)]
+    ) == 0
+    return json.loads(back.read_text())["value"]
+
+
+def test_transpose_inverse_crossed_sets(tmp_path):
+    z2 = xrel.cyclic_monoid(2)
+    a = xrel.trivial_object(z2, ("p", "q"), (0, 1))
+    b = xrel.trivial_object(z2, ("r",), (1,))
+    f = xrel.from_pairs(a, b, [(1, 0)])
+    obj = lambda x: {"monoid": xrel.monoid_to_json(z2), "object": xrel.object_to_json(x)}
+    back = _transpose_round_trip(tmp_path, "xrel", xrel.to_json(f), obj(a), obj(b))
+    assert xrel.from_json(back) == f
+
+
+def test_transpose_inverse_matrices(tmp_path):
+    f = finhilb.from_rows([[1, 2j], [0, -1], [0.5, 1j]])  # C^2 -> C^3
+    back = _transpose_round_trip(tmp_path, "finhilb", finhilb.to_json(f), 2, 3)
+    assert finhilb.max_abs_diff(finhilb.from_json(back), f) <= 1e-12
 
 
 def test_check_nuclear_lattice_ids(tmp_path, capsys):

@@ -158,7 +158,7 @@ def test_pairing_catches_a_scaled_compose(monkeypatch):
 
 
 def test_refinement_under_tolerance():
-    rep = drelnum.check_refinement(201, 1e-6)
+    rep = drelnum.check_refinement(201)
     assert rep.ok and rep.cases > 0
 
 

@@ -332,7 +332,7 @@ def test_joint_factory_rejects_leaky_measure():
         finstoch.joint(bad.source, bad.target, bad.weight)
 
 
-def test_json_round_trip_and_validation_switch():
+def test_json_round_trip_and_validation():
     p = uniform2()
     doc = finstoch.to_json(finstoch.delta(p))
     assert finstoch.from_json(doc).weight == finstoch.delta(p).weight
@@ -340,7 +340,6 @@ def test_json_round_trip_and_validation_switch():
     leaky = finstoch.to_json(leaky_measure())
     with pytest.raises(ParseError):
         finstoch.from_json(leaky)
-    assert finstoch.from_json(leaky, validate=False).weight == ((F(0),), (F(1),))
 
 
 def test_kernel_json_round_trip():

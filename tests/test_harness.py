@@ -140,7 +140,7 @@ def test_derive_trace_rejects_wide_factors():
 
 def test_sliding_on_matrices():
     inst, nuc, _ = finhilb.structures()
-    rep = harness.check_sliding(inst, nuc, 600, 11, samples=150)
+    rep = harness.check_sliding(inst, nuc, 150, 11)
     assert rep.ok and rep.cases > 0
 
 
@@ -345,7 +345,7 @@ class UnlistedFinRel(finrel.FinRelInstance):
 
 
 def test_param_trace_needs_listed_objects():
-    inst = UnlistedFinRel(2)
+    inst = UnlistedFinRel()
     tr = finrel.FinRelTrace(inst, finrel.FinRelNuclear(inst))
     assert tr.has_param
     with pytest.raises(UnsupportedCheck):

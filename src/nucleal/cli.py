@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import pickle
 import sys
 import time
 from importlib import resources
 
 from nucleal import cjsl, drelnum, finhilb, finrel, finstoch, pinj, xrel
-from nucleal.core import harness, scalars
+from nucleal.core import harness, parallel, scalars
 from nucleal.core.errors import (
     InvariantViolation,
     ParseError,
@@ -407,72 +405,23 @@ def _run_share(jobs, w, k) -> dict:
     return out
 
 
-def _fork_share(jobs, w, k):
-    """Fork a child that runs share w of k and pickles its outcomes into
-    a pipe; returns (pid, read end of the pipe)."""
-    r, wr = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(wr)
-        raise
-    if pid == 0:
-        # the child never returns: os._exit runs no atexit handler and
-        # flushes no buffer inherited from the parent, and a child that
-        # fails before the dump ends with status 1
-        status = 1
-        try:
-            os.close(r)
-            with os.fdopen(wr, "wb") as out:
-                pickle.dump(_run_share(jobs, w, k), out)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(wr)
-    return pid, r
-
-
-def _collect(pid, fd):
-    """What the child sent, and its wait status.  The pipe is read to
-    its end before the wait, so a child blocked on a full pipe can
-    finish."""
-    with os.fdopen(fd, "rb") as src:
-        data = src.read()
-    return data, os.waitpid(pid, 0)[1]
-
-
 def run_suite(name, budget=200, seed=1):
     """The suite's reports, in job order, computed on every CPU this
     process may run on.
 
-    With k CPUs (at most one per job), k - 1 forked children run jobs
-    w, w + k, ... for w = 1 .. k - 1 and this process runs jobs 0, k,
-    ....  The split is a fixed function of the job list and k, so each
-    process does the same work on every run.  Every child is reaped
-    before this returns or raises.  If jobs raise, the exception of the
-    first of them in job order is raised, as a serial run would; a
-    child that dies or sends no complete result raises RuntimeError.
-    nucleal starts no threads, and numpy's OpenBLAS pool stops itself
-    before a fork, so forking here is safe.
+    With k CPUs (at most one per job), `parallel.fork_map` runs jobs w,
+    w + k, ... in worker w, worker 0 being this process.  The split is a
+    fixed function of the job list and k, so each process does the same
+    work on every run, and the sweeps of the jobs stay serial.  If jobs
+    raise, the exception of the first of them in job order is raised,
+    as a serial run would; a child that dies or sends no complete result
+    raises RuntimeError.
     """
     jobs = suite_jobs(name, budget, seed)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = max(1, min(cpus, len(jobs)))
-    children = []
-    try:
-        for w in range(1, k):
-            children.append(_fork_share(jobs, w, k))
-        outcomes = _run_share(jobs, 0, k)
-    finally:
-        sent = [_collect(pid, fd) for pid, fd in children]
-    for w, (data, status) in enumerate(sent, 1):
-        if status != 0:
-            raise RuntimeError(
-                f"worker {w} of {k} ended with wait status {status} "
-                "before sending its reports"
-            )
-        outcomes.update(pickle.loads(data))
+    k = max(1, min(parallel.cpus(), len(jobs)))
+    outcomes = {}
+    for share in parallel.fork_map(lambda w: _run_share(jobs, w, k), k):
+        outcomes.update(share)
     reports = []
     for i in range(len(jobs)):
         out = outcomes[i]

@@ -13,6 +13,17 @@ A stream whose full case count fits into the remaining budget is swept
 exhaustively, anything larger is sampled with the seeded generator,
 and the report flags say which happened.
 
+A sweep whose exhaustive streams hold at least `SPLIT_MIN` cases runs
+on every CPU of the affinity mask (`parallel.fork_map`): worker w runs
+the swept cases j = w, w + k, ..., counted across the streams in order,
+and this process runs worker 0's cases and then the sampled streams,
+which alone draw.  Each worker sends back its case count, whether a
+case failed or raised, and its first witnesses keyed by (stream, case);
+they are merged in that order, so the report is the serial run's.  The
+five laws that draw on every case are marked `draws` at their sweep and
+never split; a worker whose generator moved raises.  Inside a
+`fork_map`, as under `cli.run_suite`, nothing splits.
+
 Tuples of morphisms come from one builder, `_streams`, driven by specs
 (homs, i, j): each draws a morphism from object slot i to slot j, where
 homs is (count, enum, sample) over the instance's hom-sets or over its
@@ -39,7 +50,7 @@ import math
 import time
 from typing import Callable, Optional, Sequence
 
-from nucleal.core import scalars
+from nucleal.core import parallel, scalars
 from nucleal.core.errors import UnsupportedCheck
 from nucleal.core.instance import (
     CategoryInstance,
@@ -47,10 +58,16 @@ from nucleal.core.instance import (
     NuclearStructure,
     TraceStructure,
 )
-from nucleal.core.report import AxiomReport
+from nucleal.core.report import FAILURE_CAP, AxiomReport
 from nucleal.core.rng import Lcg
 
 Stream = tuple[Optional[int], Optional[Callable], Callable]
+
+#: the fewest swept cases a sweep splits over CPUs.  A fork round trip
+#: (fork, pickle a share's result back, reap) took 2.3 ms in the median
+#: of 50 on a 2-CPU Linux host, and the cheapest sub-laws take about
+#: 5 us a case, so half of 4096 such cases is about 10 ms, four times it
+SPLIT_MIN = 4096
 
 
 class _Runner:
@@ -84,41 +101,103 @@ class _Runner:
     def each(self, name: str, cases, fn) -> None:
         """Run `fn` on every case, in order; sets no flag."""
         for case in cases:
-            self._run(name, fn, case)
+            for line in self._run(name, fn, case):
+                self.report.add_failure(line)
 
-    def sweep(self, name: str, streams: list[Stream], fn, enabled=True, note=None):
+    def sweep(self, name: str, streams: list[Stream], fn, enabled=True, note=None,
+              draws=False):
+        """Run sub-law `name` over its streams, each swept exhaustively
+        when its count fits into the remaining budget, sampled otherwise.
+
+        `draws` marks a law that draws from `self.rng` on every case: its
+        cases must run in order in one process, so it never splits.
+        """
         if not enabled:
             suffix = f" ({note})" if note else ""
             self.report.flags.append(f"skipped:{name}{suffix}")
             return
         n_streams = max(1, len(streams))
         per_samples = max(1, self.samples // n_streams) if n_streams > 1 else self.samples
-        fully_exhaustive = bool(streams)
+        runs = []  # per stream: (enum, None) to sweep or (None, sample) to sample
+        swept = 0
         for count, enum, sample in streams:
             if count is not None and enum is not None and count <= self.remaining:
                 self.remaining -= count
-                self.each(name, enum(), fn)
+                swept += count
+                runs.append((enum, None))
             else:
-                fully_exhaustive = False
+                runs.append((None, sample))
+        if not draws and swept >= SPLIT_MIN and (k := parallel.cpus()) > 1:
+            self._split(name, fn, runs, per_samples, k)
+        else:
+            for enum, sample in runs:
                 # lazy, so each draw follows the law run on the one before
-                self.each(name, (sample(self.rng) for _ in range(per_samples)), fn)
-        if fully_exhaustive:
+                self.each(name, enum() if enum else
+                          (sample(self.rng) for _ in range(per_samples)), fn)
+        if runs and all(enum for enum, _ in runs):
             self.report.flags.append(f"exhaustive:{name}")
 
-    def _run(self, name, fn, case):
+    def _split(self, name, fn, runs, per_samples, k) -> None:
+        """`sweep` on k processes, with the serial run's report.
+
+        Case j of the swept streams, counted in stream order, runs in
+        worker j mod k (`parallel.fork_map`); this process runs worker
+        0, then the sampled streams.  Each failure line is keyed by its
+        (stream, case) and merged here in that order, so the report
+        holds the serial run's witnesses.
+        """
+        keyed = lambda: (((s, i), case) for s, (enum, _) in enumerate(runs) if enum
+                         for i, case in enumerate(enum()))
+
+        def share(w):
+            state = self.rng.state
+            part = _Runner(self.report.law)
+            lines = part._keyed(name, fn, itertools.islice(keyed(), w, None, k))
+            if self.rng.state != state:
+                raise RuntimeError(f"{name} draws from the runner's generator; "
+                                   "mark its sweep draws=True")
+            return part.report.cases, bool(part.failing), part.raised, lines
+
+        shares = parallel.fork_map(share, k)
+        lines = [kl for *_, part in shares for kl in part]
+        lines += self._keyed(name, fn, (
+            ((s, i), sample(self.rng))
+            for s, (enum, sample) in enumerate(runs) if not enum
+            for i in range(per_samples)
+        ))
+        for cases, failed, raised, _ in shares:
+            self.report.cases += cases
+            if failed:
+                self.failing.add(name)
+            self.raised |= raised
+        lines.sort(key=lambda kl: kl[0])
+        for _, line in lines[:FAILURE_CAP + 1]:
+            self.report.add_failure(line)
+
+    def _keyed(self, name, fn, cases) -> list:
+        """Run (key, case) pairs; the first FAILURE_CAP + 1 failure lines,
+        each with its case's key, which is all `add_failure` can keep."""
+        out = []
+        for key, case in cases:
+            for line in self._run(name, fn, case):
+                if len(out) <= FAILURE_CAP:
+                    out.append((key, line))
+        return out
+
+    def _run(self, name, fn, case) -> list[str]:
+        """Run one case; its failure lines: the witnesses, or the exception."""
         self.report.cases += 1
         try:
             out = fn(*case)
         except Exception as exc:  # a broken instance must yield a witness, not a crash
             self.raised = True
-            self.report.add_failure(f"{name}: exception {type(exc).__name__}: {exc}")
-            return
+            return [f"{name}: exception {type(exc).__name__}: {exc}"]
         if out is None:
-            return
-        for witness in [out] if isinstance(out, str) else out:
-            if witness:
-                self.failing.add(name)
-                self.report.add_failure(f"{name}: {witness}")
+            return []
+        lines = [f"{name}: {w}" for w in ([out] if isinstance(out, str) else out) if w]
+        if lines:
+            self.failing.add(name)
+        return lines
 
 
 def _mixed_radix_perm(sizes: Sequence[int], perm: Sequence[int]) -> list[int]:
@@ -618,7 +697,7 @@ def check_trace_axioms(
             out.append(f"h.k leaves the trace class: h={inst.describe(h)} k={inst.describe(k)}")
         return out
 
-    run.sweep("ideal", members, ideal)
+    run.sweep("ideal", members, ideal, draws=True)
 
     def dinaturality_sample(rng):
         a, b = inst.sample_object(rng), inst.sample_object(rng)
@@ -682,7 +761,7 @@ def check_trace_axioms(
             )
 
     run.sweep("tensor", members, tensor_mult,
-              enabled=inst.has_tensor, note="no tensor")
+              enabled=inst.has_tensor, note="no tensor", draws=True)
 
     def star_conj(h, a):
         out = []
@@ -756,7 +835,7 @@ def check_param_trace_axioms(
             out.append("framing by g, k leaves the class")
         return out
 
-    run.sweep("ideal-closure", listed, ideal_closure)
+    run.sweep("ideal-closure", listed, ideal_closure, draws=True)
 
     def vanishing_unit_sample(rng):
         a, b = pick(rng), pick(rng)
@@ -839,7 +918,7 @@ def check_param_trace_axioms(
         if not eq(lhs, rhs):
             return f"superposing broken: f={inst.describe(f)} g={inst.describe(g)}"
 
-    run.sweep("superposing", framed, superposing)
+    run.sweep("superposing", framed, superposing, draws=True)
 
     def yanking_sample(rng):
         a, u, b = pick(rng), pick(rng), pick(rng)
@@ -893,7 +972,7 @@ def check_param_trace_axioms(
         if not eq(lhs, rhs):
             return f"tightening broken: f={inst.describe(f)} g={inst.describe(g)} k={inst.describe(k)}"
 
-    run.sweep("tightening", framed, tightening)
+    run.sweep("tightening", framed, tightening, draws=True)
 
     return run.finish()
 

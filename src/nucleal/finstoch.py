@@ -671,8 +671,11 @@ def from_json(data) -> JointMeasure:
 
 # -- sampling ---------------------------------------------------------------
 
+#: the most points of a sampled space
+MAX_POINTS = 3
 
-def sample_space(rng: Lcg, max_points: int = 3) -> ProbSpace:
+
+def sample_space(rng: Lcg, max_points: int = MAX_POINTS) -> ProbSpace:
     """Up to `max_points` points with integer weights 0..3, normalized."""
     n = 1 + rng.below(max_points)
     weights = [rng.below(4) for _ in range(n)]
@@ -715,7 +718,7 @@ class StochInstance(CategoryInstance):
 
     name = "finstoch"
     scalar_kind = scalars.RATIONAL
-    max_points = 3
+    max_points = MAX_POINTS
 
     def compose(self, g, f):
         return compose(f, g)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import _forks
 import nucleal
 from nucleal import cjsl, cli, finhilb, finrel, finstoch, pinj, xrel
 from nucleal.core.errors import ParseError, ShapeMismatch
@@ -381,7 +382,7 @@ def test_verify_unknown_suite(capsys):
     ],
     ids=["verify-budget", "report-budget"],
 )
-def test_negative_budget_or_tol_exits_parse(capsys, argv):
+def test_negative_budget_exits_parse(capsys, argv):
     assert cli.main(argv) == 2
     assert "must be nonnegative" in capsys.readouterr().err
 
@@ -440,15 +441,6 @@ def _signature(reports):
     return [(r.law, r.cases, r.failures, r.flags) for r in reports]
 
 
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _jobs(monkeypatch, jobs):
     monkeypatch.setattr(cli, "suite_jobs", lambda *args: jobs)
 
@@ -456,7 +448,7 @@ def _jobs(monkeypatch, jobs):
 @pytest.mark.parametrize("seed", [1, 7])
 def test_run_suite_matches_every_job_run_in_process(monkeypatch, seed):
     # three workers, so that children also inherit each other's pipes
-    _cpus(monkeypatch, 3)
+    _forks.cpus(monkeypatch, 3)
     want = {
         name: _signature(
             [rep for job in cli.suite_jobs(name, 20, seed) for rep in job()]
@@ -467,7 +459,7 @@ def test_run_suite_matches_every_job_run_in_process(monkeypatch, seed):
         assert _signature(cli.run_suite(name, 20, seed)) == want[name]
     got = _signature(cli.run_suite("all", 20, seed))
     assert got == [sig for name in SUITES for sig in want[name]]
-    _no_child_left()
+    _forks.no_child_left()
 
 
 @pytest.mark.parametrize("first", [1, 2])
@@ -482,11 +474,11 @@ def test_run_suite_raises_the_first_failing_job(monkeypatch, first):
     jobs = [lambda: [] for _ in range(5)]
     jobs[first] = fail(ParseError(f"job {first}"))
     jobs[first + 1] = fail(ShapeMismatch(f"job {first + 1}"))
-    _cpus(monkeypatch, 2)
+    _forks.cpus(monkeypatch, 2)
     _jobs(monkeypatch, jobs)
     with pytest.raises(ParseError, match=f"^job {first}$"):
         cli.run_suite("all")
-    _no_child_left()
+    _forks.no_child_left()
 
 
 @pytest.mark.parametrize("fault", ["dies", "unpicklable"])
@@ -500,18 +492,18 @@ def test_run_suite_raises_when_a_child_sends_no_result(monkeypatch, fault):
             os._exit(3)
         return [lambda: None]  # the child cannot pickle this
 
-    _cpus(monkeypatch, 2)
+    _forks.cpus(monkeypatch, 2)
     _jobs(monkeypatch, [job, job])
-    with pytest.raises(RuntimeError, match="before sending its reports"):
+    with pytest.raises(RuntimeError, match="before sending its result"):
         cli.run_suite("all")
-    _no_child_left()
+    _forks.no_child_left()
 
 
 def test_run_suite_forks_nothing_on_one_cpu(monkeypatch):
     def fork():
         raise AssertionError("forked on one CPU")
 
-    _cpus(monkeypatch, 1)
+    _forks.cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", fork)
     want = [rep for job in cli.suite_jobs("star-laws", 20, 1) for rep in job()]
     assert _signature(cli.run_suite("star-laws", 20, 1)) == _signature(want)

@@ -1,12 +1,14 @@
 """Generic law-checking harness, exercised on real and sabotaged instances."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+import _forks
 import _intern_counts
-from nucleal import finhilb, finrel, finstoch, pinj, xrel
+from nucleal import cli, finhilb, finrel, finstoch, pinj, xrel
 from nucleal.core import harness
 from nucleal.core.errors import UnsupportedCheck
 from nucleal.core.instance import TraceStructure
@@ -179,6 +181,8 @@ CASE_STREAM_DIGEST = (
 
 
 def _case_log(monkeypatch):
+    # on one CPU, so that every case runs through this process's `_run`
+    _forks.cpus(monkeypatch, 1)
     log = []
     run = harness._Runner._run
 
@@ -216,6 +220,7 @@ TRACE_CASE_STREAM_DIGEST = (
 
 
 def test_trace_case_streams_are_pinned(monkeypatch):
+    _forks.cpus(monkeypatch, 1)
     log = []
     run = harness._Runner._run
 
@@ -257,14 +262,16 @@ def test_report_signatures_are_pinned():
 
 
 def _sublaw_cases(monkeypatch) -> dict:
-    """Cases run per enabled sub-law by the checks called after this."""
+    """Cases run per enabled sub-law by the checks called after this, on
+    one CPU."""
+    _forks.cpus(monkeypatch, 1)
     cases = {}
     sweep, run = harness._Runner.sweep, harness._Runner._run
 
-    def swept(self, name, streams, fn, enabled=True, note=None):
+    def swept(self, name, streams, fn, enabled=True, note=None, draws=False):
         if enabled:
             cases.setdefault(name, [])
-        return sweep(self, name, streams, fn, enabled, note)
+        return sweep(self, name, streams, fn, enabled, note, draws)
 
     def logged(self, name, fn, case):
         cases[name].append(case)
@@ -350,3 +357,192 @@ def test_param_trace_needs_listed_objects():
     assert tr.has_param
     with pytest.raises(UnsupportedCheck):
         harness.check_param_trace_axioms(inst, tr, 100, 1)
+
+
+# -- large exhaustive sweeps split over CPUs ---------------------------------
+
+
+def _faulty(mod):
+    """The model's structures with a seeded compose fault: it raises on
+    maps out of a one-point set into a two-point one, and transposes
+    composites between two-point sets."""
+    inst, nuc, _ = mod.structures()
+
+    class FaultyCompose(type(inst)):
+        def compose(self, g, f):
+            if f.source.size == 1 and g.target.size == 2:
+                raise RuntimeError(f"seeded compose fault on f={self.describe(f)}")
+            out = super().compose(g, f)
+            if f.source.size == 2 and g.target.size == 2:
+                return self.star(out)
+            return out
+
+    faulty = FaultyCompose()
+    return faulty, type(nuc)(faulty)
+
+
+def _exhaustive_reports(inst, nuc, size):
+    return [
+        harness.check_star_laws(inst, 400_000, 1, max_size=size),
+        harness.check_nuclear_axioms(inst, nuc, 400_000, 1, max_size=size),
+    ]
+
+
+def _forks_counted(monkeypatch) -> list:
+    """The pids this process forks, in order."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _sig(reports):
+    return [(r.law, r.cases, r.failures, r.flags) for r in reports]
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+@pytest.mark.parametrize("mod,size", [(pinj, 3), (finrel, 2)], ids=["pinj", "finrel"])
+def test_split_sweeps_give_the_one_cpu_reports(monkeypatch, mod, size, fault):
+    inst, nuc = _faulty(mod) if fault else mod.structures()[:2]
+    _forks.cpus(monkeypatch, 2)
+    pids = _forks_counted(monkeypatch)
+    split = _exhaustive_reports(inst, nuc, size)
+    assert pids  # some sweep was split
+    _forks.no_child_left()
+    _forks.cpus(monkeypatch, 1)
+    assert _sig(split) == _sig(_exhaustive_reports(inst, nuc, size))
+    if fault:
+        nuclear = split[1]
+        # the first sub-law is split, and its witnesses fill the cap
+        assert len(nuclear.failures) == 21
+        assert nuclear.failures[0].startswith("closure-compose: exception RuntimeError")
+    else:
+        assert all(r.ok for r in split)
+
+
+def _demo_law(x):
+    if x % 1000 == 999:
+        raise ValueError(f"case {x}")
+    if x % 601 == 0 or x % 1499 == 0:
+        return [f"first of {x}", f"second of {x}"]
+
+
+def _demo_sweep(fn=_demo_law, sampled=True) -> harness._Runner:
+    """6000 listed cases in two streams, with a sampled stream between
+    them when `sampled`."""
+    run = harness._Runner("demo", 10_000, 1, 30)
+    draw = (None, None, lambda rng: (rng.below(6000),))
+    streams = [harness._listed(list(range(3000))), harness._listed(list(range(3000, 6000)))]
+    if sampled:
+        streams.insert(1, draw)
+    run.sweep("demo", streams, fn)
+    return run
+
+
+def _outcome(run):
+    rep = run.finish()
+    return rep.cases, rep.failures, rep.flags, run.failing, run.raised, run.rng.state
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["swept", "mixed"])
+def test_split_merges_witnesses_in_case_order(monkeypatch, sampled):
+    _forks.cpus(monkeypatch, 1)
+    want = _outcome(_demo_sweep(sampled=sampled))
+    _forks.cpus(monkeypatch, 2)
+    pids = _forks_counted(monkeypatch)
+    got = _outcome(_demo_sweep(sampled=sampled))
+    assert len(pids) == 1
+    _forks.no_child_left()
+    assert got == want
+    # witnesses of both workers (odd and even cases) and a raising case
+    # are kept, and the cap is reached
+    assert {"demo: first of 0", "demo: first of 601"} <= set(got[1])
+    assert any("exception ValueError" in f for f in got[1])
+    assert got[1][-1] == "... further failures suppressed"
+
+
+def test_one_worker_can_reach_the_cap_alone(monkeypatch):
+    # witnesses of the even cases 0 .. 40 only, all in worker 0 of 2:
+    # its 21st is what adds the suppression line
+    def law(x):
+        if x % 2 == 0 and x <= 40:
+            return f"case {x}"
+
+    _forks.cpus(monkeypatch, 1)
+    want = _outcome(_demo_sweep(law, sampled=False))
+    _forks.cpus(monkeypatch, 2)
+    assert _outcome(_demo_sweep(law, sampled=False)) == want
+    assert want[1][-1] == "... further failures suppressed"
+
+
+def test_a_worker_that_dies_mid_sweep_raises(monkeypatch):
+    here = os.getpid()
+
+    def law(x):
+        if os.getpid() != here and x > 3000:
+            os._exit(3)
+
+    _forks.cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="before sending its result"):
+        _demo_sweep(law)
+    _forks.no_child_left()
+
+
+def test_sweeps_inside_run_suite_stay_serial(monkeypatch):
+    here = os.getpid()
+    fork = os.fork
+
+    def first_level_only():
+        if os.getpid() != here:
+            raise AssertionError("a worker forked")
+        return fork()
+
+    def job():
+        return [_demo_sweep().finish()]
+
+    _forks.cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", first_level_only)
+    pids = _forks_counted(monkeypatch)
+    monkeypatch.setattr(cli, "suite_jobs", lambda *args: [job, job, job])
+    reports = cli.run_suite("all")
+    assert len(pids) == 1  # k - 1 workers for the jobs, none for the sweeps
+    _forks.no_child_left()
+    assert len({(r.cases, tuple(r.failures)) for r in reports}) == 1
+
+
+def test_a_sweep_forks_nothing_on_one_cpu(monkeypatch):
+    def fork():
+        raise AssertionError("forked on one CPU")
+
+    _forks.cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", fork)
+    assert _demo_sweep().report.cases == 6010
+
+
+def test_an_unmarked_law_that_draws_trips_the_guard(monkeypatch):
+    def sweep(draws):
+        run = harness._Runner("demo", 10_000, 1, 30)
+
+        def law(x):
+            run.rng.below(2)
+
+        run.sweep("demo", [harness._listed(list(range(6000)))], law, draws=draws)
+        return run
+
+    _forks.cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="mark its sweep draws=True"):
+        sweep(False)
+    _forks.no_child_left()
+    # marked, it runs here in case order, as on one CPU
+    pids = _forks_counted(monkeypatch)
+    marked = sweep(True)
+    assert not pids
+    _forks.cpus(monkeypatch, 1)
+    assert marked.rng.state == sweep(False).rng.state

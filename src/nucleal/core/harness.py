@@ -20,8 +20,8 @@ and this process runs worker 0's cases and then the sampled streams,
 which alone draw.  Each worker sends back its case count, whether a
 case failed or raised, and its first witnesses keyed by (stream, case);
 they are merged in that order, so the report is the serial run's.  The
-five laws that draw on every case are marked `draws` at their sweep and
-never split; a worker whose generator moved raises.  Inside a
+laws whose swept cases draw are marked `@draws` and never split; a
+worker whose generator moved raises.  Inside a
 `fork_map`, as under `cli.run_suite`, nothing splits.
 
 Tuples of morphisms come from one builder, `_streams`, driven by specs
@@ -66,8 +66,17 @@ Stream = tuple[Optional[int], Optional[Callable], Callable]
 #: the fewest swept cases a sweep splits over CPUs.  A fork round trip
 #: (fork, pickle a share's result back, reap) took 2.3 ms in the median
 #: of 50 on a 2-CPU Linux host, and the cheapest sub-laws take about
-#: 5 us a case, so half of 4096 such cases is about 10 ms, four times it
+#: 5 us a case, so half of 4096 such cases is about 10 ms, four times it.
+#: Each worker gets at least SPLIT_MIN // 2 cases, so a sweep splits over
+#: at most swept // (SPLIT_MIN // 2) CPUs.
 SPLIT_MIN = 4096
+
+
+def draws(law):
+    """Mark a law that draws from its runner's generator on every case:
+    its cases must run in order in one process, so its sweep never splits."""
+    law.draws = True
+    return law
 
 
 class _Runner:
@@ -100,17 +109,13 @@ class _Runner:
 
     def each(self, name: str, cases, fn) -> None:
         """Run `fn` on every case, in order; sets no flag."""
-        for case in cases:
-            for line in self._run(name, fn, case):
-                self.report.add_failure(line)
+        for _, line in self._keyed(name, fn, ((None, case) for case in cases)):
+            self.report.add_failure(line)
 
-    def sweep(self, name: str, streams: list[Stream], fn, enabled=True, note=None,
-              draws=False):
+    def sweep(self, name: str, streams: list[Stream], fn, enabled=True, note=None):
         """Run sub-law `name` over its streams, each swept exhaustively
         when its count fits into the remaining budget, sampled otherwise.
-
-        `draws` marks a law that draws from `self.rng` on every case: its
-        cases must run in order in one process, so it never splits.
+        A large sweep of a law not marked `@draws` splits over CPUs.
         """
         if not enabled:
             suffix = f" ({note})" if note else ""
@@ -127,7 +132,8 @@ class _Runner:
                 runs.append((enum, None))
             else:
                 runs.append((None, sample))
-        if not draws and swept >= SPLIT_MIN and (k := parallel.cpus()) > 1:
+        k = min(parallel.cpus(), swept // (SPLIT_MIN // 2))  # > 1 needs SPLIT_MIN
+        if k > 1 and not getattr(fn, "draws", False):
             self._split(name, fn, runs, per_samples, k)
         else:
             for enum, sample in runs:
@@ -155,7 +161,7 @@ class _Runner:
             lines = part._keyed(name, fn, itertools.islice(keyed(), w, None, k))
             if self.rng.state != state:
                 raise RuntimeError(f"{name} draws from the runner's generator; "
-                                   "mark its sweep draws=True")
+                                   "mark it @draws")
             return part.report.cases, bool(part.failing), part.raised, lines
 
         shares = parallel.fork_map(share, k)
@@ -688,6 +694,7 @@ def check_trace_axioms(
     rend = lambda x: scalars.render(inst.scalar_kind, x)
     members = _members(inst, inst.objects(max_size), 1, tr.enum_members, tr.sample_member)
 
+    @draws
     def ideal(h, a):
         k = inst.sample_hom(rng, a, a)
         out = []
@@ -697,7 +704,7 @@ def check_trace_axioms(
             out.append(f"h.k leaves the trace class: h={inst.describe(h)} k={inst.describe(k)}")
         return out
 
-    run.sweep("ideal", members, ideal, draws=True)
+    run.sweep("ideal", members, ideal)
 
     def dinaturality_sample(rng):
         a, b = inst.sample_object(rng), inst.sample_object(rng)
@@ -747,6 +754,7 @@ def check_trace_axioms(
               enabled=inst.has_tensor and inst.has_unit and inst.has_identity,
               note="no tensor/unit")
 
+    @draws
     def tensor_mult(h, a):
         b = inst.sample_object(rng)
         k = tr.sample_member(rng, b)
@@ -761,7 +769,7 @@ def check_trace_axioms(
             )
 
     run.sweep("tensor", members, tensor_mult,
-              enabled=inst.has_tensor, note="no tensor", draws=True)
+              enabled=inst.has_tensor, note="no tensor")
 
     def star_conj(h, a):
         out = []
@@ -814,6 +822,7 @@ def check_param_trace_axioms(
         for aub, ms in members
     ]
 
+    @draws
     def ideal_closure(f, a, u, b):
         out = []
         h = inst.sample_hom(rng, u, u)
@@ -835,7 +844,7 @@ def check_param_trace_axioms(
             out.append("framing by g, k leaves the class")
         return out
 
-    run.sweep("ideal-closure", listed, ideal_closure, draws=True)
+    run.sweep("ideal-closure", listed, ideal_closure)
 
     def vanishing_unit_sample(rng):
         a, b = pick(rng), pick(rng)
@@ -918,7 +927,7 @@ def check_param_trace_axioms(
         if not eq(lhs, rhs):
             return f"superposing broken: f={inst.describe(f)} g={inst.describe(g)}"
 
-    run.sweep("superposing", framed, superposing, draws=True)
+    run.sweep("superposing", framed, superposing)
 
     def yanking_sample(rng):
         a, u, b = pick(rng), pick(rng), pick(rng)
@@ -972,7 +981,7 @@ def check_param_trace_axioms(
         if not eq(lhs, rhs):
             return f"tightening broken: f={inst.describe(f)} g={inst.describe(g)} k={inst.describe(k)}"
 
-    run.sweep("tightening", framed, tightening, draws=True)
+    run.sweep("tightening", framed, tightening)
 
     return run.finish()
 

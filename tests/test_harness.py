@@ -268,10 +268,10 @@ def _sublaw_cases(monkeypatch) -> dict:
     cases = {}
     sweep, run = harness._Runner.sweep, harness._Runner._run
 
-    def swept(self, name, streams, fn, enabled=True, note=None, draws=False):
+    def swept(self, name, streams, fn, enabled=True, note=None):
         if enabled:
             cases.setdefault(name, [])
-        return sweep(self, name, streams, fn, enabled, note, draws)
+        return sweep(self, name, streams, fn, enabled, note)
 
     def logged(self, name, fn, case):
         cases[name].append(case)
@@ -526,18 +526,28 @@ def test_a_sweep_forks_nothing_on_one_cpu(monkeypatch):
     assert _demo_sweep().report.cases == 6010
 
 
+def test_a_sweep_splits_over_no_more_cpus_than_its_cases_fill(monkeypatch):
+    # 6000 cases fill two workers of SPLIT_MIN // 2, not eight
+    _forks.cpus(monkeypatch, 8)
+    pids = _forks_counted(monkeypatch)
+    assert _demo_sweep().report.cases == 6010
+    assert len(pids) == 1
+    _forks.no_child_left()
+
+
 def test_an_unmarked_law_that_draws_trips_the_guard(monkeypatch):
-    def sweep(draws):
+    def sweep(marked):
         run = harness._Runner("demo", 10_000, 1, 30)
 
         def law(x):
             run.rng.below(2)
 
-        run.sweep("demo", [harness._listed(list(range(6000)))], law, draws=draws)
+        run.sweep("demo", [harness._listed(list(range(6000)))],
+                  harness.draws(law) if marked else law)
         return run
 
     _forks.cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="mark its sweep draws=True"):
+    with pytest.raises(RuntimeError, match="mark it @draws"):
         sweep(False)
     _forks.no_child_left()
     # marked, it runs here in case order, as on one CPU
@@ -546,3 +556,25 @@ def test_an_unmarked_law_that_draws_trips_the_guard(monkeypatch):
     assert not pids
     _forks.cpus(monkeypatch, 1)
     assert marked.rng.state == sweep(False).rng.state
+
+
+def test_trace_checks_run_under_a_five_argument_sweep_wrapper(monkeypatch):
+    # a wrapper with `sweep`'s signature, as a profiler installs one, sees
+    # every sweep of the checks whose laws draw, and changes no report
+    sweep = harness._Runner.sweep
+    names = []
+
+    def counted(runner, name, streams, fn, enabled=True, note=None):
+        names.append(name)
+        return sweep(runner, name, streams, fn, enabled, note)
+
+    def reports():
+        return [r for mod in (pinj, finrel) for inst, nuc, tr in [mod.structures()]
+                for r in (harness.check_trace_axioms(inst, nuc, tr, 300, 3, max_size=2),
+                          harness.check_param_trace_axioms(inst, tr, 300, 3, max_size=2))]
+
+    _forks.cpus(monkeypatch, 2)
+    want = _sig(reports())
+    monkeypatch.setattr(harness._Runner, "sweep", counted)
+    assert _sig(reports()) == want
+    assert {"ideal", "tensor", "ideal-closure", "superposing", "tightening"} <= set(names)

@@ -13,21 +13,24 @@ A stream whose full case count fits into the remaining budget is swept
 exhaustively, anything larger is sampled with the seeded generator,
 and the report flags say which happened.
 
-A sweep whose exhaustive streams hold at least `SPLIT_MIN` cases runs
-on every CPU of the affinity mask (`parallel.fork_map`): worker w runs
-the swept cases j = w, w + k, ..., counted across the streams in order,
-and this process runs worker 0's cases and then the sampled streams,
-which alone draw.  Each worker sends back its case count, whether a
-case failed or raised, and its first witnesses keyed by (stream, case);
-they are merged in that order, so the report is the serial run's.  The
-laws whose swept cases draw are marked `@draws` and never split; a
-worker whose generator moved raises.  Inside a
-`fork_map`, as under `cli.run_suite`, nothing splits.
+Every law is a pure function of its case: what a law needs at random
+is drawn where its case is made (`_then`), never while it runs.  So a
+sweep deals its cases over k shares of `parallel.fork_map`, one CPU per
+`SPLIT_MIN // 2` swept cases at most, and k = 1 is the serial run.
+Share w makes every case from its own copy of the generator and runs
+the cases j = w, w + k, ..., counted across the streams in order.  It
+sends back its case count, whether a case failed or raised, and its
+first witnesses keyed by j; they are merged in that order, so the
+report is the one-CPU run's.  The sweep raises if a law moved the
+runner's own generator in any share.  Inside a `fork_map`, as under `cli.run_suite`,
+k is 1.
 
-Tuples of morphisms come from one builder, `_streams`, driven by specs
-(homs, i, j): each draws a morphism from object slot i to slot j, where
-homs is (count, enum, sample) over the instance's hom-sets or over its
-nuclear ideal.  Members over objects (states, trace-class members) come
+A stream is (count, enum, sample): enum(rng) makes its count cases and
+sample(rng) draws one; `_then` appends what a law needs at random to
+the cases of both.  Tuples of morphisms come from one builder,
+`_streams`, driven by specs (homs, i, j): each draws a morphism from
+object slot i to slot j, where homs is (count, enum, sample) over the
+instance's hom-sets or over its nuclear ideal.  Members over objects (states, trace-class members) come
 from `_members`, listed where the structure lists them.  Streams over
 explicitly listed cases come from `_listed` and sample by drawing among
 their cases.  Every stream therefore has a sampler: none is dropped
@@ -72,13 +75,6 @@ Stream = tuple[Optional[int], Optional[Callable], Callable]
 SPLIT_MIN = 4096
 
 
-def draws(law):
-    """Mark a law that draws from its runner's generator on every case:
-    its cases must run in order in one process, so its sweep never splits."""
-    law.draws = True
-    return law
-
-
 class _Runner:
     """One check invocation: its report, seeded generator, budget and clock.
 
@@ -115,7 +111,12 @@ class _Runner:
     def sweep(self, name: str, streams: list[Stream], fn, enabled=True, note=None):
         """Run sub-law `name` over its streams, each swept exhaustively
         when its count fits into the remaining budget, sampled otherwise.
-        A large sweep of a law not marked `@draws` splits over CPUs.
+
+        Every share (`parallel.fork_map`) makes every case from its own
+        copy of the generator and runs the cases j = w, w + k, ..., counted
+        across the streams in order; share 0's generator goes on as this
+        runner's.  Each failure line is keyed by its case's j and merged
+        here in that order, so the report is the one-CPU run's.
         """
         if not enabled:
             suffix = f" ({note})" if note else ""
@@ -123,62 +124,47 @@ class _Runner:
             return
         n_streams = max(1, len(streams))
         per_samples = max(1, self.samples // n_streams) if n_streams > 1 else self.samples
-        runs = []  # per stream: (enum, None) to sweep or (None, sample) to sample
+        runs = []  # per stream, its cases made from a generator
         swept = 0
+        exhaustive = bool(streams)
         for count, enum, sample in streams:
             if count is not None and enum is not None and count <= self.remaining:
                 self.remaining -= count
                 swept += count
-                runs.append((enum, None))
+                runs.append(enum)
             else:
-                runs.append((None, sample))
-        k = min(parallel.cpus(), swept // (SPLIT_MIN // 2))  # > 1 needs SPLIT_MIN
-        if k > 1 and not getattr(fn, "draws", False):
-            self._split(name, fn, runs, per_samples, k)
-        else:
-            for enum, sample in runs:
-                # lazy, so each draw follows the law run on the one before
-                self.each(name, enum() if enum else
-                          (sample(self.rng) for _ in range(per_samples)), fn)
-        if runs and all(enum for enum, _ in runs):
-            self.report.flags.append(f"exhaustive:{name}")
-
-    def _split(self, name, fn, runs, per_samples, k) -> None:
-        """`sweep` on k processes, with the serial run's report.
-
-        Case j of the swept streams, counted in stream order, runs in
-        worker j mod k (`parallel.fork_map`); this process runs worker
-        0, then the sampled streams.  Each failure line is keyed by its
-        (stream, case) and merged here in that order, so the report
-        holds the serial run's witnesses.
-        """
-        keyed = lambda: (((s, i), case) for s, (enum, _) in enumerate(runs) if enum
-                         for i, case in enumerate(enum()))
+                exhaustive = False
+                runs.append(lambda rng, sample=sample:
+                            (sample(rng) for _ in range(per_samples)))
+        start = self.rng.state
+        k = max(1, min(parallel.cpus(), swept // (SPLIT_MIN // 2)))
 
         def share(w):
-            state = self.rng.state
+            rng = Lcg(start)
             part = _Runner(self.report.law)
-            lines = part._keyed(name, fn, itertools.islice(keyed(), w, None, k))
-            if self.rng.state != state:
-                raise RuntimeError(f"{name} draws from the runner's generator; "
-                                   "mark it @draws")
-            return part.report.cases, bool(part.failing), part.raised, lines
+            # lazy: each case is made as it runs, so none are held at once
+            cases = itertools.chain.from_iterable(run(rng) for run in runs)
+            lines = part._keyed(name, fn, itertools.islice(enumerate(cases), w, None, k))
+            moved = self.rng.state != start  # a law drew from this runner's generator
+            return part.report.cases, bool(part.failing), part.raised, lines, moved, rng.state
 
         shares = parallel.fork_map(share, k)
-        lines = [kl for *_, part in shares for kl in part]
-        lines += self._keyed(name, fn, (
-            ((s, i), sample(self.rng))
-            for s, (enum, sample) in enumerate(runs) if not enum
-            for i in range(per_samples)
-        ))
-        for cases, failed, raised, _ in shares:
+        if any(moved for *_, moved, _ in shares):
+            raise RuntimeError(f"{name}: a law drew from the runner's generator; "
+                               "draw in the case streams instead")
+        self.rng.state = shares[0][-1]
+        lines = []
+        for cases, failed, raised, part, _, _ in shares:
             self.report.cases += cases
             if failed:
                 self.failing.add(name)
             self.raised |= raised
+            lines += part
         lines.sort(key=lambda kl: kl[0])
         for _, line in lines[:FAILURE_CAP + 1]:
             self.report.add_failure(line)
+        if exhaustive:
+            self.report.flags.append(f"exhaustive:{name}")
 
     def _keyed(self, name, fn, cases) -> list:
         """Run (key, case) pairs; the first FAILURE_CAP + 1 failure lines,
@@ -246,7 +232,7 @@ def _listed(items: list, *rest) -> Stream:
     """One case (item, *rest) per listed item; samples by drawing an item."""
     return (
         len(items),
-        lambda: ((x, *rest) for x in items),
+        lambda rng: ((x, *rest) for x in items),
         lambda rng: (rng.choice(items), *rest),
     )
 
@@ -270,7 +256,7 @@ def _streams(inst, objs, n_objs: int, specs) -> list[Stream]:
     for xs in itertools.product(objs, repeat=n_objs):
         counts = [count(xs[i], xs[j]) for (count, _, _), i, j in specs]
 
-        def enum(xs=xs):
+        def enum(rng, xs=xs):
             return itertools.product(
                 *(enum_hom(xs[i], xs[j]) for (_, enum_hom, _), i, j in specs)
             )
@@ -288,11 +274,19 @@ def _streams_obj(inst, objs) -> list[Stream]:
     return [_listed([a]) for a in objs]
 
 
-def _streams_scalar(inst) -> list[Stream]:
-    i = inst.unit()
-    count = inst.count_hom(i, i)
-    enum = (lambda: ((s,) for s in inst.enum_hom(i, i))) if count is not None else None
-    return [(count, enum, lambda rng: (inst.sample_hom(rng, i, i),))]
+def _then(streams: list[Stream], draw) -> list[Stream]:
+    """The streams with the values draw(rng, *case) returns appended to
+    each case, drawn as the case is made, so that the law stays a
+    function of its case alone."""
+    def extend(rng, case):
+        return (*case, *draw(rng, *case))
+
+    return [
+        (count,
+         enum and (lambda rng, enum=enum: (extend(rng, c) for c in enum(rng))),
+         lambda rng, sample=sample: extend(rng, sample(rng)))
+        for count, enum, sample in streams
+    ]
 
 
 def _members(inst, objs, n_objs: int, enum, sample) -> list[Stream]:
@@ -449,7 +443,8 @@ def check_star_laws(
         if not inst.scalar_eq(inst.scalar_of(lhs), inst.scalar_of(rhs)):
             return f"scalar star != conj for s={d(s)}"
 
-    run.sweep("scalar-star", _streams_scalar(inst) if inst.has_unit else [],
+    run.sweep("scalar-star",
+              _streams(inst, [inst.unit()], 1, [(hom, 0, 0)]) if inst.has_unit else [],
               scalar_square, enabled=inst.has_unit and inst.has_identity,
               note="no unit object")
 
@@ -689,14 +684,12 @@ def check_trace_axioms(
 ) -> AxiomReport:
     """Two-sided ideal, dinaturality, vanishing, tensor, star, conjugation."""
     run = _Runner(f"trace-axioms[{inst.name}]", budget, seed, 300)
-    rng = run.rng
     seq = inst.scalar_eq
     rend = lambda x: scalars.render(inst.scalar_kind, x)
+    hom = (inst.count_hom, inst.enum_hom, inst.sample_hom)
     members = _members(inst, inst.objects(max_size), 1, tr.enum_members, tr.sample_member)
 
-    @draws
-    def ideal(h, a):
-        k = inst.sample_hom(rng, a, a)
+    def ideal(h, a, k):
         out = []
         if not tr.in_trace_class(inst.compose(k, h)):
             out.append(f"k.h leaves the trace class: h={inst.describe(h)} k={inst.describe(k)}")
@@ -704,7 +697,8 @@ def check_trace_axioms(
             out.append(f"h.k leaves the trace class: h={inst.describe(h)} k={inst.describe(k)}")
         return out
 
-    run.sweep("ideal", members, ideal)
+    run.sweep("ideal", _then(members, lambda rng, h, a: (inst.sample_hom(rng, a, a),)),
+              ideal)
 
     def dinaturality_sample(rng):
         a, b = inst.sample_object(rng), inst.sample_object(rng)
@@ -736,7 +730,8 @@ def check_trace_axioms(
             )
         return out
 
-    run.sweep("vanishing-unit", _streams_scalar(inst) if inst.has_unit else [],
+    run.sweep("vanishing-unit",
+              _streams(inst, [inst.unit()], 1, [(hom, 0, 0)]) if inst.has_unit else [],
               vanishing_unit, enabled=inst.has_unit, note="no unit object")
 
     def vanishing_tensor(h, a):
@@ -754,10 +749,7 @@ def check_trace_axioms(
               enabled=inst.has_tensor and inst.has_unit and inst.has_identity,
               note="no tensor/unit")
 
-    @draws
-    def tensor_mult(h, a):
-        b = inst.sample_object(rng)
-        k = tr.sample_member(rng, b)
+    def tensor_mult(h, a, k):
         hk = inst.tensor(h, k)
         if not tr.in_trace_class(hk):
             return "tensor of traced members is not traced"
@@ -768,7 +760,9 @@ def check_trace_axioms(
                 f"tr(h)tr(k)={rend(want)}"
             )
 
-    run.sweep("tensor", members, tensor_mult,
+    # k is a member over a drawn object
+    member = lambda rng, h, a: (tr.sample_member(rng, inst.sample_object(rng)),)
+    run.sweep("tensor", _then(members, member), tensor_mult,
               enabled=inst.has_tensor, note="no tensor")
 
     def star_conj(h, a):
@@ -806,7 +800,6 @@ def check_param_trace_axioms(
     if objs is None:
         raise UnsupportedCheck(f"{inst.name}: the parametrized trace needs listed objects")
     run = _Runner(f"param-trace[{inst.name}]", budget, seed, 300)
-    rng = run.rng
     eq = inst.mor_eq
     i_obj = inst.unit()
     pick = inst.sample_object
@@ -822,20 +815,19 @@ def check_param_trace_axioms(
         for aub, ms in members
     ]
 
-    @draws
-    def ideal_closure(f, a, u, b):
-        out = []
+    def closure_draws(rng, f, a, u, b):
         h = inst.sample_hom(rng, u, u)
+        c, dd = pick(rng), pick(rng)
+        return h, c, dd, inst.sample_hom(rng, b, c), inst.sample_hom(rng, dd, a)
+
+    def ideal_closure(f, a, u, b, h, c, dd, g, k):
+        out = []
         left = inst.compose(inst.tensor(inst.identity(b), h), f)
         if not tr.in_param_class(left, a, u, b):
             out.append("post-composition by id(x)h leaves the class")
         right = inst.compose(f, inst.tensor(inst.identity(a), h))
         if not tr.in_param_class(right, a, u, b):
             out.append("pre-composition by id(x)h leaves the class")
-        c = pick(rng)
-        dd = pick(rng)
-        g = inst.sample_hom(rng, b, c)
-        k = inst.sample_hom(rng, dd, a)
         framed = inst.compose(
             inst.tensor(g, inst.identity(u)),
             inst.compose(f, inst.tensor(k, inst.identity(u))),
@@ -844,7 +836,7 @@ def check_param_trace_axioms(
             out.append("framing by g, k leaves the class")
         return out
 
-    run.sweep("ideal-closure", listed, ideal_closure)
+    run.sweep("ideal-closure", _then(listed, closure_draws), ideal_closure)
 
     def vanishing_unit_sample(rng):
         a, b = pick(rng), pick(rng)
@@ -904,8 +896,7 @@ def check_param_trace_axioms(
 
     run.sweep("vanishing-tensor", _single(vanishing_tensor_sample), vanishing_tensor)
 
-    def superposing(f, a, u, b, c, dd):
-        g = inst.sample_hom(rng, c, dd)
+    def superposing(f, a, u, b, c, dd, g):
         ca, db = inst.tensor_obj(c, a), inst.tensor_obj(dd, b)
         n_in = inst.obj_size(ca) * inst.obj_size(u)
         n_out = inst.obj_size(db) * inst.obj_size(u)
@@ -927,7 +918,9 @@ def check_param_trace_axioms(
         if not eq(lhs, rhs):
             return f"superposing broken: f={inst.describe(f)} g={inst.describe(g)}"
 
-    run.sweep("superposing", framed, superposing)
+    run.sweep("superposing",
+              _then(framed, lambda rng, f, a, u, b, c, dd: (inst.sample_hom(rng, c, dd),)),
+              superposing)
 
     def yanking_sample(rng):
         a, u, b = pick(rng), pick(rng), pick(rng)
@@ -967,9 +960,7 @@ def check_param_trace_axioms(
 
     run.sweep("sliding", _single(sliding_sample), sliding)
 
-    def tightening(f, a, u, b, c, dd):
-        g = inst.sample_hom(rng, b, c)
-        k = inst.sample_hom(rng, dd, a)
+    def tightening(f, a, u, b, c, dd, g, k):
         m = inst.compose(
             inst.tensor(g, inst.identity(u)),
             inst.compose(f, inst.tensor(k, inst.identity(u))),
@@ -981,7 +972,10 @@ def check_param_trace_axioms(
         if not eq(lhs, rhs):
             return f"tightening broken: f={inst.describe(f)} g={inst.describe(g)} k={inst.describe(k)}"
 
-    run.sweep("tightening", framed, tightening)
+    run.sweep("tightening",
+              _then(framed, lambda rng, f, a, u, b, c, dd:
+                    (inst.sample_hom(rng, b, c), inst.sample_hom(rng, dd, a))),
+              tightening)
 
     return run.finish()
 

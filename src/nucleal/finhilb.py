@@ -245,8 +245,6 @@ def hermitian_eig(a: CMatrix):
     if max_abs_diff(a, adjoint(a)) > HERMITIAN_TOL:
         raise InvariantViolation("matrix is not Hermitian within tolerance")
     n = a.rows
-    if n == 0:
-        return [], a
     work = a.row_lists()
     # fold tiny asymmetry away so the iteration sees an exactly Hermitian matrix
     for i in range(n):

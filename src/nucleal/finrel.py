@@ -20,13 +20,13 @@ endpoints are the caller's business where they are not plain sets:
 
 Boundary contract: values that enter from outside are validated, values
 that model operations make are trusted.  The `FinSet` and `Relation`
-constructors, `from_pairs`, `from_json`/`finset_from_json` and the
-samplers check every invariant (distinct labels; one row per source
-element, no bit outside the target).  The operations and enumerators
-(`compose`, `converse`, `tensor`, `product`, `identity`, `theta`, ...)
-preserve those invariants, and each subclass's invariant, by
-construction, so they build through the trusted `_mk`/`_mk_set`, which
-skip the checks.
+constructors, `from_pairs` and `from_json`/`finset_from_json` check
+every invariant (distinct labels; one row per source element, no bit
+outside the target).  The operations, enumerators and samplers
+(`compose`, `converse`, `tensor`, `product`, `identity`, `theta`,
+`sample_hom`, ...) preserve those invariants, and each subclass's
+invariant, by construction, so they build through the trusted
+`_mk`/`_mk_set`, which skip the checks.
 
 Interning: each set shape the models build has exactly one object.
 `fin_set(n)` returns one interned set per n, `UNIT` is interned, and
@@ -340,11 +340,16 @@ def param_trace(r: Relation, a: FinSet, u: FinSet, b: FinSet) -> Relation:
     return _mk(a, b, tuple(rows), type(r))
 
 
+def _from_mask(source: FinSet, target: FinSet, mask: int) -> Relation:
+    """The relation whose bit i * |target| + j of `mask` relates i to j."""
+    nt = target.size
+    return _mk(source, target,
+               tuple((mask >> (i * nt)) & ((1 << nt) - 1) for i in range(source.size)))
+
+
 def enum_relations(source: FinSet, target: FinSet) -> Iterator[Relation]:
-    ns, nt = source.size, target.size
-    for mask in range(1 << (ns * nt)):
-        rows = tuple((mask >> (i * nt)) & ((1 << nt) - 1) for i in range(ns))
-        yield _mk(source, target, rows)
+    for mask in range(1 << (source.size * target.size)):
+        yield _from_mask(source, target, mask)
 
 
 # -- serialization ----------------------------------------------------------
@@ -465,12 +470,7 @@ class FinRelInstance(CategoryInstance):
         return fin_set(rng.below(self.max_object_size + 1))
 
     def sample_hom(self, rng: Lcg, a, b):
-        bits = a.size * b.size
-        mask = rng.bits(bits) if bits else 0
-        rows = tuple(
-            (mask >> (i * b.size)) & ((1 << b.size) - 1) for i in range(a.size)
-        )
-        return Relation(a, b, rows)
+        return _from_mask(a, b, rng.bits(a.size * b.size))
 
     def objects(self, max_size=None):
         cap = self.max_object_size if max_size is None else max_size

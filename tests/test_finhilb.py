@@ -142,6 +142,11 @@ def test_hermitian_eig_reconstructs_random():
         assert vals == pytest.approx(np.linalg.eigvalsh(to_np(h)), abs=1e-10)
 
 
+def test_hermitian_eig_of_the_empty_matrix():
+    vals, vecs = finhilb.hermitian_eig(finhilb.zeros(0, 0))
+    assert (vals, vecs.rows, vecs.cols) == ([], 0, 0)
+
+
 def test_hermitian_eig_rejects_skew():
     with pytest.raises(InvariantViolation):
         finhilb.hermitian_eig(finhilb.from_rows([[0, 1], [0, 0]]))
@@ -274,6 +279,10 @@ def test_tensor_trace_multiplicative():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         finhilb.matmul(finhilb.zeros(2, 3), finhilb.zeros(2, 3))
+
+
+def test_maps_of_two_shapes_are_unequal():
+    assert not finhilb.instance().mor_eq(finhilb.zeros(1, 1), finhilb.zeros(1, 2))
 
 
 def test_json_round_trip():

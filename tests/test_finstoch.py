@@ -283,6 +283,10 @@ def test_giry_unit_is_point_mass():
     assert d.mass_of("x") == 1 and d.support() == ("x",)
 
 
+def test_an_absent_point_has_no_mass():
+    assert finstoch.giry_unit("x").mass_of("y") == 0
+
+
 def test_giry_mult_of_point_mass_at_distribution():
     inner = finstoch.fin_dist({"a": HALF, "b": HALF})
     assert finstoch.giry_mult(finstoch.giry_unit(inner)) == inner
@@ -340,6 +344,10 @@ def test_json_round_trip_and_validation():
     leaky = finstoch.to_json(leaky_measure())
     with pytest.raises(ParseError):
         finstoch.from_json(leaky)
+
+
+def test_space_json_takes_an_integer_mass():
+    assert finstoch.space_from_json({"points": ["a"], "mass": {"a": 1}}).mass == (1,)
 
 
 def test_kernel_json_round_trip():

@@ -296,8 +296,9 @@ def test_param_trace_sublaws_run_past_the_budget(monkeypatch):
     inst, _, tr = finrel.structures()
     harness.check_param_trace_axioms(inst, tr, 200, 1, max_size=2)
     assert [name for name, run in cases.items() if not run] == []
-    # every (a, u, b) among sets of size <= 2 has members, the empty relation
-    reached = {tuple(x.size for x in case[1:]) for case in cases["ideal-closure"]}
+    # every (a, u, b) among sets of size <= 2 has members, the empty relation;
+    # the maps drawn to frame each member follow in the case
+    reached = {tuple(x.size for x in case[1:4]) for case in cases["ideal-closure"]}
     assert len(reached) == 3 ** 3
 
 
@@ -434,15 +435,15 @@ def _demo_law(x):
         return [f"first of {x}", f"second of {x}"]
 
 
-def _demo_sweep(fn=_demo_law, sampled=True) -> harness._Runner:
+def _demo_sweep(fn=_demo_law, sampled=True, draw=None) -> harness._Runner:
     """6000 listed cases in two streams, with a sampled stream between
-    them when `sampled`."""
+    them when `sampled`, each case followed by what `draw` draws."""
     run = harness._Runner("demo", 10_000, 1, 30)
-    draw = (None, None, lambda rng: (rng.below(6000),))
+    sample = (None, None, lambda rng: (rng.below(6000),))
     streams = [harness._listed(list(range(3000))), harness._listed(list(range(3000, 6000)))]
     if sampled:
-        streams.insert(1, draw)
-    run.sweep("demo", streams, fn)
+        streams.insert(1, sample)
+    run.sweep("demo", harness._then(streams, draw) if draw else streams, fn)
     return run
 
 
@@ -466,6 +467,22 @@ def test_split_merges_witnesses_in_case_order(monkeypatch, sampled):
     assert {"demo: first of 0", "demo: first of 601"} <= set(got[1])
     assert any("exception ValueError" in f for f in got[1])
     assert got[1][-1] == "... further failures suppressed"
+
+
+def test_draws_made_with_the_cases_split_as_on_one_cpu(monkeypatch):
+    # one draw per case, swept or sampled: every share makes the same
+    # cases, and the runner's generator ends where the one-CPU run's does
+    draw = lambda rng, x: (rng.below(1000),)
+    law = lambda x, r: _demo_law(x + r)
+    _forks.cpus(monkeypatch, 1)
+    want = _outcome(_demo_sweep(law, draw=draw))
+    _forks.cpus(monkeypatch, 2)
+    pids = _forks_counted(monkeypatch)
+    got = _outcome(_demo_sweep(law, draw=draw))
+    assert len(pids) == 1
+    _forks.no_child_left()
+    assert got == want
+    assert got[-1] != _outcome(_demo_sweep())[-1]  # the draws moved the generator
 
 
 def test_one_worker_can_reach_the_cap_alone(monkeypatch):
@@ -535,32 +552,25 @@ def test_a_sweep_splits_over_no_more_cpus_than_its_cases_fill(monkeypatch):
     _forks.no_child_left()
 
 
-def test_an_unmarked_law_that_draws_trips_the_guard(monkeypatch):
-    def sweep(marked):
-        run = harness._Runner("demo", 10_000, 1, 30)
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_law_that_draws_trips_the_guard(monkeypatch, n_cpus):
+    # on 2 CPUs only the forked worker runs the odd cases that draw
+    run = harness._Runner("demo", 10_000, 1, 30)
 
-        def law(x):
+    def law(x):
+        if x % 2:
             run.rng.below(2)
 
-        run.sweep("demo", [harness._listed(list(range(6000)))],
-                  harness.draws(law) if marked else law)
-        return run
-
-    _forks.cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="mark it @draws"):
-        sweep(False)
+    _forks.cpus(monkeypatch, n_cpus)
+    with pytest.raises(RuntimeError, match="demo: a law drew from the runner's generator"):
+        run.sweep("demo", [harness._listed(list(range(6000)))], law)
     _forks.no_child_left()
-    # marked, it runs here in case order, as on one CPU
-    pids = _forks_counted(monkeypatch)
-    marked = sweep(True)
-    assert not pids
-    _forks.cpus(monkeypatch, 1)
-    assert marked.rng.state == sweep(False).rng.state
 
 
 def test_trace_checks_run_under_a_five_argument_sweep_wrapper(monkeypatch):
     # a wrapper with `sweep`'s signature, as a profiler installs one, sees
-    # every sweep of the checks whose laws draw, and changes no report
+    # every sweep of the checks whose cases carry drawn maps, and changes
+    # no report
     sweep = harness._Runner.sweep
     names = []
 

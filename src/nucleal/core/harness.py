@@ -33,8 +33,10 @@ object slot i to slot j, where homs is (count, enum, sample) over the
 instance's hom-sets or over its nuclear ideal.  Members over objects (states, trace-class members) come
 from `_members`, listed where the structure lists them.  Streams over
 explicitly listed cases come from `_listed` and sample by drawing among
-their cases.  Every stream therefore has a sampler: none is dropped
-without a case once the budget runs out.
+their cases; the cases may be held as a family, such as finrel's
+`Relations`, that makes an item only when it is indexed or iterated.
+Every stream therefore has a sampler: none is dropped without a case
+once the budget runs out.
 
 Structural isomorphisms (unit introduction, regrouping, factor
 permutations) are built here from each instance's `reindex` primitive
@@ -228,8 +230,11 @@ def _single(sample) -> list[Stream]:
     return [(None, None, sample)]
 
 
-def _listed(items: list, *rest) -> Stream:
-    """One case (item, *rest) per listed item; samples by drawing an item."""
+def _listed(items: Sequence, *rest) -> Stream:
+    """One case (item, *rest) per listed item; samples by drawing an item.
+
+    `items` needs only a length, an index and iteration in index order,
+    so it may be a family that makes an item when it is indexed."""
     return (
         len(items),
         lambda rng: ((x, *rest) for x in items),
@@ -804,9 +809,11 @@ def check_param_trace_axioms(
     i_obj = inst.unit()
     pick = inst.sample_object
 
-    # each object triple's members, listed once: `listed` sweeps them and
-    # `framed` draws one with two more objects to frame it by
-    members = [(aub, list(tr.enum_param_members(*aub)))
+    # each object triple's members, held once as the structure gives them
+    # (a list, or a family that makes a member when it is indexed):
+    # `listed` sweeps them and `framed` draws one with two more objects
+    # to frame it by
+    members = [(aub, tr.enum_param_members(*aub))
                for aub in itertools.product(objs, repeat=3)]
     listed = [_listed(ms, *aub) for aub, ms in members]
     framed = [

@@ -257,7 +257,7 @@ class TraceStructure:
     """Trace operator on the two-sided ideal generated by nuclear maps.
 
     The parametrized form (`has_param`) is checked only over listed
-    objects, and must list its members through `enum_param_members`.
+    objects, and must give its members through `enum_param_members`.
     """
 
     has_param: bool = False
@@ -307,7 +307,12 @@ class TraceStructure:
         """Partial trace over u of f: a (x) u -> b (x) u."""
         raise UnsupportedCheck(f"{self.inst.name}: no parametrized trace")
 
-    def enum_param_members(self, a, u, b) -> Iterable:
+    def enum_param_members(self, a, u, b) -> Sequence:
         """Every member of the class over (a, u, b); a structure with
-        `has_param` must list them, over objects the instance lists."""
+        `has_param` must give them, over objects the instance lists.
+
+        The result is held as it is, never listed: it has a length,
+        takes an index and iterates in index order.  A list qualifies,
+        and so does a family that makes a member when it is indexed
+        (finrel's `Relations`)."""
         raise UnsupportedCheck(f"{self.inst.name}: no parametrized trace")

@@ -22,11 +22,17 @@ Boundary contract: values that enter from outside are validated, values
 that model operations make are trusted.  The `FinSet` and `Relation`
 constructors, `from_pairs` and `from_json`/`finset_from_json` check
 every invariant (distinct labels; one row per source element, no bit
-outside the target).  The operations, enumerators and samplers
-(`compose`, `converse`, `tensor`, `product`, `identity`, `theta`,
-`sample_hom`, ...) preserve those invariants, and each subclass's
-invariant, by construction, so they build through the trusted
-`_mk`/`_mk_set`, which skip the checks.
+outside the target).  The operations, the hom-set family and the
+samplers (`compose`, `converse`, `tensor`, `product`, `identity`,
+`theta`, `Relations`, `sample_hom`, ...) preserve those invariants, and
+each subclass's invariant, by construction, so they build through the
+trusted `_mk`/`_mk_set`, which skip the checks.
+
+A hom-set is a `Relations(source, target)` family: it ranks each
+relation by its bitmask, as `sample_hom` reads the bits it draws, and
+makes a member only when it is indexed or iterated.  So a check that
+holds a hom-set of 2^16 relations and draws a few of them makes only
+those few.
 
 Interning: each set shape the models build has exactly one object.
 `fin_set(n)` returns one interned set per n, `UNIT` is interned, and
@@ -347,9 +353,30 @@ def _from_mask(source: FinSet, target: FinSet, mask: int) -> Relation:
                tuple((mask >> (i * nt)) & ((1 << nt) - 1) for i in range(source.size)))
 
 
-def enum_relations(source: FinSet, target: FinSet) -> Iterator[Relation]:
-    for mask in range(1 << (source.size * target.size)):
-        yield _from_mask(source, target, mask)
+class Relations:
+    """Every relation source -> target, ranked by its bitmask: member m is
+    `_from_mask(source, target, m)`, made only when it is indexed or
+    iterated.  Iteration runs in mask order, and an index outside
+    range(len) raises `IndexError`."""
+
+    __slots__ = ("source", "target", "n")
+
+    def __init__(self, source: FinSet, target: FinSet):
+        self.source, self.target = source, target
+        self.n = 1 << (source.size * target.size)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, m: int) -> Relation:
+        if not 0 <= m < self.n:
+            raise IndexError(f"relation rank {m} outside range({self.n})")
+        return _from_mask(self.source, self.target, m)
+
+    def __iter__(self) -> Iterator[Relation]:
+        source, target = self.source, self.target
+        for m in range(self.n):
+            yield _from_mask(source, target, m)
 
 
 # -- serialization ----------------------------------------------------------
@@ -477,7 +504,7 @@ class FinRelInstance(CategoryInstance):
         return [fin_set(n) for n in range(cap + 1)]
 
     def enum_hom(self, a, b):
-        return enum_relations(a, b)
+        return Relations(a, b)
 
     def count_hom(self, a, b):
         return 1 << (a.size * b.size)
@@ -528,7 +555,7 @@ class FinRelTrace(TraceStructure):
         return param_trace(f, a, u, b)
 
     def enum_param_members(self, a, u, b):
-        return enum_relations(product(a, u), product(b, u))
+        return Relations(product(a, u), product(b, u))
 
 
 def instance() -> FinRelInstance:

@@ -160,8 +160,51 @@ def test_trace_identity_nonempty():
 def test_trace_matches_categorical_composite_exhaustively():
     for n in range(4):
         x = finrel.fin_set(n)
-        for r in finrel.enum_relations(x, x):
+        for r in finrel.Relations(x, x):
             assert finrel.trace_endo(r) == trace_oracle(r)
+
+
+# -- hom-sets as families ranked by bitmask ---------------------------------
+
+
+FAMILY_SHAPES = [(m, n) for m in range(3) for n in range(3)] + [(3, 3)]
+
+
+class _Bits:
+    """A stand-in generator whose `bits` hands over one fixed mask."""
+
+    def __init__(self, mask):
+        self.mask = mask
+
+    def bits(self, n):
+        assert self.mask < 1 << n
+        return self.mask
+
+
+@pytest.mark.parametrize("m,n", FAMILY_SHAPES)
+def test_relations_family_is_the_hom_set_in_mask_order(m, n):
+    inst = finrel.instance()
+    a, b = finrel.fin_set(m), finrel.fin_set(n)
+    fam = finrel.Relations(a, b)
+    assert len(fam) == inst.count_hom(a, b)
+    listed = list(fam)
+    assert len(listed) == len(fam)
+    for mask, r in enumerate(listed):
+        got = fam[mask]
+        assert (got.source, got.target, got.rows) == (r.source, r.target, r.rows)
+        drawn = inst.sample_hom(_Bits(mask), a, b)
+        assert inst.mor_eq(got, drawn) and got.source is a and got.target is b
+    # mask order: bit i * n + j of the mask relates i to j
+    assert [r.count() for r in listed] == [bin(k).count("1") for k in range(len(fam))]
+    assert len({r.rows for r in listed}) == len(fam)
+
+
+@pytest.mark.parametrize("m,n", FAMILY_SHAPES)
+def test_relations_family_rejects_ranks_outside_its_range(m, n):
+    fam = finrel.Relations(finrel.fin_set(m), finrel.fin_set(n))
+    for bad in (-1, len(fam)):
+        with pytest.raises(IndexError):
+            fam[bad]
 
 
 def test_param_trace_fixed_parameter():

@@ -302,6 +302,25 @@ def test_param_trace_sublaws_run_past_the_budget(monkeypatch):
     assert len(reached) == 3 ** 3
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_param_trace_makes_only_the_relations_it_runs(monkeypatch, seed):
+    # a triple of sets of size 2 holds 2^16 relations; the check draws from
+    # each hom-set family and so makes a few relations per case, not all
+    _forks.cpus(monkeypatch, 1)
+    made = []
+    from_mask = finrel._from_mask
+
+    def counted(source, target, mask):
+        made.append(mask)
+        return from_mask(source, target, mask)
+
+    monkeypatch.setattr(finrel, "_from_mask", counted)
+    inst, _, tr = finrel.structures()
+    rep = harness.check_param_trace_axioms(inst, tr, 200, seed, max_size=2)
+    assert rep.cases == 1260
+    assert len(made) < 3 * rep.cases
+
+
 # -- a broken model yields a witness, not a crash ----------------------------
 
 

@@ -28,11 +28,9 @@ samplers (`compose`, `converse`, `tensor`, `product`, `identity`,
 each subclass's invariant, by construction, so they build through the
 trusted `_mk`/`_mk_set`, which skip the checks.
 
-A hom-set is a `Relations(source, target)` family: it ranks each
-relation by its bitmask, as `sample_hom` reads the bits it draws, and
-makes a member only when it is indexed or iterated.  So a check that
-holds a hom-set of 2^16 relations and draws a few of them makes only
-those few.
+A hom-set is a `Relations(source, target)` family, which ranks each
+relation by its bitmask, as `sample_hom` reads its drawn bits, and makes
+a member only when it is indexed or iterated.
 
 Interning: each set shape the models build has exactly one object.
 `fin_set(n)` returns one interned set per n, `UNIT` is interned, and
@@ -355,11 +353,8 @@ def _from_mask(source: FinSet, target: FinSet, mask: int) -> Relation:
 
 class Relations:
     """Every relation source -> target, ranked by its bitmask: member m is
-    `_from_mask(source, target, m)`, made only when it is indexed or
-    iterated.  Iteration runs in mask order, and an index outside
-    range(len) raises `IndexError`."""
-
-    __slots__ = ("source", "target", "n")
+    `_from_mask(source, target, m)`, made when it is indexed or iterated
+    (in mask order).  An index outside range(len) raises `IndexError`."""
 
     def __init__(self, source: FinSet, target: FinSet):
         self.source, self.target = source, target
@@ -375,8 +370,7 @@ class Relations:
 
     def __iter__(self) -> Iterator[Relation]:
         source, target = self.source, self.target
-        for m in range(self.n):
-            yield _from_mask(source, target, m)
+        return (_from_mask(source, target, m) for m in range(self.n))
 
 
 # -- serialization ----------------------------------------------------------

@@ -190,13 +190,12 @@ def test_relations_family_is_the_hom_set_in_mask_order(m, n):
     listed = list(fam)
     assert len(listed) == len(fam)
     for mask, r in enumerate(listed):
+        # mask order: bit i * n + j of the mask relates i to j
+        assert r.rows == tuple(mask >> (i * n) & ((1 << n) - 1) for i in range(m))
         got = fam[mask]
         assert (got.source, got.target, got.rows) == (r.source, r.target, r.rows)
         drawn = inst.sample_hom(_Bits(mask), a, b)
         assert inst.mor_eq(got, drawn) and got.source is a and got.target is b
-    # mask order: bit i * n + j of the mask relates i to j
-    assert [r.count() for r in listed] == [bin(k).count("1") for k in range(len(fam))]
-    assert len({r.rows for r in listed}) == len(fam)
 
 
 @pytest.mark.parametrize("m,n", FAMILY_SHAPES)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -391,17 +392,18 @@ def suite_jobs(name, budget=200, seed=1):
     return jobs
 
 
-def _run_share(jobs, w, k) -> dict:
-    """Outcomes of jobs w, w + k, ... by index: a list of reports, or the
-    exception the job raised.  Stops at the first exception, since no
-    later job of the share can come first in job order."""
+def _drain(jobs, queue: int) -> dict:
+    """Take job indices from the pipe `queue`, one byte each, and run
+    each job, until the pipe is empty: the outcomes by index, a list of
+    reports or the exception the job raised.  Goes on after a job raises,
+    since a job taken later may come first in job order."""
     out = {}
-    for i in range(w, len(jobs), k):
+    while taken := os.read(queue, 1):
+        i = taken[0]
         try:
             out[i] = jobs[i]()
         except Exception as exc:
             out[i] = exc
-            break
     return out
 
 
@@ -409,18 +411,33 @@ def run_suite(name, budget=200, seed=1):
     """The suite's reports, in job order, computed on every CPU this
     process may run on.
 
-    With k CPUs (at most one per job), `parallel.fork_map` runs jobs w,
-    w + k, ... in worker w, worker 0 being this process.  The split is a
-    fixed function of the job list and k, so each process does the same
-    work on every run, and the sweeps of the jobs stay serial.  If jobs
-    raise, the exception of the first of them in job order is raised,
-    as a serial run would; a child that dies or sends no complete result
+    On one CPU the jobs run here, in order.  With k CPUs (at most one per
+    job), the job indices go into one pipe, last first, since the helper
+    suites and param-trace at the end run longest, and k workers forked
+    by `parallel.fork_map` each take the next index and run its job until
+    the pipe is empty.  This process runs no job, so a heavy one such as
+    `drelnum.fixture_reports` never adds to its memory: it only waits and
+    merges.  Which worker runs which job is a race, but each job seeds
+    its own generator, so the reports do not depend on it.  If jobs
+    raise, the exception of the first of them in job order is raised, as
+    a serial run would; a worker that dies or sends no complete result
     raises RuntimeError.
     """
     jobs = suite_jobs(name, budget, seed)
-    k = max(1, min(parallel.cpus(), len(jobs)))
+    k = min(parallel.cpus(), len(jobs))
+    if k <= 1:
+        return [rep for job in jobs for rep in job()]
+    queue, put = os.pipe()
+    try:
+        with os.fdopen(put, "wb") as pipe:
+            # `bytes` refuses an index above 255; "all" has 46 jobs
+            pipe.write(bytes(reversed(range(len(jobs)))))
+        # share 0, this process's, takes no job
+        shares = parallel.fork_map(lambda w: _drain(jobs, queue) if w else {}, k + 1)
+    finally:
+        os.close(queue)
     outcomes = {}
-    for share in parallel.fork_map(lambda w: _run_share(jobs, w, k), k):
+    for share in shares:
         outcomes.update(share)
     reports = []
     for i in range(len(jobs)):

@@ -7,16 +7,27 @@ jobs with it, and `harness._Runner.sweep` the cases of a sweep.
 
 Nothing nests.  Inside a `fork_map`, in its children and during this
 process's own share, `cpus()` is 1, so a sweep run by a suite job stays
-serial.  nucleal starts no threads, and numpy's OpenBLAS pool stops
-itself before a fork, so forking is safe.
+serial.  The same holds for numpy: before it forks, `fork_map` sets the
+OpenBLAS that numpy loaded to one thread, and leaves it there.  Its
+pool stops itself before a fork, but a child would start it again at
+the first call large enough to split, and its threads would compete
+with the other workers for the CPUs.  nucleal itself starts no threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import pickle
+import sys
 
 _inside = False  # true within a fork_map, in its children too
+
+#: OpenBLAS's thread-count calls as its builds name them: numpy's
+#: scipy-openblas64 wheels, other 64-bit integer builds, the rest
+_OPENBLAS_NAMES = ("scipy_openblas_{}_num_threads64_",
+                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
 def cpus() -> int:
@@ -25,6 +36,30 @@ def cpus() -> int:
     if _inside or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _openblas_threads(verb: str):
+    """OpenBLAS's `{verb}_num_threads` ("get" or "set"), from the
+    OpenBLAS this process has loaded, as a ctypes function; None when
+    there is none, or no list of loaded libraries to find it in."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # the loaded library, not a second copy
+        except OSError:  # e.g. a file deleted since it was loaded
+            continue
+        for name in _OPENBLAS_NAMES:
+            fn = getattr(lib, name.format(verb), None)
+            if fn is not None:
+                fn.argtypes = [] if verb == "get" else [ctypes.c_int]
+                fn.restype = ctypes.c_int if verb == "get" else None
+                return fn
+    return None
 
 
 def _fork(share, w: int):
@@ -71,6 +106,11 @@ def fork_map(share, k: int) -> list:
     result raises RuntimeError.  With k = 1 nothing is forked.
     """
     global _inside
+    # never set back: that would start an idle OpenBLAS thread here again
+    if k > 1 and "numpy" in sys.modules:
+        set_threads = _openblas_threads("set")
+        if set_threads is not None:
+            set_threads(1)
     outer = _inside
     children = []
     _inside = True

@@ -462,23 +462,70 @@ def test_run_suite_matches_every_job_run_in_process(monkeypatch, seed):
     _forks.no_child_left()
 
 
-@pytest.mark.parametrize("first", [1, 2])
-def test_run_suite_raises_the_first_failing_job(monkeypatch, first):
-    # with two workers, odd jobs run in the child and even ones here
-    def fail(exc):
-        def job():
-            raise exc
+def _fail(exc):
+    def job():
+        raise exc
 
-        return job
+    return job
 
+
+@pytest.mark.parametrize(
+    "first,later", [(1, 2), (2, 3), (0, 4)], ids=["1", "2", "0-4"]
+)
+def test_run_suite_raises_the_first_failing_job(monkeypatch, first, later):
+    # jobs are dealt last first, so the later failing job is taken before
+    # the first one, by either worker; (0, 4) are the first and the last
+    # dealt of all
     jobs = [lambda: [] for _ in range(5)]
-    jobs[first] = fail(ParseError(f"job {first}"))
-    jobs[first + 1] = fail(ShapeMismatch(f"job {first + 1}"))
+    jobs[first] = _fail(ParseError(f"job {first}"))
+    jobs[later] = _fail(ShapeMismatch(f"job {later}"))
     _forks.cpus(monkeypatch, 2)
     _jobs(monkeypatch, jobs)
     with pytest.raises(ParseError, match=f"^job {first}$"):
         cli.run_suite("all")
     _forks.no_child_left()
+
+
+def _ran(log: int, i: int):
+    """A job that writes its index to the pipe `log` and returns
+    [(index, pid)]."""
+    def job():
+        os.write(log, bytes([i]))
+        return [(i, os.getpid())]
+
+    return job
+
+
+def _read_log(log_r: int, log_w: int) -> list:
+    os.close(log_w)
+    with os.fdopen(log_r, "rb") as log:
+        return sorted(log.read())
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3])
+def test_run_suite_runs_each_job_once_and_none_here(monkeypatch, n_cpus):
+    log_r, log_w = os.pipe()
+    _forks.cpus(monkeypatch, n_cpus)
+    _jobs(monkeypatch, [_ran(log_w, i) for i in range(12)])
+    got = cli.run_suite("all")
+    _forks.no_child_left()
+    assert _read_log(log_r, log_w) == list(range(12))
+    assert [i for i, _ in got] == list(range(12))
+    pids = {pid for _, pid in got}
+    assert os.getpid() not in pids
+    assert len(pids) <= n_cpus
+
+
+def test_run_suite_runs_every_job_after_one_raises(monkeypatch):
+    log_r, log_w = os.pipe()
+    jobs = [_ran(log_w, i) for i in range(6)]
+    jobs[1] = _fail(ParseError("job 1"))  # dealt before job 0
+    _forks.cpus(monkeypatch, 2)
+    _jobs(monkeypatch, jobs)
+    with pytest.raises(ParseError, match="^job 1$"):
+        cli.run_suite("all")
+    _forks.no_child_left()
+    assert _read_log(log_r, log_w) == [0, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("fault", ["dies", "unpicklable"])

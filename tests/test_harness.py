@@ -9,7 +9,7 @@ import pytest
 import _forks
 import _intern_counts
 from nucleal import cli, finhilb, finrel, finstoch, pinj, xrel
-from nucleal.core import harness
+from nucleal.core import harness, parallel
 from nucleal.core.errors import UnsupportedCheck
 from nucleal.core.instance import TraceStructure
 from nucleal.core.report import AxiomReport
@@ -548,9 +548,24 @@ def test_sweeps_inside_run_suite_stay_serial(monkeypatch):
     pids = _forks_counted(monkeypatch)
     monkeypatch.setattr(cli, "suite_jobs", lambda *args: [job, job, job])
     reports = cli.run_suite("all")
-    assert len(pids) == 1  # k - 1 workers for the jobs, none for the sweeps
+    assert len(pids) == 2  # k workers for the jobs, none for the sweeps
     _forks.no_child_left()
     assert len({(r.cases, tuple(r.failures)) for r in reports}) == 1
+
+
+def test_fork_map_runs_openblas_on_one_thread():
+    get_threads = parallel._openblas_threads("get")
+    if get_threads is None:
+        pytest.skip("no OpenBLAS loaded")
+
+    def share(w):
+        np.ones((400, 400)) @ np.ones((400, 400))  # large enough to split
+        return get_threads(), len(os.listdir("/proc/self/task"))
+
+    got = parallel.fork_map(share, 2)
+    _forks.no_child_left()
+    assert [threads for threads, _ in got] == [1, 1]
+    assert got[1][1] == 1  # the child started no BLAS thread
 
 
 def test_a_sweep_forks_nothing_on_one_cpu(monkeypatch):

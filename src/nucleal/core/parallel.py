@@ -2,8 +2,9 @@
 
 `fork_map(share, k)` computes share(0), ..., share(k - 1): shares 1 ..
 k - 1 in forked children, which pickle their results back through
-pipes, and share 0 in this process.  `cli.run_suite` splits a suite's
-jobs with it, and `harness._Runner.sweep` the cases of a sweep.
+pipes, and share 0 in this process.  `cli.run_suite` forks the workers
+that drain its queue of suite jobs with it, and `harness._Runner.sweep`
+splits the cases of a sweep.
 
 Nothing nests.  Inside a `fork_map`, in its children and during this
 process's own share, `cpus()` is 1, so a sweep run by a suite job stays

@@ -474,8 +474,8 @@ def _fail(exc):
 )
 def test_run_suite_raises_the_first_failing_job(monkeypatch, first, later):
     # jobs are dealt last first, so the later failing job is taken before
-    # the first one, by either worker; (0, 4) are the first and the last
-    # dealt of all
+    # the first one, by either worker; job 4 is dealt first of all and
+    # job 0 last
     jobs = [lambda: [] for _ in range(5)]
     jobs[first] = _fail(ParseError(f"job {first}"))
     jobs[later] = _fail(ShapeMismatch(f"job {later}"))

@@ -412,9 +412,9 @@ def run_suite(name, budget=200, seed=1):
     process may run on.
 
     On one CPU the jobs run here, in order.  With k CPUs (at most one per
-    job), the job indices go into one pipe, last first, since the helper
-    suites and param-trace at the end run longest, and k workers forked
-    by `parallel.fork_map` each take the next index and run its job until
+    job), the job indices go into one pipe, last first (the reverse of
+    report order, not an order by job length), and k workers forked by
+    `parallel.fork_map` each take the next index and run its job until
     the pipe is empty.  This process runs no job, so a heavy one such as
     `drelnum.fixture_reports` never adds to its memory: it only waits and
     merges.  Which worker runs which job is a race, but each job seeds

@@ -14,16 +14,18 @@ exhaustively, anything larger is sampled with the seeded generator,
 and the report flags say which happened.
 
 Every law is a pure function of its case: what a law needs at random
-is drawn where its case is made (`_then`), never while it runs.  So a
-sweep deals its cases over k shares of `parallel.fork_map`, one CPU per
-`SPLIT_MIN // 2` swept cases at most, and k = 1 is the serial run.
-Share w makes every case from its own copy of the generator and runs
-the cases j = w, w + k, ..., counted across the streams in order.  It
-sends back its case count, whether a case failed or raised, and its
-first witnesses keyed by j; they are merged in that order, so the
-report is the one-CPU run's.  The sweep raises if a law moved the
-runner's own generator in any share.  Inside a `fork_map`, as under `cli.run_suite`,
-k is 1.
+is drawn where its case is made (`_then`), never while it runs.  So
+`sweep` only queues its sub-law, and `finish`, `each` and `finding`
+first run the whole queue over k shares of one `parallel.fork_map`, one
+CPU per `SPLIT_MIN // 2` cases the check sweeps at most; k = 1 is the
+serial run.  Share w makes every queued case, in queue order, from its
+own copy of the generator and runs the cases j = w, w + k, ..., counted
+across the queue.  It sends back, per sub-law, its case count, whether
+a case failed or raised, and its first witnesses keyed by j; they are
+merged sub-law by sub-law in that order, so the report is the one-CPU
+run's.  The run raises, naming the sub-law, if a law moved the runner's
+own generator in any share.  Inside a `fork_map`, as under
+`cli.run_suite`, k is 1.
 
 A stream is (count, enum, sample): enum(rng) makes its count cases and
 sample(rng) draws one; `_then` appends what a law needs at random to
@@ -50,6 +52,7 @@ a distinguished morphism from the instance's closed-form `factorize`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -68,12 +71,12 @@ from nucleal.core.rng import Lcg
 
 Stream = tuple[Optional[int], Optional[Callable], Callable]
 
-#: the fewest swept cases a sweep splits over CPUs.  A fork round trip
-#: (fork, pickle a share's result back, reap) took 2.3 ms in the median
-#: of 50 on a 2-CPU Linux host, and the cheapest sub-laws take about
-#: 5 us a case, so half of 4096 such cases is about 10 ms, four times it.
-#: Each worker gets at least SPLIT_MIN // 2 cases, so a sweep splits over
-#: at most swept // (SPLIT_MIN // 2) CPUs.
+#: the fewest cases a check sweeps for its queue to split over CPUs.  A
+#: fork round trip (fork, pickle a share's result back, reap) took 2.3 ms
+#: in the median of 50 on a 2-CPU Linux host, and the cheapest sub-laws
+#: take about 5 us a case, so half of 4096 such cases is about 10 ms,
+#: four times it.  Each worker gets at least SPLIT_MIN // 2 swept cases,
+#: so a check splits over at most swept // (SPLIT_MIN // 2) CPUs.
 SPLIT_MIN = 4096
 
 
@@ -92,9 +95,11 @@ class _Runner:
         self.rng = Lcg(seed)
         self.failing: set[str] = set()  # sub-laws that returned a witness
         self.raised = False
+        self.queue: list = []  # sub-laws not yet run: (name, fn, runs, n, swept)
         self.t0 = time.perf_counter()
 
     def finish(self) -> AxiomReport:
+        self._run_queue()
         self.report.elapsed = time.perf_counter() - self.t0
         return self.report
 
@@ -102,23 +107,22 @@ class _Runner:
         """Flag `documented-finding:<flag>` when sub-law `name` is the only
         one with witnesses and no case raised, so that a finding, which
         does not fail the report, never hides a crash or another law."""
+        self._run_queue()
         if self.failing == {name} and not self.raised:
             self.report.flags.append(f"documented-finding:{flag}")
 
     def each(self, name: str, cases, fn) -> None:
         """Run `fn` on every case, in order; sets no flag."""
+        self._run_queue()
         for _, line in self._keyed(name, fn, ((None, case) for case in cases)):
             self.report.add_failure(line)
 
     def sweep(self, name: str, streams: list[Stream], fn, enabled=True, note=None):
-        """Run sub-law `name` over its streams, each swept exhaustively
+        """Queue sub-law `name` over its streams, each swept exhaustively
         when its count fits into the remaining budget, sampled otherwise.
 
-        Every share (`parallel.fork_map`) makes every case from its own
-        copy of the generator and runs the cases j = w, w + k, ..., counted
-        across the streams in order; share 0's generator goes on as this
-        runner's.  Each failure line is keyed by its case's j and merged
-        here in that order, so the report is the one-CPU run's.
+        The budget and the `skipped:` and `exhaustive:` flags are settled
+        here; the cases run with the rest of the queue (`_run_queue`).
         """
         if not enabled:
             suffix = f" ({note})" if note else ""
@@ -127,46 +131,65 @@ class _Runner:
         n_streams = max(1, len(streams))
         per_samples = max(1, self.samples // n_streams) if n_streams > 1 else self.samples
         runs = []  # per stream, its cases made from a generator
-        swept = 0
+        n = swept = 0  # cases, and those swept
         exhaustive = bool(streams)
         for count, enum, sample in streams:
             if count is not None and enum is not None and count <= self.remaining:
                 self.remaining -= count
                 swept += count
+                n += count
                 runs.append(enum)
             else:
                 exhaustive = False
+                n += per_samples
                 runs.append(lambda rng, sample=sample:
                             (sample(rng) for _ in range(per_samples)))
+        self.queue.append((name, fn, runs, n, swept))
+        if exhaustive:
+            self.report.flags.append(f"exhaustive:{name}")
+
+    def _run_queue(self) -> None:
+        """Run the queued sub-laws over the k shares of one fork map, as
+        the module docstring describes; share 0's generator goes on as
+        this runner's."""
+        queue, self.queue = self.queue, []
+        if not queue:
+            return
         start = self.rng.state
+        swept = sum(q[-1] for q in queue)
         k = max(1, min(parallel.cpus(), swept // (SPLIT_MIN // 2)))
 
         def share(w):
             rng = Lcg(start)
-            part = _Runner(self.report.law)
-            # lazy: each case is made as it runs, so none are held at once
-            cases = itertools.chain.from_iterable(run(rng) for run in runs)
-            lines = part._keyed(name, fn, itertools.islice(enumerate(cases), w, None, k))
-            moved = self.rng.state != start  # a law drew from this runner's generator
-            return part.report.cases, bool(part.failing), part.raised, lines, moved, rng.state
+            out = []
+            j = 0  # the queue-wide index of the sub-law's first case
+            for name, fn, runs, n, _ in queue:
+                part = _Runner(self.report.law)
+                # lazy: each case is made as it runs, so none are held at once
+                cases = enumerate(itertools.chain.from_iterable(run(rng) for run in runs), j)
+                lines = part._keyed(name, fn, itertools.islice(cases, (w - j) % k, None, k))
+                j += n
+                moved = self.rng.state != start  # a law drew from this runner's generator
+                out.append((part.report.cases, bool(part.failing), part.raised, lines, moved))
+            return out, rng.state
 
         shares = parallel.fork_map(share, k)
-        if any(moved for *_, moved, _ in shares):
-            raise RuntimeError(f"{name}: a law drew from the runner's generator; "
-                               "draw in the case streams instead")
-        self.rng.state = shares[0][-1]
-        lines = []
-        for cases, failed, raised, part, _, _ in shares:
-            self.report.cases += cases
-            if failed:
-                self.failing.add(name)
-            self.raised |= raised
-            lines += part
-        lines.sort(key=lambda kl: kl[0])
-        for _, line in lines[:FAILURE_CAP + 1]:
-            self.report.add_failure(line)
-        if exhaustive:
-            self.report.flags.append(f"exhaustive:{name}")
+        for i, (name, *_) in enumerate(queue):
+            outcomes = [out[i] for out, _ in shares]
+            if any(moved for *_, moved in outcomes):
+                raise RuntimeError(f"{name}: a law drew from the runner's generator; "
+                                   "draw in the case streams instead")
+            lines = []
+            for cases, failed, raised, part, _ in outcomes:
+                self.report.cases += cases
+                if failed:
+                    self.failing.add(name)
+                self.raised |= raised
+                lines += part
+            lines.sort(key=lambda kl: kl[0])
+            for _, line in lines[:FAILURE_CAP + 1]:
+                self.report.add_failure(line)
+        self.rng.state = shares[0][1]
 
     def _keyed(self, name, fn, cases) -> list:
         """Run (key, case) pairs; the first FAILURE_CAP + 1 failure lines,
@@ -194,7 +217,8 @@ class _Runner:
         return lines
 
 
-def _mixed_radix_perm(sizes: Sequence[int], perm: Sequence[int]) -> list[int]:
+@functools.cache
+def _mixed_radix_perm(sizes: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     """Slot map of the structural iso permuting tensor factors.
 
     sizes are the source factor sizes in order; target factor j is
@@ -216,11 +240,12 @@ def _mixed_radix_perm(sizes: Sequence[int], perm: Sequence[int]) -> list[int]:
         for s, p in zip(dst_sizes, perm):
             j = j * s + digits[p]
         out[idx] = j
-    return out
+    return tuple(out)
 
 
-def _identity_map(n: int) -> list[int]:
-    return list(range(n))
+@functools.cache
+def _identity_map(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
 
 
 # -- stream builders --------------------------------------------------------
@@ -545,7 +570,7 @@ def check_nuclear_axioms(
             inst.conj_obj(inst.tensor_obj(a, c)), inst.tensor_obj(b, dd)
         )
         interleave = inst.reindex(
-            src_obj, dst_obj, _mixed_radix_perm(sizes, (0, 2, 1, 3))
+            src_obj, dst_obj, _mixed_radix_perm(tuple(sizes), (0, 2, 1, 3))
         )
         rhs = inst.compose(interleave, inst.compose(pair, lam))
         if not eq(lhs, rhs):
@@ -590,7 +615,7 @@ def check_nuclear_axioms(
         step1 = inst.tensor(nuc.theta(g), inst.identity(a))
         src = inst.tensor_obj(inst.tensor_obj(inst.conj_obj(b), c), a)
         dst = inst.tensor_obj(c, inst.tensor_obj(inst.conj_obj(b), a))
-        perm = inst.reindex(src, dst, _mixed_radix_perm([nb, nc, na], (1, 0, 2)))
+        perm = inst.reindex(src, dst, _mixed_radix_perm((nb, nc, na), (1, 0, 2)))
         step2 = inst.tensor(inst.identity(c), inst.star(nuc.theta(inst.star(f))))
         elim = inst.reindex(inst.tensor_obj(c, i), c, _identity_map(nc))
         chain = inst.compose(

@@ -3,8 +3,8 @@
 `fork_map(share, k)` computes share(0), ..., share(k - 1): shares 1 ..
 k - 1 in forked children, which pickle their results back through
 pipes, and share 0 in this process.  `cli.run_suite` forks the workers
-that drain its queue of suite jobs with it, and `harness._Runner.sweep`
-splits the cases of a sweep.
+that drain its queue of suite jobs with it, and `harness._Runner` splits
+the cases of a check's queued sweeps.
 
 Nothing nests.  Inside a `fork_map`, in its children and during this
 process's own share, `cpus()` is 1, so a sweep run by a suite job stays

@@ -408,21 +408,6 @@ def _exhaustive_reports(inst, nuc, size):
     ]
 
 
-def _forks_counted(monkeypatch) -> list:
-    """The pids this process forks, in order."""
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
 def _sig(reports):
     return [(r.law, r.cases, r.failures, r.flags) for r in reports]
 
@@ -432,7 +417,7 @@ def _sig(reports):
 def test_split_sweeps_give_the_one_cpu_reports(monkeypatch, mod, size, fault):
     inst, nuc = _faulty(mod) if fault else mod.structures()[:2]
     _forks.cpus(monkeypatch, 2)
-    pids = _forks_counted(monkeypatch)
+    pids = _forks.forks_counted(monkeypatch)
     split = _exhaustive_reports(inst, nuc, size)
     assert pids  # some sweep was split
     _forks.no_child_left()
@@ -476,7 +461,7 @@ def test_split_merges_witnesses_in_case_order(monkeypatch, sampled):
     _forks.cpus(monkeypatch, 1)
     want = _outcome(_demo_sweep(sampled=sampled))
     _forks.cpus(monkeypatch, 2)
-    pids = _forks_counted(monkeypatch)
+    pids = _forks.forks_counted(monkeypatch)
     got = _outcome(_demo_sweep(sampled=sampled))
     assert len(pids) == 1
     _forks.no_child_left()
@@ -496,7 +481,7 @@ def test_draws_made_with_the_cases_split_as_on_one_cpu(monkeypatch):
     _forks.cpus(monkeypatch, 1)
     want = _outcome(_demo_sweep(law, draw=draw))
     _forks.cpus(monkeypatch, 2)
-    pids = _forks_counted(monkeypatch)
+    pids = _forks.forks_counted(monkeypatch)
     got = _outcome(_demo_sweep(law, draw=draw))
     assert len(pids) == 1
     _forks.no_child_left()
@@ -527,7 +512,7 @@ def test_a_worker_that_dies_mid_sweep_raises(monkeypatch):
 
     _forks.cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="before sending its result"):
-        _demo_sweep(law)
+        _demo_sweep(law).finish()
     _forks.no_child_left()
 
 
@@ -545,7 +530,7 @@ def test_sweeps_inside_run_suite_stay_serial(monkeypatch):
 
     _forks.cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", first_level_only)
-    pids = _forks_counted(monkeypatch)
+    pids = _forks.forks_counted(monkeypatch)
     monkeypatch.setattr(cli, "suite_jobs", lambda *args: [job, job, job])
     reports = cli.run_suite("all")
     assert len(pids) == 2  # k workers for the jobs, none for the sweeps
@@ -574,14 +559,14 @@ def test_a_sweep_forks_nothing_on_one_cpu(monkeypatch):
 
     _forks.cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", fork)
-    assert _demo_sweep().report.cases == 6010
+    assert _demo_sweep().finish().cases == 6010
 
 
 def test_a_sweep_splits_over_no_more_cpus_than_its_cases_fill(monkeypatch):
     # 6000 cases fill two workers of SPLIT_MIN // 2, not eight
     _forks.cpus(monkeypatch, 8)
-    pids = _forks_counted(monkeypatch)
-    assert _demo_sweep().report.cases == 6010
+    pids = _forks.forks_counted(monkeypatch)
+    assert _demo_sweep().finish().cases == 6010
     assert len(pids) == 1
     _forks.no_child_left()
 
@@ -598,6 +583,77 @@ def test_a_law_that_draws_trips_the_guard(monkeypatch, n_cpus):
     _forks.cpus(monkeypatch, n_cpus)
     with pytest.raises(RuntimeError, match="demo: a law drew from the runner's generator"):
         run.sweep("demo", [harness._listed(list(range(6000)))], law)
+        run.finish()
+    _forks.no_child_left()
+
+
+@pytest.mark.parametrize("check", ["star-laws", "nuclear"])
+def test_a_check_forks_once_for_all_its_sweeps(monkeypatch, check):
+    # the check's sweeps, large and small, share one fork map
+    inst, nuc, _ = pinj.structures()
+
+    def report():
+        if check == "star-laws":
+            return harness.check_star_laws(inst, 400_000, 1, max_size=3)
+        return harness.check_nuclear_axioms(inst, nuc, 400_000, 1, max_size=3)
+
+    _forks.cpus(monkeypatch, 1)
+    want = _sig([report()])
+    _forks.cpus(monkeypatch, 2)
+    pids = _forks.forks_counted(monkeypatch)
+    got = _sig([report()])
+    assert len(pids) == 1
+    _forks.no_child_left()
+    assert got == want
+
+
+def _first(x):
+    if x % 211 == 0:
+        return f"first of {x}"
+
+
+def _second(x):
+    if x % 307 == 0:
+        return f"second of {x}"
+
+
+def _queue_two(run, second=_second) -> harness._Runner:
+    """Queue two sub-laws of 3000 listed cases each on `run`: "first"
+    leaves 15 witnesses, and `_second` 10."""
+    run.sweep("first", [harness._listed(list(range(3000)))], _first)
+    run.sweep("second", [harness._listed(list(range(3000, 6000)))], second)
+    return run
+
+
+def test_queued_sublaws_merge_in_queue_order(monkeypatch):
+    _forks.cpus(monkeypatch, 1)
+    want = _outcome(_queue_two(harness._Runner("demo", 10_000, 1, 30)))
+    _forks.cpus(monkeypatch, 2)
+    pids = _forks.forks_counted(monkeypatch)
+    got = _outcome(_queue_two(harness._Runner("demo", 10_000, 1, 30)))
+    assert len(pids) == 1
+    _forks.no_child_left()
+    assert got == want
+    # the report-wide cap of 20 falls inside the second sub-law
+    assert got[1] == ([f"first: first of {x}" for x in range(0, 3000, 211)]
+                      + [f"second: second of {x}" for x in range(3070, 4605, 307)]
+                      + ["... further failures suppressed"])
+    assert got[3] == {"first", "second"}
+    assert got[2] == ["exhaustive:first", "exhaustive:second"]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_the_guard_names_the_queued_sublaw_that_drew(monkeypatch, n_cpus):
+    run = harness._Runner("demo", 10_000, 1, 30)
+
+    def law(x):
+        if x % 2:
+            run.rng.below(2)
+
+    _forks.cpus(monkeypatch, n_cpus)
+    _queue_two(run, law)
+    with pytest.raises(RuntimeError, match="^second: a law drew from the runner's generator"):
+        run.finish()
     _forks.no_child_left()
 
 
@@ -607,10 +663,14 @@ def test_trace_checks_run_under_a_five_argument_sweep_wrapper(monkeypatch):
     # no report
     sweep = harness._Runner.sweep
     names = []
+    flagged = []  # (report, sub-law) whose exhaustive flag was set on return
 
     def counted(runner, name, streams, fn, enabled=True, note=None):
         names.append(name)
-        return sweep(runner, name, streams, fn, enabled, note)
+        out = sweep(runner, name, streams, fn, enabled, note)
+        if f"exhaustive:{name}" in runner.report.flags:
+            flagged.append((runner.report.law, name))
+        return out
 
     def reports():
         return [r for mod in (pinj, finrel) for inst, nuc, tr in [mod.structures()]
@@ -620,5 +680,9 @@ def test_trace_checks_run_under_a_five_argument_sweep_wrapper(monkeypatch):
     _forks.cpus(monkeypatch, 2)
     want = _sig(reports())
     monkeypatch.setattr(harness._Runner, "sweep", counted)
-    assert _sig(reports()) == want
+    got = reports()
+    assert _sig(got) == want
     assert {"ideal", "tensor", "ideal-closure", "superposing", "tightening"} <= set(names)
+    assert flagged and flagged == [(r.law, f.removeprefix("exhaustive:"))
+                                   for r in got for f in r.flags
+                                   if f.startswith("exhaustive:")]

@@ -6,7 +6,13 @@ tensor, theta, the symmetry (braiding) and the tensor object on an
 operand's source and target, and `mor_eq`, each on operands over
 4-element sets; the xrel ones are crossed sets over Z2 with a
 non-trivial action, built by the validating constructor and so not
-interned.  The three relation models run on finrel's relation kernel.
+interned.  The three relation models run on finrel's relation kernel,
+which builds each structural isomorphism on interned sets once: the
+finrel and pinj symmetry rungs read that memo, as the harness does.
+Their identity and the transpose-of-tensor interleave (a `reindex` of
+(a (x) b) (x) (c (x) d) onto (a (x) c) (x) (b (x) d), factors of 2
+elements) are timed both ways: on interned sets (the memo) and on sets
+from the validating `FinSet` constructor (a fresh build).
 The finstoch operands are exact joint measures on a 3-point space with
 a null point, the shape its samplers draw.  The samplers the harness
 calls most get rungs of their own: xrel's sampled objects and the
@@ -27,6 +33,7 @@ from fractions import Fraction as F
 import pytest
 
 from nucleal import cjsl, drelnum, finhilb, finrel, finstoch, pinj, xrel
+from nucleal.core import harness
 from nucleal.core.rng import Lcg
 
 N = 4  # size of every set an operand runs between
@@ -100,6 +107,34 @@ def test_primitive(benchmark, model, op):
     out = benchmark(fn, *args)
     if op == "mor_eq":
         assert out is True
+
+
+SETS = {
+    "interned": finrel.fin_set,
+    "validated": lambda n: finrel.FinSet(range(n)),
+}
+
+
+def _structural(sets, op):
+    x = SETS[sets](N)
+    if op == "identity":
+        return (x,)
+    a = SETS[sets](2)  # every factor; products of interned sets are interned
+    pair = finrel.product(a, a)
+    four = finrel.product(pair, pair)
+    return four, four, harness._mixed_radix_perm((2, 2, 2, 2), (0, 2, 1, 3))
+
+
+@pytest.mark.parametrize("sets", SETS)
+@pytest.mark.parametrize("op", ["identity", "interleave"])
+@pytest.mark.parametrize("model", ["finrel", "pinj"])
+def test_structural_iso(benchmark, model, op, sets):
+    benchmark.group = f"{op} ({sets} sets)"
+    inst = MODELS[model]()[0]
+    fn = inst.identity if op == "identity" else inst.reindex
+    args = _structural(sets, op)
+    first = fn(*args)
+    assert (benchmark(fn, *args) is first) == (sets == "interned")
 
 
 def _samplers():

@@ -201,16 +201,20 @@ class _Runner:
                     out.append((key, line))
         return out
 
-    def _run(self, name, fn, case) -> list[str]:
-        """Run one case; its failure lines: the witnesses, or the exception."""
+    def _run(self, name, fn, case) -> Sequence[str]:
+        """Run one case; its failure lines: the witnesses, or the exception.
+
+        The per-case hook: every case of every check runs through this
+        one call, so a wrapper of it sees each case once, in order.
+        """
         self.report.cases += 1
         try:
             out = fn(*case)
         except Exception as exc:  # a broken instance must yield a witness, not a crash
             self.raised = True
             return [f"{name}: exception {type(exc).__name__}: {exc}"]
-        if out is None:
-            return []
+        if not out:  # None, or no witness at all
+            return ()
         lines = [f"{name}: {w}" for w in ([out] if isinstance(out, str) else out) if w]
         if lines:
             self.failing.add(name)

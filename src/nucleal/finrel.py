@@ -35,9 +35,14 @@ a member only when it is indexed or iterated.
 Interning: each set shape the models build has exactly one object.
 `fin_set(n)` returns one interned set per n, `UNIT` is interned, and
 `product` of two interned sets returns one interned product, memoized
-on the identity of the pair.  Interned sets live for the whole process,
-so their ids stay unique.  Sets from the `FinSet` constructor or from
-JSON are not interned, and `product` of such a set builds a new set.
+on the identity of the pair.  The structural isomorphisms on interned
+sets are built once too: `identity(x, cls)`, `symmetry(a, b, cls)` and
+`reindex(a, b, index_map, cls)` return one value per key of the
+endpoints' ids, `cls` and `tuple(index_map)`, kept in the same table
+under a tagged key.  Nothing else is memoized.  Interned sets live for
+the whole process, so their ids stay unique.  Sets from the `FinSet`
+constructor or from JSON are not interned: `product` of such a set
+builds a new set, and a structural isomorphism on one a new value.
 Sets compare by identity first and by labels after, so an interned set
 and a validated set with the same labels are equal and hash alike.
 """
@@ -109,7 +114,8 @@ def _mk_set(labels: tuple) -> FinSet:
 
 # The intern tables: every interned set by id, which keeps it alive, and
 # the interned sets by shape, keyed by n for fin_set(n) and by the ids
-# (id(x), id(y)) for the product of interned x and y.
+# (id(x), id(y)) for the product of interned x and y; the structural
+# isomorphisms on interned sets share it under keys tagged by their name.
 _INTERNED: dict[int, FinSet] = {}
 _SHAPES: dict = {}
 
@@ -206,8 +212,19 @@ def empty(source: FinSet, target: FinSet, cls=Relation) -> Relation:
     return _mk(source, target, (0,) * source.size, cls)
 
 
+def _remember(key, ends, r: Relation) -> Relation:
+    """Keep structural value r under `key` when every set in `ends` is interned."""
+    if all(id(x) in _INTERNED for x in ends):
+        _SHAPES[key] = r
+    return r
+
+
 def identity(x: FinSet, cls=Relation) -> Relation:
-    return _mk(x, x, tuple([1 << i for i in range(x.size)]), cls)
+    key = ("identity", id(x), cls)
+    r = _SHAPES.get(key)
+    if r is None:
+        r = _remember(key, (x,), _mk(x, x, tuple([1 << i for i in range(x.size)]), cls))
+    return r
 
 
 def compose(r: Relation, s: Relation) -> Relation:
@@ -219,41 +236,44 @@ def compose(r: Relation, s: Relation) -> Relation:
     srows = s.rows
     out = []
     for row in r.rows:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= srows[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
+        if row & (row - 1):  # two bits or more: the union of their rows of s
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= srows[low.bit_length() - 1]
+                row ^= low
+            out.append(acc)
+        else:  # no bit, or one: a partial injection's every row
+            out.append(srows[row.bit_length() - 1] if row else 0)
     return _mk(r.source, s.target, tuple(out), type(r))
 
 
 def converse(r: Relation) -> Relation:
     rows = [0] * r.target.size
-    for i, row in enumerate(r.rows):
-        bit = 1 << i
+    bit = 1  # of the source element whose row this is
+    for row in r.rows:
         while row:
             low = row & -row
             rows[low.bit_length() - 1] |= bit
             row ^= low
+        bit <<= 1
     return _mk(r.target, r.source, tuple(rows), type(r))
 
 
 def tensor_rows(r: Relation, s: Relation) -> tuple:
     """Rows of r (x) s; bit (j1, j2) of a product row is bit j1 * nt + j2."""
-    nt = s.target.size
-    srows = s.rows
-    out = []
+    nt, srows = s.target.size, s.rows
+    # the copies of a row of s shifted to each bit of a row of r do not
+    # overlap, so their union is one product with that row's spread
+    spreads = []
     for row in r.rows:
-        # the copies of a row of s shifted to each bit of `row` do not
-        # overlap, so their union is one product
         spread = 0
         while row:
             low = row & -row
             spread |= 1 << ((low.bit_length() - 1) * nt)
             row ^= low
-        out.extend([si * spread for si in srows])
-    return tuple(out)
+        spreads.append(spread)
+    return tuple([si * spread for spread in spreads for si in srows])
 
 
 def tensor(r: Relation, s: Relation) -> Relation:
@@ -264,16 +284,25 @@ def tensor(r: Relation, s: Relation) -> Relation:
 
 
 def reindex(a: FinSet, b: FinSet, index_map: Sequence[int], cls=Relation) -> Relation:
-    if a.size != b.size or sorted(index_map) != list(range(a.size)):
-        raise ShapeMismatch("reindex needs a bijection of equal-sized sets")
-    return _mk(a, b, tuple([1 << j for j in index_map]), cls)
+    index_map = tuple(index_map)
+    key = ("reindex", id(a), id(b), cls, index_map)
+    r = _SHAPES.get(key)
+    if r is None:
+        if a.size != b.size or sorted(index_map) != list(range(a.size)):
+            raise ShapeMismatch("reindex needs a bijection of equal-sized sets")
+        r = _remember(key, (a, b), _mk(a, b, tuple([1 << j for j in index_map]), cls))
+    return r
 
 
 def symmetry(a: FinSet, b: FinSet, cls=Relation) -> Relation:
     """Braiding a (x) b -> b (x) a: row i * nb + j is the bit j * na + i."""
-    na, nb = a.size, b.size
-    rows = [1 << (j * na + i) for i in range(na) for j in range(nb)]
-    return _mk(product(a, b), product(b, a), tuple(rows), cls)
+    key = ("symmetry", id(a), id(b), cls)
+    r = _SHAPES.get(key)
+    if r is None:
+        na, nb = a.size, b.size
+        rows = tuple([1 << (j * na + i) for i in range(na) for j in range(nb)])
+        r = _remember(key, (a, b), _mk(product(a, b), product(b, a), rows, cls))
+    return r
 
 
 def nu(x: FinSet) -> Relation:
@@ -298,10 +327,14 @@ def psi(x: FinSet) -> Relation:
 def theta_row(f: Relation) -> int:
     """The one row of the state I -> X (x) Y that transposes f: X -> Y.
 
-    Row i of f fills bits i * nt .. i * nt + nt - 1, so the sum is a union.
+    Row i of f fills bits i * nt .. i * nt + nt - 1.
     """
     nt = f.target.size
-    return sum([row << (i * nt) for i, row in enumerate(f.rows)])
+    acc = shift = 0
+    for row in f.rows:
+        acc |= row << shift
+        shift += nt
+    return acc
 
 
 def theta(f: Relation) -> Relation:

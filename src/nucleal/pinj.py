@@ -270,8 +270,12 @@ class PInjInstance(FinRelInstance):
         return bool(s.rows[0])
 
     def mor_eq(self, f, g):
+        # rows first, the cheapest to tell apart; identical ends need no labels
+        fs, gs, ft, gt = f.source, g.source, f.target, g.target
         return (
-            f.source == g.source and f.target == g.target and f.rows == g.rows
+            f.rows == g.rows
+            and (fs is gs or fs == gs)
+            and (ft is gt or ft == gt)
         )
 
     def describe(self, f):

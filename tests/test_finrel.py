@@ -355,3 +355,110 @@ def test_star_laws_catch_a_braid_with_two_rows_swapped(monkeypatch, mod):
     rep = harness.check_star_laws(mod.instance(), 200, 1, max_size=2)
     witnesses = [f for f in rep.failures if f.startswith("symmetry: ")]
     assert any("not natural for f=" in f for f in witnesses)
+
+
+# -- kernel fast paths against a set oracle ---------------------------------
+
+
+#: per family: the largest set size, its hom-set enumerator, its type
+SMALL_HOMS = {
+    "relations": (2, finrel.Relations, finrel.Relation),
+    "pinj": (3, pinj.enum_pinj, pinj.PartialInjection),
+}
+
+
+def _graph(r) -> set:
+    """The (source label, target label) pairs, read by finrel for every type."""
+    return set(finrel.Relation.pairs(r))
+
+
+def _is(r, source, target, graph, cls) -> bool:
+    return (type(r) is cls and r.source == source and r.target == target
+            and _graph(r) == graph)
+
+
+@pytest.mark.parametrize("family", SMALL_HOMS)
+def test_kernel_matches_a_set_oracle_on_every_small_hom(family):
+    size, enum, cls = SMALL_HOMS[family]
+    sets = [finrel.fin_set(n) for n in range(size + 1)]
+    homs = [r for a in sets for b in sets for r in enum(a, b)]
+    # the general loop runs too: some rows hold two or more bits
+    assert (family == "relations") == any(row & (row - 1) for r in homs for row in r.rows)
+    by_source = {}
+    for s in homs:
+        by_source.setdefault(s.source.size, []).append(s)
+    for r in homs:
+        a, b = r.source, r.target
+        assert _is(finrel.converse(r), b, a, {(y, x) for x, y in _graph(r)}, cls)
+        ab = finrel.product(a, b)
+        want = {(finrel.UNIT_LABEL, p) for p in _graph(r)}
+        assert _is(finrel.theta(r), finrel.UNIT, ab, want, cls)
+        for s in by_source[b.size]:
+            want = {(x, z) for x, y in _graph(r) for y2, z in _graph(s) if y == y2}
+            assert _is(finrel.compose(r, s), a, s.target, want, cls)
+        for s in homs:
+            want = {((x1, x2), (y1, y2))
+                    for x1, y1 in _graph(r) for x2, y2 in _graph(s)}
+            got = finrel.tensor(r, s)
+            assert _is(got, finrel.product(a, s.source),
+                       finrel.product(b, s.target), want, cls)
+
+
+# -- structural isomorphisms built once per interned shape ------------------
+
+
+@pytest.mark.parametrize("cls", [finrel.Relation, pinj.PartialInjection],
+                         ids=["finrel", "pinj"])
+def test_structural_isos_on_interned_sets_are_built_once(cls):
+    for na in range(4):
+        for nb in range(4):
+            a, b = finrel.fin_set(na), finrel.fin_set(nb)
+            ab = finrel.product(a, b)
+            perm = tuple(range(ab.size - 1, -1, -1))
+            first = (finrel.identity(a, cls), finrel.symmetry(a, b, cls),
+                     finrel.reindex(ab, ab, list(perm), cls))
+            again = (finrel.identity(a, cls), finrel.symmetry(a, b, cls),
+                     finrel.reindex(ab, ab, perm, cls))
+            assert all(x is y for x, y in zip(first, again))
+            # each equals a freshly built value of its type
+            ident, braid, rev = first
+            assert type(ident) is type(braid) is type(rev) is cls
+            assert _graph(ident) == {(x, x) for x in a.labels}
+            assert (ident.source, ident.target) == (a, a)
+            assert _graph(braid) == {(p, p[::-1]) for p in ab.labels}
+            assert braid.source is ab and braid.target is finrel.product(b, a)
+            assert rev.rows == tuple(1 << j for j in perm)
+            assert rev.source is ab and rev.target is ab
+    # the kind of value is part of the key
+    x = finrel.fin_set(2)
+    assert type(finrel.identity(x)) is finrel.Relation
+    assert finrel.identity(x) is not finrel.identity(x, pinj.PartialInjection)
+
+
+def test_structural_isos_on_sets_from_outside_are_built_anew():
+    a, b = finrel.FinSet((0, 1)), finrel.finset_from_json(["p", "q", "r"])
+    ab, n3 = finrel.product(a, b), finrel.fin_set(3)
+    size = len(finrel._SHAPES)
+    ident = finrel.identity(a)
+    assert ident.source is a and ident.target is a
+    assert ident is not finrel.identity(a)
+    braid = finrel.symmetry(a, b)
+    assert braid.source == ab and braid.target == finrel.product(b, a)
+    assert braid is not finrel.symmetry(a, b)
+    rev = finrel.reindex(ab, ab, range(5, -1, -1))
+    assert rev.source is ab and rev.target is ab
+    assert rev is not finrel.reindex(ab, ab, range(5, -1, -1))
+    # one interned end is not enough
+    assert finrel.symmetry(a, n3) is not finrel.symmetry(a, n3)
+    assert finrel.reindex(b, n3, (0, 1, 2)).source is b
+    assert len(finrel._SHAPES) == size
+
+
+def test_reindex_refuses_a_non_bijection_after_a_memoized_one():
+    x, y = finrel.fin_set(3), finrel.fin_set(2)
+    assert finrel.reindex(x, x, (2, 0, 1)) is finrel.reindex(x, x, [2, 0, 1])
+    for bad in ((0, 0, 1), (0, 1), (0, 1, 3), (2, 0, 1, 0)):
+        with pytest.raises(ShapeMismatch, match="bijection"):
+            finrel.reindex(x, x, bad)
+    with pytest.raises(ShapeMismatch, match="bijection"):
+        finrel.reindex(x, y, (0, 1))

@@ -14,9 +14,10 @@ the verdicts must not change, and one invalid value fails the run.  The
 finstoch builders also demand absolute continuity and canonical
 integers, and the finhilb builder a `complex` for every entry; cjsl's
 `_mk_sup` builds composites of sup maps.  finrel's
-interned sets and xrel's interned monoids and crossed sets are built
-once, so the relation tests start from empty intern tables: every set
-and crossed set the rerun uses goes through the validating builder.
+interned sets, the structural isomorphisms it memoizes on them, and
+xrel's interned monoids and crossed sets are built once, so the relation
+tests start from empty intern tables: every set, crossed set and
+memoized isomorphism the rerun uses goes through the validating builder.
 """
 
 import dataclasses
@@ -83,13 +84,20 @@ def _validating_relation(source, target, rows, cls=finrel.Relation):
     return _same_or_raise(value, (source, target, rows), ("source", "target", "rows"))
 
 
-def _validate_builders(monkeypatch) -> list:
+def _validate_builders(monkeypatch) -> tuple[list, list]:
     """Swap in the validating builders on empty intern tables; returns
-    the labels of every set the validating `_mk_set` builds."""
+    the labels of every set the validating `_mk_set` builds, and every
+    relation the validating `_mk` returns."""
     for module, name in INTERN_TABLES:
         monkeypatch.setattr(module, name, {})
+    relations = []
+
+    def mk(*args):
+        relations.append(_validating_relation(*args))
+        return relations[-1]
+
     for module in RELATION_BUILDERS:
-        monkeypatch.setattr(module, "_mk", _validating_relation)
+        monkeypatch.setattr(module, "_mk", mk)
     for module, name, cls in OBJECT_BUILDERS:
         monkeypatch.setattr(module, name, _validating_object(cls))
     built = []
@@ -100,7 +108,7 @@ def _validate_builders(monkeypatch) -> list:
         return validating_set(labels)
 
     monkeypatch.setattr(finrel, "_mk_set", mk_set)
-    return built
+    return built, relations
 
 
 def _all_checks(structures, budget, max_size=None, seed=1):
@@ -135,10 +143,18 @@ def _signature(reps):
 
 def test_validated_builders_change_no_verdict(monkeypatch):
     trusted = _reports()
-    built = _validate_builders(monkeypatch)
+    built, relations = _validate_builders(monkeypatch)
     checked = _reports()
     # products of interned sets too, which the first run had cached
     assert ((0, 0), (0, 1), (1, 0), (1, 1)) in built
+    # and the structural isomorphisms memoized on them, of both types
+    memo = {key: r for key, r in finrel._SHAPES.items()
+            if isinstance(key, tuple) and isinstance(key[0], str)}
+    assert {(tag, cls) for tag in ("identity", "symmetry", "reindex")
+            for cls in (finrel.Relation, pinj.PartialInjection)} <= {
+        (key[0], type(r)) for key, r in memo.items()}
+    made = {id(r) for r in relations}  # the list keeps every id in use
+    assert all(id(r) in made for r in memo.values())
     # the validated rerun interned its own crossed sets and their tensors
     assert any(len(key) == 2 for key in xrel._SHAPES)
     assert not [

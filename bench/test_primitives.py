@@ -19,9 +19,11 @@ calls most get rungs of their own: xrel's sampled objects and the
 tensor of two of them (interned, so memoized), xrel's sampled relations
 and nuclear relations between them, finstoch's sampled spaces and joint
 measures, drelnum's sampled kernels on a 61-node pool interval, and
-finhilb's random matrices.  One more rung times the enumeration of the
-lattices of at most 5 elements, which the cjsl suites run.  This
-directory is outside the Tier-1 `testpaths`; run it with
+finhilb's random matrices.  Two more rungs time whole workloads of the
+verify-all report: the enumeration of the lattices of at most 5
+elements, which the cjsl suites run, and drelnum's fixture checks
+(`fixture_reports` at the pinned 201 nodes), the drel-numeric suite.
+This directory is outside the Tier-1 `testpaths`; run it with
 
     PYTHONPATH=src python -m pytest bench/ --benchmark-only
 
@@ -168,3 +170,8 @@ def test_sampler(benchmark, sampler):
 def test_enumerate_lattices(benchmark):
     benchmark.group = "enumeration"
     assert len(benchmark(cjsl.enumerate_lattices, 5)) == 10
+
+
+def test_drelnum_fixture_reports(benchmark):
+    benchmark.group = "fixture checks"
+    assert all(r.ok for r in benchmark(drelnum.fixture_reports))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from nucleal.core.errors import InvariantViolation, ParseError, ShapeMismatch
@@ -81,7 +82,9 @@ class FinLattice:
         object.__setattr__(self, "bot", bot[0])
         object.__setattr__(self, "top", top[0])
 
-    @property
+    # stored in the instance dict on first read; not a field, so equality
+    # and hash are unchanged
+    @cached_property
     def size(self) -> int:
         return self.elements.size
 

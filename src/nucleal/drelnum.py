@@ -14,7 +14,11 @@ resolution; the genuinely approximate statements (refinement
 convergence, the Dirac obstruction) get their own checks on a pinned
 Gaussian fixture family: the kernels of `FIXTURE_KERNEL_PARAMS` and the
 test functions of `FIXTURE_TESTFN_PARAMS`, on [-1, 1] at `FIXTURE_N`
-nodes, checked to `DEFAULT_TOL`.
+nodes, checked to `DEFAULT_TOL`.  The pairing, associativity and trace
+symmetry checks compose each ordered pair of fixture kernels once, on
+the first case that needs it, into a table local to the call, and read
+it from there (associativity composes each triple's two outer
+composites afresh); refinement keeps one pair of composites at a time.
 
 Boundary contract: `grid_kernel`, `test_fn`, `quad`, the `Interval`
 constructor and the JSON readers validate (shape, finiteness, and a
@@ -347,16 +351,40 @@ def fixture_test_fns(n: int = FIXTURE_N) -> list[TestFn]:
 # -- fixture-family checks --------------------------------------------------
 
 
+def _composites():
+    """A fresh `composed(f, g)`: `compose(f, g)` made on first use and
+    read from a table after, keyed by the operands' ids, which must stay
+    alive while it is used.
+
+    Each check makes its own inside the call, so nothing is kept across
+    calls.  The law that needs an entry makes it, so a `compose` that
+    raises fails each case that needs that entry, as a direct call would.
+    `compose` is looked up when an entry is made, so a patched one is the
+    one called.
+    """
+    table = {}
+
+    def composed(f, g):
+        key = (id(f), id(g))
+        fg = table.get(key)
+        if fg is None:
+            fg = table[key] = compose(f, g)
+        return fg
+
+    return composed
+
+
 def check_pairing(n: int = FIXTURE_N) -> AxiomReport:
     """Composite kernels pair with products the way iterated integrals do."""
     run = _Runner("drel-pairing")
     box = fixture_interval(n)
     kers = fixture_kernels(n)
     fns = fixture_test_fns(n)
+    composed = _composites()
 
     def composite(f, g, phi, psi):
         iterated = quad(apply_left(f, phi).samples * apply_right(g, psi).samples, box)
-        gap = abs(iterated - pair_with(compose(f, g), phi, psi))
+        gap = abs(iterated - pair_with(composed(f, g), phi, psi))
         if gap > DEFAULT_TOL:
             return f"pairing gap {gap:.3g} for {f!r};{g!r}"
 
@@ -373,9 +401,10 @@ def check_pairing(n: int = FIXTURE_N) -> AxiomReport:
 
 def check_associativity(n: int = FIXTURE_N) -> AxiomReport:
     run = _Runner("drel-associativity")
+    composed = _composites()  # pairs of fixtures; each outer composite is used once
 
     def associativity(f, g, h):
-        d = kernel_distance(compose(compose(f, g), h), compose(f, compose(g, h)))
+        d = kernel_distance(compose(composed(f, g), h), compose(f, composed(g, h)))
         if d > DEFAULT_TOL:
             return f"associativity gap {d:.3g}"
 
@@ -386,9 +415,10 @@ def check_associativity(n: int = FIXTURE_N) -> AxiomReport:
 
 def check_trace_symmetry(n: int = FIXTURE_N) -> AxiomReport:
     run = _Runner("drel-trace-symmetry")
+    composed = _composites()
 
     def symmetry(f, g):
-        d = abs(trace(compose(f, g)) - trace(compose(g, f)))
+        d = abs(trace(composed(f, g)) - trace(composed(g, f)))
         if d > DEFAULT_TOL:
             return f"trace asymmetry {d:.3g} for {f!r},{g!r}"
 

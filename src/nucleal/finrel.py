@@ -44,13 +44,16 @@ the whole process, so their ids stay unique.  Sets from the `FinSet`
 constructor or from JSON are not interned: `product` of such a set
 builds a new set, and a structural isomorphism on one a new value.
 Sets compare by identity first and by labels after, so an interned set
-and a validated set with the same labels are equal and hash alike.
+and a validated set with the same labels are equal and hash alike.  A
+set's `size` is computed on its first read and stored in the instance,
+outside the fields, so equality and hash are unchanged.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from nucleal.core import scalars
@@ -91,7 +94,7 @@ class FinSet:
     def __hash__(self):
         return hash(self.labels)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.labels)
 
@@ -212,9 +215,10 @@ def empty(source: FinSet, target: FinSet, cls=Relation) -> Relation:
     return _mk(source, target, (0,) * source.size, cls)
 
 
-def _remember(key, ends, r: Relation) -> Relation:
-    """Keep structural value r under `key` when every set in `ends` is interned."""
-    if all(id(x) in _INTERNED for x in ends):
+def _remember(key, ends, interned: dict, r: Relation) -> Relation:
+    """Keep structural value r in `_SHAPES` under `key` when every end in
+    `ends` is in `interned`: `_INTERNED`, or xrel's table of crossed sets."""
+    if all(id(x) in interned for x in ends):
         _SHAPES[key] = r
     return r
 
@@ -223,7 +227,8 @@ def identity(x: FinSet, cls=Relation) -> Relation:
     key = ("identity", id(x), cls)
     r = _SHAPES.get(key)
     if r is None:
-        r = _remember(key, (x,), _mk(x, x, tuple([1 << i for i in range(x.size)]), cls))
+        rows = tuple([1 << i for i in range(x.size)])
+        r = _remember(key, (x,), _INTERNED, _mk(x, x, rows, cls))
     return r
 
 
@@ -290,7 +295,8 @@ def reindex(a: FinSet, b: FinSet, index_map: Sequence[int], cls=Relation) -> Rel
     if r is None:
         if a.size != b.size or sorted(index_map) != list(range(a.size)):
             raise ShapeMismatch("reindex needs a bijection of equal-sized sets")
-        r = _remember(key, (a, b), _mk(a, b, tuple([1 << j for j in index_map]), cls))
+        rows = tuple([1 << j for j in index_map])
+        r = _remember(key, (a, b), _INTERNED, _mk(a, b, rows, cls))
     return r
 
 
@@ -301,7 +307,8 @@ def symmetry(a: FinSet, b: FinSet, cls=Relation) -> Relation:
     if r is None:
         na, nb = a.size, b.size
         rows = tuple([1 << (j * na + i) for i in range(na) for j in range(nb)])
-        r = _remember(key, (a, b), _mk(product(a, b), product(b, a), rows, cls))
+        r = _remember(key, (a, b), _INTERNED,
+                      _mk(product(a, b), product(b, a), rows, cls))
     return r
 
 

@@ -44,19 +44,28 @@ monoid per n.  Over an interned monoid, `unit_object` and the
 instance's sampled objects are interned: one object per (monoid,
 carrier, action, degree).  `tensor_object` of two interned objects
 returns one interned object, memoized on the identity of the pair.
+The structural isomorphisms on interned objects are built once too:
+`identity`, `symmetry` and the instance's `reindex` keep one value per
+key of the endpoints' ids, `XRelMorphism` and (for `reindex`) the
+map, in finrel's table under a tagged key, as finrel's own do;
+`reindex` checks equivariance on a miss only, so a map that is not
+equivariant is never kept and still raises.
 Interned objects live for the whole process, so their ids stay unique,
 and the tables stay bounded because the monoids are.  Objects from the
 `CrossedMSet` constructor, `trivial_object` or JSON, and objects over
 any other monoid, are not interned, and `tensor_object` of such an
-object builds a new object.  Crossed sets compare by identity first
-and by their fields after, so an interned object and a validated one
-with the same fields are equal and hash alike.
+object, or a structural isomorphism on one, builds a new value.
+`size` is computed on first read and stored (as `FinSet.size` is).
+Crossed sets compare by identity first and by their fields after, so an
+interned object and a validated one with the same fields are equal and
+hash alike.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from nucleal.core import scalars
@@ -122,7 +131,9 @@ class CommMonoid:
                     ):
                         raise InvariantViolation("table is not associative")
 
-    @property
+    # stored in the instance dict on first read; not a field, so equality
+    # and hash are unchanged (as for `FinSet.size`)
+    @cached_property
     def size(self) -> int:
         return self.elements.size
 
@@ -140,7 +151,8 @@ class CommMonoid:
 # crossed set by id, which keeps it alive; and the interned crossed sets
 # by shape, keyed by (id(monoid), id(carrier), action, degree) for the
 # unit and sampled objects and by the ids (id(x), id(y)) for the tensor
-# of interned x and y.
+# of interned x and y.  The structural isomorphisms on interned crossed
+# sets go into finrel's `_SHAPES` under tagged keys (see `finrel._remember`).
 _MONOIDS: dict[int, CommMonoid] = {}
 _INTERNED: dict[int, "CrossedMSet"] = {}
 _SHAPES: dict = {}
@@ -209,7 +221,7 @@ class CrossedMSet:
     def __hash__(self):
         return hash((self.carrier, self.action, self.degree))
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.carrier.size
 
@@ -299,8 +311,13 @@ def symmetry(a: CrossedMSet, b: CrossedMSet) -> "XRelMorphism":
     The monoid is commutative and acts componentwise, so the swap is
     equivariant and keeps the degrees.
     """
-    rows = finrel.symmetry(a.carrier, b.carrier).rows
-    return _mk(tensor_object(a, b), tensor_object(b, a), rows, XRelMorphism)
+    key = ("symmetry", id(a), id(b), XRelMorphism)
+    r = finrel._SHAPES.get(key)
+    if r is None:
+        rows = finrel.symmetry(a.carrier, b.carrier).rows
+        r = _mk(tensor_object(a, b), tensor_object(b, a), rows, XRelMorphism)
+        r = finrel._remember(key, (a, b), _INTERNED, r)
+    return r
 
 
 class XRelMorphism(Relation):
@@ -353,7 +370,11 @@ def empty(source: CrossedMSet, target: CrossedMSet) -> XRelMorphism:
 
 
 def identity(x: CrossedMSet) -> XRelMorphism:
-    return finrel.identity(x, XRelMorphism)
+    key = ("identity", id(x), XRelMorphism)
+    r = finrel._SHAPES.get(key)
+    if r is None:
+        r = finrel._remember(key, (x,), _INTERNED, finrel.identity(x, XRelMorphism))
+    return r
 
 
 def tensor(r: XRelMorphism, s: XRelMorphism) -> XRelMorphism:
@@ -639,8 +660,13 @@ class XRelInstance(CategoryInstance):
         return symmetry(a, b)
 
     def reindex(self, a, b, index_map):
-        r = finrel.reindex(a, b, index_map, XRelMorphism)
-        r._check()
+        index_map = tuple(index_map)
+        key = ("reindex", id(a), id(b), XRelMorphism, index_map)
+        r = finrel._SHAPES.get(key)
+        if r is None:  # checked on a miss only, so only equivariant maps are kept
+            r = finrel.reindex(a, b, index_map, XRelMorphism)
+            r._check()
+            finrel._remember(key, (a, b), _INTERNED, r)
         return r
 
     def scalar_of(self, s):

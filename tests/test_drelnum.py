@@ -157,6 +157,73 @@ def test_pairing_catches_a_scaled_compose(monkeypatch):
     assert rep.failures[0].startswith("composite: pairing gap ")
 
 
+def _counting_compose(monkeypatch) -> list:
+    real, calls = drelnum.compose, []
+
+    def compose(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(drelnum, "compose", compose)
+    return calls
+
+
+@pytest.mark.parametrize("n", [51, 101])
+def test_fixture_checks_compose_each_composite_once(monkeypatch, n):
+    calls = _counting_compose(monkeypatch)
+    checks = (drelnum.check_pairing, drelnum.check_associativity,
+              drelnum.check_trace_symmetry)
+    for _ in range(2):  # nothing is kept from one call to the next
+        counts = []
+        for check in checks:
+            calls.clear()
+            rep = check(n)
+            assert rep.ok
+            counts.append((len(calls), rep.cases))
+        # the 16 ordered pairs of fixtures once each; associativity also
+        # composes each of its 64 triples' outer pairs once per side
+        assert counts == [(16, 180), (16 + 2 * 64, 64), (16, 16)]
+
+
+@pytest.mark.parametrize("check, witness", [
+    (drelnum.check_associativity, "associativity: associativity gap "),
+    (drelnum.check_trace_symmetry, "symmetry: trace asymmetry "),
+])
+def test_fixture_checks_catch_a_shifted_compose(monkeypatch, check, witness):
+    real = drelnum.compose
+
+    def compose(f, g):  # seeded fault: every composite off by 1% of f
+        out = real(f, g)
+        samples = out.samples + 0.01 * f.samples
+        return drelnum.GridKernel(out.source, out.target, samples)
+
+    monkeypatch.setattr(drelnum, "compose", compose)
+    rep = check(101)
+    assert not rep.ok
+    assert rep.failures[0].startswith(witness)
+
+
+def test_a_raising_compose_fails_each_case_that_needs_it(monkeypatch):
+    real = drelnum.compose
+    f0, f1 = (k.samples for k in drelnum.fixture_kernels(101)[:2])
+
+    def compose(f, g):  # seeded fault: the first two fixtures do not compose
+        if np.array_equal(f.samples, f0) and np.array_equal(g.samples, f1):
+            raise ShapeMismatch("seeded")
+        return real(f, g)
+
+    monkeypatch.setattr(drelnum, "compose", compose)
+    # (f0, f1) with each of 9 pairs of test functions; (f0, f1, h) and
+    # (f, f0, f1) for each of 4 kernels; (f0, f1) and (f1, f0)
+    for check, raised, cases in ((drelnum.check_pairing, 9, 180),
+                                 (drelnum.check_associativity, 8, 64),
+                                 (drelnum.check_trace_symmetry, 2, 16)):
+        rep = check(101)
+        assert rep.cases == cases
+        assert len(rep.failures) == raised
+        assert all("exception ShapeMismatch: seeded" in f for f in rep.failures)
+
+
 def test_refinement_under_tolerance():
     rep = drelnum.check_refinement(201)
     assert rep.ok and rep.cases > 0

@@ -147,11 +147,12 @@ def test_validated_builders_change_no_verdict(monkeypatch):
     checked = _reports()
     # products of interned sets too, which the first run had cached
     assert ((0, 0), (0, 1), (1, 0), (1, 1)) in built
-    # and the structural isomorphisms memoized on them, of both types
+    # and the structural isomorphisms memoized on them and on interned
+    # crossed sets, of all three types
     memo = {key: r for key, r in finrel._SHAPES.items()
             if isinstance(key, tuple) and isinstance(key[0], str)}
     assert {(tag, cls) for tag in ("identity", "symmetry", "reindex")
-            for cls in (finrel.Relation, pinj.PartialInjection)} <= {
+            for cls in (finrel.Relation, pinj.PartialInjection, xrel.XRelMorphism)} <= {
         (key[0], type(r)) for key, r in memo.items()}
     made = {id(r) for r in relations}  # the list keeps every id in use
     assert all(id(r) in made for r in memo.values())
@@ -398,3 +399,45 @@ def test_validated_cjsl_builder_catches_a_composite_off_by_one(monkeypatch):
     rep = cjsl.check_closure_lemma(3)
     assert not rep.ok
     assert any("joins are not preserved" in f for f in rep.failures)
+
+
+# -- sizes stored outside the fields ----------------------------------------
+
+_Z3_TABLE = tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3))
+_SWAP = ((0, 1), (1, 0))
+_CHAIN3 = tuple(tuple(i <= j for j in range(3)) for i in range(3))
+_THIRDS = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+
+# per class: the element count, and makers of one value (fresh on each
+# call) through the public constructor and through the trusted builder
+SIZED = {
+    "FinSet": (3, (lambda: finrel.FinSet(("a", "b", "c")),
+                   lambda: finrel._mk_set(("a", "b", "c")))),
+    "CommMonoid": (3, (lambda: xrel.CommMonoid(finrel.FinSet((0, 1, 2)), _Z3_TABLE, 0),
+                       lambda: xrel.CommMonoid(finrel.fin_set(3), _Z3_TABLE, 0))),
+    "CrossedMSet": (2, (
+        lambda: xrel.CrossedMSet(xrel.cyclic_monoid(2), finrel.FinSet(("p", "q")),
+                                 _SWAP, (1, 1)),
+        lambda: xrel._mk_obj(xrel.cyclic_monoid(2), finrel._mk_set(("p", "q")),
+                             _SWAP, (1, 1)))),
+    "FinLattice": (3, (lambda: cjsl.FinLattice(finrel.FinSet((0, 1, 2)), _CHAIN3),
+                       lambda: cjsl.chain(3))),
+    "ProbSpace": (3, (lambda: finstoch.ProbSpace(finrel.FinSet("xyz"), _THIRDS),
+                      lambda: finstoch._mk_space(finrel._mk_set(tuple("xyz")),
+                                                 (2, 1, 1), 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_size_is_the_element_count_and_leaves_equality_alone(name):
+    n, makers = SIZED[name]
+    for make in makers:
+        x = make()
+        names = [f.name for f in dataclasses.fields(x)]
+        assert x.size == n and x.size == n
+        assert [f.name for f in dataclasses.fields(x)] == names
+        assert "size" not in names
+        for other in makers:  # a value whose size was never read
+            y = other()
+            assert type(y).__name__ == name
+            assert x == y and y == x and hash(x) == hash(y)

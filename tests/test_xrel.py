@@ -1,11 +1,12 @@
 """Crossed monoid-sets and the squared-degree ideal."""
 
+import itertools
 import json
 
 import pytest
 
 import _intern_counts
-from nucleal import cli, xrel
+from nucleal import cli, finrel, xrel
 from nucleal.core import harness
 from nucleal.core.errors import InvariantViolation, ShapeMismatch
 from nucleal.core.instance import CategoryInstance
@@ -296,3 +297,75 @@ def test_star_laws_catch_a_braid_with_two_rows_swapped(monkeypatch):
     rep = harness.check_star_laws(inst, 200, 1)
     witnesses = [f for f in rep.failures if f.startswith("symmetry: ")]
     assert any("not natural for f=" in f for f in witnesses)
+
+
+# -- structural isomorphisms built once per interned shape ------------------
+
+
+def _orbit_object(mon, degree):
+    """Interned 3-point crossed set: the generator swaps points 0 and 1
+    (on odd powers) and fixes point 2."""
+    action = tuple((1, 0, 2) if m % 2 else (0, 1, 2) for m in range(mon.size))
+    return xrel._shaped_obj(mon, xrel.fin_set(3), action, degree)
+
+
+@pytest.mark.parametrize("mon", [Z2, Z4])
+def test_structural_isos_on_interned_crossed_sets_are_built_once(mon):
+    inst, objs = _sampled(mon, 12, 46)
+    objs += [_orbit_object(mon, (1, 1, 1)), _orbit_object(mon, (1, 1, 0))]
+    assert all(id(x) in xrel._INTERNED for x in objs)
+    for a in objs:
+        for b in objs[-4:]:
+            ab, ba = xrel.tensor_object(a, b), xrel.tensor_object(b, a)
+            n = ab.size
+            swap = [j * a.size + i for i in range(a.size) for j in range(b.size)]
+            shapes = len(xrel._SHAPES)
+            first = (xrel.identity(a), xrel.symmetry(a, b),
+                     inst.reindex(ab, ab, list(range(n))), inst.reindex(ab, ba, swap))
+            again = (inst.identity(a), inst.symmetry(a, b),
+                     inst.reindex(ab, ab, range(n)), inst.reindex(ab, ba, tuple(swap)))
+            assert all(x is y for x, y in zip(first, again))
+            assert len(xrel._SHAPES) == shapes  # kept in finrel's table
+            ident, braid, unit, rev = first
+            assert all(type(r) is xrel.XRelMorphism for r in first)
+            assert ident.source is a and ident.target is a
+            assert ident.rows == tuple(1 << i for i in range(a.size))
+            assert braid.source is ab and braid.target is ba
+            assert braid == rev  # the braiding is the reindex of the swap
+            assert unit.rows == tuple(1 << i for i in range(n))
+            for r in first:
+                r._check()
+
+
+def test_structural_isos_on_crossed_sets_from_outside_are_built_anew():
+    inst, _, _ = xrel.structures(Z2)
+    x = _swap_object(Z2)
+    y = _orbit_object(Z2, (1, 1, 1))
+    size = len(finrel._SHAPES)
+    assert xrel.identity(x) is not xrel.identity(x)
+    assert xrel.identity(x) == xrel.identity(x)
+    # one interned end is not enough
+    assert xrel.symmetry(x, y) is not xrel.symmetry(x, y)
+    assert xrel.symmetry(x, y) == xrel.symmetry(x, y)
+    assert inst.reindex(x, x, (1, 0)) is not inst.reindex(x, x, (1, 0))
+    assert len(finrel._SHAPES) == size
+
+
+@pytest.mark.parametrize("degree", [(1, 1, 1), (1, 1, 0), (0, 0, 1)])
+def test_reindex_refuses_a_map_that_is_not_equivariant_after_a_memoized_one(degree):
+    inst, _, _ = xrel.structures(Z2)
+    x = _orbit_object(Z2, degree)
+    for _ in range(2):  # the second round reads the memo
+        refused = 0
+        for perm in itertools.permutations(range(3)):
+            pairs = list(enumerate(perm))
+            try:
+                want = xrel.XRelMorphism(x, x, pairs)  # validating oracle
+            except InvariantViolation:
+                refused += 1
+                with pytest.raises(InvariantViolation):
+                    inst.reindex(x, x, perm)
+                continue
+            got = inst.reindex(x, x, perm)
+            assert got == want and got is inst.reindex(x, x, list(perm))
+        assert refused == 4  # only the identity and the swap of 0 and 1 commute

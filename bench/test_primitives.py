@@ -13,6 +13,11 @@ Their identity and the transpose-of-tensor interleave (a `reindex` of
 (a (x) b) (x) (c (x) d) onto (a (x) c) (x) (b (x) d), factors of 2
 elements) are timed both ways: on interned sets (the memo) and on sets
 from the validating `FinSet` constructor (a fresh build).
+The kernel keeps one canonical value per enumerated relation between
+the sets `fin_set(n)` makes, and memoizes compose, converse and theta
+on such values.  The finrel and pinj operands above are sampled or
+validated, not canonical, so their rungs compute; pinj's compose is
+also timed on the equal members of `enum_pinj`, a table hit.
 The finstoch operands are exact joint measures on a 3-point space with
 a null point, the shape its samplers draw.  The samplers the harness
 calls most get rungs of their own: xrel's sampled objects and the
@@ -137,6 +142,23 @@ def test_structural_iso(benchmark, model, op, sets):
     args = _structural(sets, op)
     first = fn(*args)
     assert (benchmark(fn, *args) is first) == (sets == "interned")
+
+
+MEMBERS = {
+    # the member of enum_pinj equal to each operand: composed once, then read
+    "canonical": lambda f: next(m for m in pinj.enum_pinj(f.source, f.target) if m == f),
+    "validated": lambda f: f,
+}
+
+
+@pytest.mark.parametrize("members", MEMBERS)
+def test_pinj_compose_on_members(benchmark, members):
+    benchmark.group = "compose (pinj members)"
+    inst, _, f, g, _ = _pinj()
+    f, g = MEMBERS[members](f), MEMBERS[members](g)
+    first = inst.compose(g, f)
+    assert benchmark(inst.compose, g, f) == first
+    assert ((id(f), id(g)) in finrel._OPS) == (members == "canonical")
 
 
 def _samplers():

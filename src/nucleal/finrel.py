@@ -26,7 +26,8 @@ outside the target).  The operations, the hom-set family and the
 samplers (`compose`, `converse`, `tensor`, `product`, `identity`,
 `theta`, `Relations`, `sample_hom`, ...) preserve those invariants, and
 each subclass's invariant, by construction, so they build through the
-trusted `_mk`/`_mk_set`, which skip the checks.
+trusted `_mk`/`_mk_set`, which skip the checks.  The enumerators build
+through `_canon`, which is `_mk` except between two base sets (below).
 
 A hom-set is a `Relations(source, target)` family, which ranks each
 relation by its bitmask, as `sample_hom` reads its drawn bits, and makes
@@ -39,14 +40,34 @@ on the identity of the pair.  The structural isomorphisms on interned
 sets are built once too: `identity(x, cls)`, `symmetry(a, b, cls)` and
 `reindex(a, b, index_map, cls)` return one value per key of the
 endpoints' ids, `cls` and `tuple(index_map)`, kept in the same table
-under a tagged key.  Nothing else is memoized.  Interned sets live for
-the whole process, so their ids stay unique.  Sets from the `FinSet`
-constructor or from JSON are not interned: `product` of such a set
-builds a new set, and a structural isomorphism on one a new value.
-Sets compare by identity first and by labels after, so an interned set
-and a validated set with the same labels are equal and hash alike.  A
-set's `size` is computed on its first read and stored in the instance,
-outside the fields, so equality and hash are unchanged.
+under a tagged key.  Interned sets live for the whole process, so
+their ids stay unique.  Sets from the `FinSet` constructor or from JSON
+are not interned: `product` of such a set builds a new set, and a
+structural isomorphism on one a new value.  Sets compare by identity
+first and by labels after, so an interned set and a validated set with
+the same labels are equal and hash alike.  A set's `size` is computed on
+its first read and stored in the instance, outside the fields, so
+equality and hash are unchanged.
+
+Hash-consing on base sets: a base set is one that `fin_set(n)` made,
+the objects finrel and pinj list and draw.  `_canon` keeps one canonical
+relation per (source, target, rows, type) between two base sets.  The
+members of `Relations` and of pinj's `enum_pinj`, `_single` and `empty`,
+and `identity`, are built through it, so two enumerations of a hom-set
+give the same objects.  `compose`, `converse` and `theta` look up their
+result by the ids of canonical arguments first; on a miss they compute
+it, canonical for `compose` and `converse`, and store it.  The member
+table holds each canonical value, which keeps its id valid while it is
+a key; when it reaches `_TABLE_MAX` entries it is cleared with the op
+table, which is also cleared alone at that size.  Sampled relations
+(`sample_hom`, pinj's `sample_pinj`), values from the validating
+constructors (equal to a canonical value, but not it), and relations on
+`UNIT`, products, crossed sets or sets from outside skip both tables:
+hash-consing values that are seldom reused measured slower on the
+sampled suites.  Nothing else is memoized.  A seeded fault in one of
+the three ops must replace the public function (`finrel.compose`, ...),
+because the table sits behind that name: a warm table hides a fault
+patched in underneath it.
 """
 
 from __future__ import annotations
@@ -121,6 +142,17 @@ def _mk_set(labels: tuple) -> FinSet:
 # isomorphisms on interned sets share it under keys tagged by their name.
 _INTERNED: dict[int, FinSet] = {}
 _SHAPES: dict = {}
+# The base sets, the ones fin_set(n) made, by id.
+_BASE: dict[int, FinSet] = {}
+# The member table: each canonical relation, the one value between two
+# base sets per (id(source), id(target), rows, cls), under that key and
+# under its own id, which keeps it alive while the id is a key.  The op
+# table: what compose, converse and theta returned on canonical
+# arguments, keyed by (id(r), id(s)), id(r) and ("theta", id(f)).  Each
+# holds at most _TABLE_MAX entries; clearing the members clears the ops.
+_MEMBERS: dict = {}
+_OPS: dict = {}
+_TABLE_MAX = 1 << 14
 
 
 def _intern(key, x: FinSet) -> FinSet:
@@ -132,7 +164,10 @@ def _intern(key, x: FinSet) -> FinSet:
 def fin_set(n: int) -> FinSet:
     """Canonical n-element set 0..n-1, interned."""
     x = _SHAPES.get(n)
-    return x if x is not None else _intern(n, _mk_set(tuple(range(n))))
+    if x is None:
+        x = _intern(n, _mk_set(tuple(range(n))))
+        _BASE[id(x)] = x
+    return x
 
 
 UNIT = _intern(UNIT_LABEL, FinSet((UNIT_LABEL,)))
@@ -204,6 +239,32 @@ def _mk(source, target, rows: tuple, cls=Relation) -> Relation:
     return r
 
 
+def _canon(source, target, rows: tuple, cls=Relation) -> Relation:
+    """`_mk`, but between two base sets the one canonical value, made on
+    the first call."""
+    if id(source) not in _BASE or id(target) not in _BASE:
+        return _mk(source, target, rows, cls)
+    key = (id(source), id(target), rows, cls)
+    r = _MEMBERS.get(key)
+    if r is None:
+        r = _mk(source, target, rows, cls)
+        if len(_MEMBERS) >= _TABLE_MAX:
+            _MEMBERS.clear()
+            _OPS.clear()  # its keys are ids of members
+        _MEMBERS[key] = _MEMBERS[id(r)] = r
+    return r
+
+
+def _memo(key, r: Relation, *args: Relation) -> Relation:
+    """Keep r, an op's result, in `_OPS` under `key` when its arguments
+    `args` are still canonical: making r may have cleared the members."""
+    if all(id(a) in _MEMBERS for a in args):
+        if len(_OPS) >= _TABLE_MAX:
+            _OPS.clear()
+        _OPS[key] = r
+    return r
+
+
 def from_pairs(source: FinSet, target: FinSet, pairs: Iterable[tuple]) -> Relation:
     rows = [0] * source.size
     for x, y in pairs:
@@ -212,7 +273,7 @@ def from_pairs(source: FinSet, target: FinSet, pairs: Iterable[tuple]) -> Relati
 
 
 def empty(source: FinSet, target: FinSet, cls=Relation) -> Relation:
-    return _mk(source, target, (0,) * source.size, cls)
+    return _canon(source, target, (0,) * source.size, cls)
 
 
 def _remember(key, ends, interned: dict, r: Relation) -> Relation:
@@ -228,12 +289,16 @@ def identity(x: FinSet, cls=Relation) -> Relation:
     r = _SHAPES.get(key)
     if r is None:
         rows = tuple([1 << i for i in range(x.size)])
-        r = _remember(key, (x,), _INTERNED, _mk(x, x, rows, cls))
+        r = _remember(key, (x,), _INTERNED, _canon(x, x, rows, cls))
     return r
 
 
 def compose(r: Relation, s: Relation) -> Relation:
     """Relational composite of r: X -> Y then s: Y -> Z."""
+    key = (id(r), id(s))
+    t = _OPS.get(key)
+    if t is not None:
+        return t
     if r.target is not s.source and r.target != s.source:
         raise ShapeMismatch(
             f"cannot compose through {r.target!r} vs {s.source!r}"
@@ -250,10 +315,16 @@ def compose(r: Relation, s: Relation) -> Relation:
             out.append(acc)
         else:  # no bit, or one: a partial injection's every row
             out.append(srows[row.bit_length() - 1] if row else 0)
+    if key[0] in _MEMBERS and key[1] in _MEMBERS:
+        return _memo(key, _canon(r.source, s.target, tuple(out), type(r)), r, s)
     return _mk(r.source, s.target, tuple(out), type(r))
 
 
 def converse(r: Relation) -> Relation:
+    key = id(r)
+    t = _OPS.get(key)
+    if t is not None:
+        return t
     rows = [0] * r.target.size
     bit = 1  # of the source element whose row this is
     for row in r.rows:
@@ -262,6 +333,8 @@ def converse(r: Relation) -> Relation:
             rows[low.bit_length() - 1] |= bit
             row ^= low
         bit <<= 1
+    if key in _MEMBERS:
+        return _memo(key, _canon(r.target, r.source, tuple(rows), type(r)), r)
     return _mk(r.target, r.source, tuple(rows), type(r))
 
 
@@ -345,7 +418,12 @@ def theta_row(f: Relation) -> int:
 
 
 def theta(f: Relation) -> Relation:
-    return _mk(UNIT, product(f.source, f.target), (theta_row(f),), type(f))
+    key = ("theta", id(f))
+    t = _OPS.get(key)
+    if t is not None:
+        return t
+    t = _mk(UNIT, product(f.source, f.target), (theta_row(f),), type(f))
+    return _memo(key, t, f) if key[1] in _MEMBERS else t
 
 
 def theta_inv(m: Relation, a: FinSet, b: FinSet) -> Relation:
@@ -384,11 +462,16 @@ def param_trace(r: Relation, a: FinSet, u: FinSet, b: FinSet) -> Relation:
     return _mk(a, b, tuple(rows), type(r))
 
 
-def _from_mask(source: FinSet, target: FinSet, mask: int) -> Relation:
-    """The relation whose bit i * |target| + j of `mask` relates i to j."""
+def _mask_rows(source: FinSet, target: FinSet, mask: int) -> tuple:
+    """The rows of the relation whose bit i * |target| + j of `mask`
+    relates i to j."""
     nt = target.size
-    return _mk(source, target,
-               tuple((mask >> (i * nt)) & ((1 << nt) - 1) for i in range(source.size)))
+    return tuple((mask >> (i * nt)) & ((1 << nt) - 1) for i in range(source.size))
+
+
+def _from_mask(source: FinSet, target: FinSet, mask: int) -> Relation:
+    """Member `mask` of the hom-set, canonical between base sets."""
+    return _canon(source, target, _mask_rows(source, target, mask))
 
 
 class Relations:
@@ -531,7 +614,7 @@ class FinRelInstance(CategoryInstance):
         return fin_set(rng.below(self.max_object_size + 1))
 
     def sample_hom(self, rng: Lcg, a, b):
-        return _from_mask(a, b, rng.bits(a.size * b.size))
+        return _mk(a, b, _mask_rows(a, b, rng.bits(a.size * b.size)))
 
     def objects(self, max_size=None):
         cap = self.max_object_size if max_size is None else max_size

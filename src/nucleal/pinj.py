@@ -21,8 +21,12 @@ Boundary contract: the `PartialInjection` constructor, `from_map`,
 `from_json` and the samplers validate their (source index, target
 index) pairs: in range, single-valued, injective.  Operations and
 enumerators keep the invariant by construction, so they build through
-finrel's trusted `_mk`, which checks nothing.  `.pairs` is a read-only
-view of the rows, sorted by source index.
+finrel's trusted `_mk`, which checks nothing.  The enumerators
+(`enum_pinj`, `_single`, `empty`, `identity`) build through finrel's
+`_canon`, so between sets that `fin_set` made each map is one canonical
+object, and finrel's `compose`, `converse` and `theta` read their
+results on such maps from its op table.  `.pairs` is a read-only view
+of the rows, sorted by source index.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from nucleal.finrel import (
     FinRelInstance,
     FinSet,
     Relation,
-    _mk,
+    _canon,
     compose,
     converse,
     fin_set,
@@ -100,7 +104,7 @@ def _single(source: FinSet, target: FinSet, i: int, j: int) -> PartialInjection:
     """The map defined only at i, sending it to j (trusted)."""
     rows = [0] * source.size
     rows[i] = 1 << j
-    return _mk(source, target, tuple(rows), PartialInjection)
+    return _canon(source, target, tuple(rows), PartialInjection)
 
 
 def from_map(source: FinSet, target: FinSet, mapping: dict) -> PartialInjection:
@@ -187,7 +191,7 @@ def enum_pinj(source: FinSet, target: FinSet) -> Iterator[PartialInjection]:
                 rows = [0] * ns
                 for i, j in zip(dom, cod):
                     rows[i] = 1 << j
-                yield _mk(source, target, tuple(rows), PartialInjection)
+                yield _canon(source, target, tuple(rows), PartialInjection)
 
 
 def count_pinj(ns: int, nt: int) -> int:

@@ -4,7 +4,8 @@ One fresh process per seed (1 and 7) runs every job of
 `suite_jobs("all", 200, seed)` twice.  After the first run it prints the
 sha256 of the ordered (law, cases, failures, flags) of its reports.
 After each run it prints finrel's interned sets, then xrel's monoids,
-object shapes, memoized tensor pairs and all interned objects.  The four
+object shapes, memoized tensor pairs and all interned objects, then the
+entries of finrel's member and op tables.  The four
 runs are made once per test session, however many tests read them.
 """
 
@@ -30,7 +31,7 @@ _CODE = (
     "    pairs = sum(len(key) == 2 for key in xrel._SHAPES)\n"
     "    shapes = len(xrel._SHAPES) - pairs\n"
     "    print(len(finrel._INTERNED), len(xrel._MONOIDS), shapes, pairs,\n"
-    "          len(xrel._INTERNED))\n"
+    "          len(xrel._INTERNED), len(finrel._MEMBERS), len(finrel._OPS))\n"
 )
 
 

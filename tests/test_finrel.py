@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _forks
 import _intern_counts
 from nucleal import finrel, pinj
 from nucleal.core import harness
@@ -322,6 +323,67 @@ def test_intern_tables_stay_bounded_across_seeds():
     (seed1, _), (seed7, _) = counts
     # finrel interns the same sets at every seed
     assert seed1[0] == seed7[0] > 0
+    # the member and op tables are filled, and a second report adds no entry
+    assert all(after_one[5:] == after_two[5:] for after_one, after_two in counts)
+    assert all(n > 0 for n in seed1[5:] + seed7[5:])
+
+
+class _CheckedOps(dict):
+    """An op table that refuses a key with an id of no member: only the
+    member table keeps such an id from being reused."""
+
+    def __setitem__(self, key, value):
+        if isinstance(key, int):  # converse
+            ids = (key,)
+        else:  # compose, or theta
+            ids = key[1:] if key[0] == "theta" else key
+        if not all(i in finrel._MEMBERS for i in ids):
+            raise AssertionError(f"op key {key!r} outlives its arguments")
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("table_max", [64, finrel._TABLE_MAX])
+def test_member_and_op_tables_stay_bounded(monkeypatch, table_max):
+    # one CPU, so that this process makes every composite: 2^9 relations
+    # 3 -> 3 have 2^18 composable pairs, more than the tables may hold;
+    # at 64 entries the member table fills, and is cleared, within an op
+    _forks.cpus(monkeypatch, 1)
+    monkeypatch.setattr(finrel, "_TABLE_MAX", table_max)
+    monkeypatch.setattr(finrel, "_MEMBERS", {})
+    monkeypatch.setattr(finrel, "_OPS", _CheckedOps())
+    rep = harness.check_star_laws(finrel.instance(), 400_000, 1, max_size=3)
+    assert rep.ok, rep.failures[:3]
+    assert 0 < len(finrel._MEMBERS) <= table_max
+    assert 0 < len(finrel._OPS) <= table_max
+
+
+def test_a_warm_table_hides_no_fault_in_compose(monkeypatch):
+    _forks.cpus(monkeypatch, 1)
+    inst = pinj.instance()
+    # the first run fills the tables with every composite the second needs
+    assert harness.check_star_laws(inst, 400_000, 1, max_size=3).ok
+    real = finrel.compose
+
+    def compose(r, s):  # seeded fault: the last row cleared
+        t = real(r, s)
+        if not any(t.rows):
+            return t
+        return finrel._mk(t.source, t.target, t.rows[:-1] + (0,), type(t))
+
+    monkeypatch.setattr(finrel, "compose", compose)
+    # the report keeps the first 20 witnesses; the per-case hook sees all
+    failing = set()
+    run = harness._Runner._run
+
+    def recorded(self, name, fn, case):
+        lines = run(self, name, fn, case)
+        if lines:
+            failing.add(name)
+        return lines
+
+    monkeypatch.setattr(harness._Runner, "_run", recorded)
+    assert not harness.check_star_laws(inst, 400_000, 1, max_size=3).ok
+    assert {"associativity", "unit-laws"} <= failing
 
 
 # -- closed-form braiding ---------------------------------------------------
@@ -377,31 +439,84 @@ def _is(r, source, target, graph, cls) -> bool:
             and _graph(r) == graph)
 
 
+def _validated(r):
+    """A value equal to r, from the validating constructor of its type."""
+    if type(r) is finrel.Relation:
+        return finrel.Relation(r.source, r.target, r.rows)
+    return type(r)(r.source, r.target, r.pairs)
+
+
+def _check_unary(r, cls):
+    a, b = r.source, r.target
+    assert _is(finrel.converse(r), b, a, {(y, x) for x, y in _graph(r)}, cls)
+    want = {(finrel.UNIT_LABEL, p) for p in _graph(r)}
+    assert _is(finrel.theta(r), finrel.UNIT, finrel.product(a, b), want, cls)
+
+
+def _check_compose(r, s, cls):
+    want = {(x, z) for x, y in _graph(r) for y2, z in _graph(s) if y == y2}
+    assert _is(finrel.compose(r, s), r.source, s.target, want, cls)
+
+
 @pytest.mark.parametrize("family", SMALL_HOMS)
-def test_kernel_matches_a_set_oracle_on_every_small_hom(family):
+def test_kernel_matches_a_set_oracle_on_every_small_hom(monkeypatch, family):
+    # empty tables: the first round builds every composite, converse and
+    # transpose, and the second reads each one from the op table
+    monkeypatch.setattr(finrel, "_MEMBERS", {})
+    monkeypatch.setattr(finrel, "_OPS", {})
     size, enum, cls = SMALL_HOMS[family]
     sets = [finrel.fin_set(n) for n in range(size + 1)]
     homs = [r for a in sets for b in sets for r in enum(a, b)]
+    # one object per member: a second enumeration gives the same objects
+    again = [r for a in sets for b in sets for r in enum(a, b)]
+    assert len(again) == len(homs) and all(r is r2 for r, r2 in zip(homs, again))
     # the general loop runs too: some rows hold two or more bits
     assert (family == "relations") == any(row & (row - 1) for r in homs for row in r.rows)
-    by_source = {}
+    by_source, by_target = {}, {}
     for s in homs:
         by_source.setdefault(s.source.size, []).append(s)
+        by_target.setdefault(s.target.size, []).append(s)
+    for cold in (True, False):
+        for r in homs:
+            _check_unary(r, cls)
+            for s in by_source[r.target.size]:
+                _check_compose(r, s, cls)
+            for s in homs:
+                want = {((x1, x2), (y1, y2))
+                        for x1, y1 in _graph(r) for x2, y2 in _graph(s)}
+                got = finrel.tensor(r, s)
+                assert _is(got, finrel.product(r.source, s.source),
+                           finrel.product(r.target, s.target), want, cls)
+        if cold:
+            ops = dict(finrel._OPS)
+    # the warm round found every result in the table and added none
+    assert finrel._OPS == ops and len(ops) > len(homs)
+    # a validated value equals the canonical one but is not it; the
+    # kernel serves it from no table, and its composites are still right
     for r in homs:
-        a, b = r.source, r.target
-        assert _is(finrel.converse(r), b, a, {(y, x) for x, y in _graph(r)}, cls)
-        ab = finrel.product(a, b)
-        want = {(finrel.UNIT_LABEL, p) for p in _graph(r)}
-        assert _is(finrel.theta(r), finrel.UNIT, ab, want, cls)
-        for s in by_source[b.size]:
-            want = {(x, z) for x, y in _graph(r) for y2, z in _graph(s) if y == y2}
-            assert _is(finrel.compose(r, s), a, s.target, want, cls)
-        for s in homs:
-            want = {((x1, x2), (y1, y2))
-                    for x1, y1 in _graph(r) for x2, y2 in _graph(s)}
-            got = finrel.tensor(r, s)
-            assert _is(got, finrel.product(a, s.source),
-                       finrel.product(b, s.target), want, cls)
+        v = _validated(r)
+        assert v == r and v is not r and id(v) not in finrel._MEMBERS
+        _check_unary(v, cls)
+        for s in by_source[r.target.size]:
+            _check_compose(v, s, cls)
+            _check_compose(v, _validated(s), cls)
+        for s in by_target[r.source.size]:
+            _check_compose(s, v, cls)
+
+
+def test_sampled_relations_skip_the_tables():
+    x, rng = finrel.fin_set(2), Lcg(5)
+    drawn = [finrel.instance().sample_hom(rng, x, x), pinj.sample_pinj(rng, x, x)]
+    members = [finrel.Relations(x, x)[finrel.theta_row(drawn[0])],
+               next(m for m in pinj.enum_pinj(x, x) if m == drawn[1])]
+    for r, m in zip(drawn, members):
+        assert r == m and r is not m
+        assert id(r) not in finrel._MEMBERS and id(m) in finrel._MEMBERS
+        assert finrel.compose(r, r) is not finrel.compose(r, r)
+        assert finrel.converse(r) is not finrel.converse(r)
+        assert finrel.compose(m, m) is finrel.compose(m, m)
+        assert finrel.converse(m) is finrel.converse(m)
+        assert finrel.compose(r, r) == finrel.compose(m, m)
 
 
 # -- structural isomorphisms built once per interned shape ------------------

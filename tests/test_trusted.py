@@ -14,10 +14,12 @@ the verdicts must not change, and one invalid value fails the run.  The
 finstoch builders also demand absolute continuity and canonical
 integers, and the finhilb builder a `complex` for every entry; cjsl's
 `_mk_sup` builds composites of sup maps.  finrel's
-interned sets, the structural isomorphisms it memoizes on them, and
-xrel's interned monoids and crossed sets are built once, so the relation
-tests start from empty intern tables: every set, crossed set and
-memoized isomorphism the rerun uses goes through the validating builder.
+interned sets, the structural isomorphisms it memoizes on them, its
+canonical relations between base sets with their memoized composites,
+converses and transposes, and xrel's interned monoids and crossed sets
+are built once, so the relation tests start from empty intern tables:
+every set, crossed set, relation and memoized isomorphism the rerun uses
+goes through the validating builder.
 """
 
 import dataclasses
@@ -31,7 +33,7 @@ from nucleal.core import harness
 from nucleal.core.errors import InvariantViolation, ShapeMismatch
 
 # every module that holds finrel's relation builder under its own name
-RELATION_BUILDERS = (finrel, pinj, xrel)
+RELATION_BUILDERS = (finrel, xrel)
 OBJECT_BUILDERS = (
     (finrel, "_mk_set", finrel.FinSet),
     (xrel, "_mk_obj", xrel.CrossedMSet),
@@ -41,6 +43,9 @@ OBJECT_BUILDERS = (
 INTERN_TABLES = (
     (finrel, "_INTERNED"),
     (finrel, "_SHAPES"),
+    (finrel, "_BASE"),
+    (finrel, "_MEMBERS"),
+    (finrel, "_OPS"),
     (xrel, "_MONOIDS"),
     (xrel, "_INTERNED"),
     (xrel, "_SHAPES"),
@@ -156,6 +161,10 @@ def test_validated_builders_change_no_verdict(monkeypatch):
         (key[0], type(r)) for key, r in memo.items()}
     made = {id(r) for r in relations}  # the list keeps every id in use
     assert all(id(r) in made for r in memo.values())
+    # the kernel's canonical relations and memoized results, which the
+    # first run also filled, are all the rerun's own
+    tables = list(finrel._MEMBERS.values()) + list(finrel._OPS.values())
+    assert tables and all(id(r) in made for r in tables)
     # the validated rerun interned its own crossed sets and their tensors
     assert any(len(key) == 2 for key in xrel._SHAPES)
     assert not [
@@ -172,7 +181,7 @@ def test_validated_builders_catch_non_injective_pinj(monkeypatch):
         if pinj.is_nuclear(out):
             return out
         rows = tuple(1 if row else 0 for row in out.rows)
-        return pinj._mk(out.source, out.target, rows, pinj.PartialInjection)
+        return finrel._mk(out.source, out.target, rows, pinj.PartialInjection)
 
     # pinj's adapter inherits `star` from finrel's, so the fault is
     # seeded on the adapter rather than on a module function

@@ -14,10 +14,12 @@ Their identity and the transpose-of-tensor interleave (a `reindex` of
 elements) are timed both ways: on interned sets (the memo) and on sets
 from the validating `FinSet` constructor (a fresh build).
 The kernel keeps one canonical value per enumerated relation between
-the sets `fin_set(n)` makes, and memoizes compose, converse and theta
-on such values.  The finrel and pinj operands above are sampled or
-validated, not canonical, so their rungs compute; pinj's compose is
-also timed on the equal members of `enum_pinj`, a table hit.
+the sets `fin_set(n)` makes, and memoizes compose, tensor, converse and
+theta on such values.  The finrel and pinj operands above are sampled
+or validated, not canonical, so their rungs compute; pinj's compose and
+tensor are also timed on the equal members of `enum_pinj`, a table hit,
+and finrel's compose on the xrel operands, which are never canonical: a
+miss that reads the compose table once.
 The finstoch operands are exact joint measures on a 3-point space with
 a null point, the shape its samplers draw.  The samplers the harness
 calls most get rungs of their own: xrel's sampled objects and the
@@ -151,14 +153,40 @@ MEMBERS = {
 }
 
 
+def _members(members):
+    inst, _, f, g, _ = _pinj()
+    return inst, MEMBERS[members](f), MEMBERS[members](g)
+
+
+def _kept(table: str, r, s) -> bool:
+    """Whether finrel's op table `table` holds a result on (r, s)."""
+    return id(s) in getattr(finrel, table).get(id(r), ())
+
+
 @pytest.mark.parametrize("members", MEMBERS)
 def test_pinj_compose_on_members(benchmark, members):
     benchmark.group = "compose (pinj members)"
-    inst, _, f, g, _ = _pinj()
-    f, g = MEMBERS[members](f), MEMBERS[members](g)
+    inst, f, g = _members(members)
     first = inst.compose(g, f)
     assert benchmark(inst.compose, g, f) == first
-    assert ((id(f), id(g)) in finrel._OPS) == (members == "canonical")
+    assert _kept("_COMPOSE", f, g) == (members == "canonical")
+
+
+@pytest.mark.parametrize("members", MEMBERS)
+def test_pinj_tensor_on_members(benchmark, members):
+    benchmark.group = "tensor (pinj members)"
+    inst, f, g = _members(members)
+    first = inst.tensor(f, g)
+    assert (benchmark(inst.tensor, f, g) is first) == (members == "canonical")
+    assert _kept("_TENSOR", f, g) == (members == "canonical")
+
+
+def test_xrel_compose_misses_the_table(benchmark):
+    benchmark.group = "compose (xrel, a table miss)"
+    _, _, f, g, _ = _xrel()
+    first = finrel.compose(f, g)
+    assert benchmark(finrel.compose, f, g) == first
+    assert id(f) not in finrel._COMPOSE
 
 
 def _samplers():

@@ -54,20 +54,28 @@ the objects finrel and pinj list and draw.  `_canon` keeps one canonical
 relation per (source, target, rows, type) between two base sets.  The
 members of `Relations` and of pinj's `enum_pinj`, `_single` and `empty`,
 and `identity`, are built through it, so two enumerations of a hom-set
-give the same objects.  `compose`, `converse` and `theta` look up their
-result by the ids of canonical arguments first; on a miss they compute
-it, canonical for `compose` and `converse`, and store it.  The member
-table holds each canonical value, which keeps its id valid while it is
-a key; when it reaches `_TABLE_MAX` entries it is cleared with the op
-table, which is also cleared alone at that size.  Sampled relations
-(`sample_hom`, pinj's `sample_pinj`), values from the validating
-constructors (equal to a canonical value, but not it), and relations on
-`UNIT`, products, crossed sets or sets from outside skip both tables:
-hash-consing values that are seldom reused measured slower on the
-sampled suites.  Nothing else is memoized.  A seeded fault in one of
-the three ops must replace the public function (`finrel.compose`, ...),
-because the table sits behind that name: a warm table hides a fault
-patched in underneath it.
+give the same objects.  `compose`, `tensor`, `converse` and `theta` look
+up their result by the ids of canonical arguments first; on a miss they
+compute it, canonical for `compose` and `converse`, and store it.  A
+tensor or a transpose lives on product sets, so it is kept as a value
+and is never a member.  `compose` and `tensor` keep a row per first
+argument, `{id(r): {id(s): result}}`, and `converse` and `theta` a flat
+table by `id(r)`, so a hit is two dict reads or one and makes no key
+object, and a miss on a value that is never canonical, such as an xrel
+morphism, is one read.  The member table holds each canonical value,
+which keeps its id valid while it is a key; when it reaches `_TABLE_MAX`
+entries it is cleared with every op table, and the op tables, which
+hold at most `_TABLE_MAX` results together, are also cleared alone at
+that size.  Two hits on equal arguments return the same object, so the
+adapters' `mor_eq` answers at once when its arguments are identical.
+Sampled relations (`sample_hom`, pinj's `sample_pinj`), values from the
+validating constructors (equal to a canonical value, but not it), and
+relations on `UNIT`, products, crossed sets or sets from outside skip
+all the tables: hash-consing values that are seldom reused measured
+slower on the sampled suites.  Nothing else is memoized.  A seeded fault
+in one of the four ops must replace the public function
+(`finrel.compose`, ...), because the tables sit behind that name: a warm
+table hides a fault patched in underneath it.
 """
 
 from __future__ import annotations
@@ -147,11 +155,19 @@ _BASE: dict[int, FinSet] = {}
 # The member table: each canonical relation, the one value between two
 # base sets per (id(source), id(target), rows, cls), under that key and
 # under its own id, which keeps it alive while the id is a key.  The op
-# table: what compose, converse and theta returned on canonical
-# arguments, keyed by (id(r), id(s)), id(r) and ("theta", id(f)).  Each
-# holds at most _TABLE_MAX entries; clearing the members clears the ops.
+# tables: what compose and tensor returned on canonical arguments r, s,
+# in a row per first argument, {id(r): {id(s): result}}, and what
+# converse and theta returned on a canonical r, under id(r).  A hit is
+# two dict reads (one for converse and theta) and makes no key object.
+# The member table holds at most _TABLE_MAX entries, and the op tables
+# as many results together (_OP_ENTRIES counts them); clearing the
+# members clears every op table, which are also cleared alone when full.
 _MEMBERS: dict = {}
-_OPS: dict = {}
+_COMPOSE: dict[int, dict] = {}
+_TENSOR: dict[int, dict] = {}
+_CONVERSE: dict = {}
+_THETA: dict = {}
+_OP_ENTRIES = 0
 _TABLE_MAX = 1 << 14
 
 
@@ -250,19 +266,38 @@ def _canon(source, target, rows: tuple, cls=Relation) -> Relation:
         r = _mk(source, target, rows, cls)
         if len(_MEMBERS) >= _TABLE_MAX:
             _MEMBERS.clear()
-            _OPS.clear()  # its keys are ids of members
+            _clear_ops()  # their keys are ids of members
         _MEMBERS[key] = _MEMBERS[id(r)] = r
     return r
 
 
-def _memo(key, r: Relation, *args: Relation) -> Relation:
-    """Keep r, an op's result, in `_OPS` under `key` when its arguments
-    `args` are still canonical: making r may have cleared the members."""
-    if all(id(a) in _MEMBERS for a in args):
-        if len(_OPS) >= _TABLE_MAX:
-            _OPS.clear()
-        _OPS[key] = r
-    return r
+def _clear_ops() -> None:
+    global _OP_ENTRIES
+    _COMPOSE.clear()
+    _TENSOR.clear()
+    _CONVERSE.clear()
+    _THETA.clear()
+    _OP_ENTRIES = 0
+
+
+def _memo(table: dict, t: Relation, r: Relation, s: Relation | None = None) -> Relation:
+    """Keep t, an op's result on r (and s), in `table` under id(r) (in
+    r's row, under id(s)) when its arguments are still canonical: making
+    t may have cleared the members."""
+    global _OP_ENTRIES
+    if id(r) in _MEMBERS and (s is None or id(s) in _MEMBERS):
+        if _OP_ENTRIES >= _TABLE_MAX:
+            _clear_ops()
+        if s is None:
+            table[id(r)] = t
+        else:
+            row = table.get(id(r))
+            if row is None:
+                table[id(r)] = {id(s): t}
+            else:
+                row[id(s)] = t
+        _OP_ENTRIES += 1
+    return t
 
 
 def from_pairs(source: FinSet, target: FinSet, pairs: Iterable[tuple]) -> Relation:
@@ -295,10 +330,12 @@ def identity(x: FinSet, cls=Relation) -> Relation:
 
 def compose(r: Relation, s: Relation) -> Relation:
     """Relational composite of r: X -> Y then s: Y -> Z."""
-    key = (id(r), id(s))
-    t = _OPS.get(key)
-    if t is not None:
-        return t
+    key = id(r)
+    row = _COMPOSE.get(key)
+    if row is not None:
+        t = row.get(id(s))
+        if t is not None:
+            return t
     if r.target is not s.source and r.target != s.source:
         raise ShapeMismatch(
             f"cannot compose through {r.target!r} vs {s.source!r}"
@@ -315,14 +352,13 @@ def compose(r: Relation, s: Relation) -> Relation:
             out.append(acc)
         else:  # no bit, or one: a partial injection's every row
             out.append(srows[row.bit_length() - 1] if row else 0)
-    if key[0] in _MEMBERS and key[1] in _MEMBERS:
-        return _memo(key, _canon(r.source, s.target, tuple(out), type(r)), r, s)
+    if key in _MEMBERS and id(s) in _MEMBERS:
+        return _memo(_COMPOSE, _canon(r.source, s.target, tuple(out), type(r)), r, s)
     return _mk(r.source, s.target, tuple(out), type(r))
 
 
 def converse(r: Relation) -> Relation:
-    key = id(r)
-    t = _OPS.get(key)
+    t = _CONVERSE.get(id(r))
     if t is not None:
         return t
     rows = [0] * r.target.size
@@ -333,8 +369,8 @@ def converse(r: Relation) -> Relation:
             rows[low.bit_length() - 1] |= bit
             row ^= low
         bit <<= 1
-    if key in _MEMBERS:
-        return _memo(key, _canon(r.target, r.source, tuple(rows), type(r)), r)
+    if id(r) in _MEMBERS:
+        return _memo(_CONVERSE, _canon(r.target, r.source, tuple(rows), type(r)), r)
     return _mk(r.target, r.source, tuple(rows), type(r))
 
 
@@ -356,9 +392,15 @@ def tensor_rows(r: Relation, s: Relation) -> tuple:
 
 def tensor(r: Relation, s: Relation) -> Relation:
     """Componentwise pairing on cartesian products."""
+    row = _TENSOR.get(id(r))
+    if row is not None:
+        t = row.get(id(s))
+        if t is not None:
+            return t
     src = product(r.source, s.source)
     tgt = product(r.target, s.target)
-    return _mk(src, tgt, tensor_rows(r, s), type(r))
+    t = _mk(src, tgt, tensor_rows(r, s), type(r))
+    return _memo(_TENSOR, t, r, s) if id(r) in _MEMBERS and id(s) in _MEMBERS else t
 
 
 def reindex(a: FinSet, b: FinSet, index_map: Sequence[int], cls=Relation) -> Relation:
@@ -418,12 +460,11 @@ def theta_row(f: Relation) -> int:
 
 
 def theta(f: Relation) -> Relation:
-    key = ("theta", id(f))
-    t = _OPS.get(key)
+    t = _THETA.get(id(f))
     if t is not None:
         return t
     t = _mk(UNIT, product(f.source, f.target), (theta_row(f),), type(f))
-    return _memo(key, t, f) if key[1] in _MEMBERS else t
+    return _memo(_THETA, t, f) if id(f) in _MEMBERS else t
 
 
 def theta_inv(m: Relation, a: FinSet, b: FinSet) -> Relation:
@@ -594,6 +635,8 @@ class FinRelInstance(CategoryInstance):
         return repr(list(a.labels))
 
     def mor_eq(self, f, g):
+        if f is g:  # two table hits on equal arguments
+            return True
         # equal sizes and rows; identical endpoints need no size read
         fs, gs, ft, gt = f.source, g.source, f.target, g.target
         return (

@@ -24,9 +24,11 @@ enumerators keep the invariant by construction, so they build through
 finrel's trusted `_mk`, which checks nothing.  The enumerators
 (`enum_pinj`, `_single`, `empty`, `identity`) build through finrel's
 `_canon`, so between sets that `fin_set` made each map is one canonical
-object, and finrel's `compose`, `converse` and `theta` read their
-results on such maps from its op table.  `.pairs` is a read-only view
-of the rows, sorted by source index.
+object, and finrel's `compose`, `tensor`, `converse` and `theta` read
+their results on such maps from its op tables.  Two reads of one result
+give the same object, so `mor_eq` answers at once on identical
+arguments.  `.pairs` is a read-only view of the rows, sorted by source
+index.
 """
 
 from __future__ import annotations
@@ -274,6 +276,8 @@ class PInjInstance(FinRelInstance):
         return bool(s.rows[0])
 
     def mor_eq(self, f, g):
+        if f is g:  # two table hits on equal arguments
+            return True
         # rows first, the cheapest to tell apart; identical ends need no labels
         fs, gs, ft, gt = f.source, g.source, f.target, g.target
         return (

@@ -5,8 +5,9 @@ One fresh process per seed (1 and 7) runs every job of
 sha256 of the ordered (law, cases, failures, flags) of its reports.
 After each run it prints finrel's interned sets, then xrel's monoids,
 object shapes, memoized tensor pairs and all interned objects, then the
-entries of finrel's member and op tables.  The four
-runs are made once per test session, however many tests read them.
+entries of finrel's member table, of its op tables together and of its
+tensor table alone.  The four runs are made once per test session,
+however many tests read them.
 """
 
 import functools
@@ -30,8 +31,11 @@ _CODE = (
     "        print(hashlib.sha256(repr(sig).encode()).hexdigest())\n"
     "    pairs = sum(len(key) == 2 for key in xrel._SHAPES)\n"
     "    shapes = len(xrel._SHAPES) - pairs\n"
+    "    rows = [row for ops in (finrel._COMPOSE, finrel._TENSOR) for row in ops.values()]\n"
     "    print(len(finrel._INTERNED), len(xrel._MONOIDS), shapes, pairs,\n"
-    "          len(xrel._INTERNED), len(finrel._MEMBERS), len(finrel._OPS))\n"
+    "          len(xrel._INTERNED), len(finrel._MEMBERS),\n"
+    "          sum(map(len, rows)) + len(finrel._CONVERSE) + len(finrel._THETA),\n"
+    "          sum(map(len, finrel._TENSOR.values())))\n"
 )
 
 

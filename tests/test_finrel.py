@@ -328,17 +328,47 @@ def test_intern_tables_stay_bounded_across_seeds():
     assert all(n > 0 for n in seed1[5:] + seed7[5:])
 
 
+#: the op tables: compose and tensor keep a row per first argument
+OP_TABLES = ("_COMPOSE", "_TENSOR", "_CONVERSE", "_THETA")
+
+
+def _empty_tables(monkeypatch, table=dict):
+    monkeypatch.setattr(finrel, "_MEMBERS", {})
+    for name in OP_TABLES:
+        monkeypatch.setattr(finrel, name, table())
+    monkeypatch.setattr(finrel, "_OP_ENTRIES", 0)
+
+
+def _op_entries() -> int:
+    """The results kept in all op tables together."""
+    rows = [row for name in ("_COMPOSE", "_TENSOR")
+            for row in getattr(finrel, name).values()]
+    return sum(map(len, rows)) + len(finrel._CONVERSE) + len(finrel._THETA)
+
+
+def _snapshot() -> dict:
+    """Every op table, its rows copied."""
+    return {name: {k: dict(v) if isinstance(v, dict) else v
+                   for k, v in getattr(finrel, name).items()}
+            for name in OP_TABLES}
+
+
 class _CheckedOps(dict):
-    """An op table that refuses a key with an id of no member: only the
-    member table keeps such an id from being reused."""
+    """An op table, or a row of one, that refuses a key with an id of no
+    member: only the member table keeps such an id from being reused.
+    `stored` counts the keys it took."""
+
+    stored = 0
 
     def __setitem__(self, key, value):
-        if isinstance(key, int):  # converse
-            ids = (key,)
-        else:  # compose, or theta
-            ids = key[1:] if key[0] == "theta" else key
-        if not all(i in finrel._MEMBERS for i in ids):
-            raise AssertionError(f"op key {key!r} outlives its arguments")
+        if key not in finrel._MEMBERS:
+            raise AssertionError(f"op key {key!r} outlives its argument")
+        if type(value) is dict:  # a new row of compose or tensor
+            row = _CheckedOps()
+            for k, v in value.items():
+                row[k] = v
+            value = row
+        self.stored += 1
         super().__setitem__(key, value)
 
 
@@ -349,12 +379,35 @@ def test_member_and_op_tables_stay_bounded(monkeypatch, table_max):
     # at 64 entries the member table fills, and is cleared, within an op
     _forks.cpus(monkeypatch, 1)
     monkeypatch.setattr(finrel, "_TABLE_MAX", table_max)
-    monkeypatch.setattr(finrel, "_MEMBERS", {})
-    monkeypatch.setattr(finrel, "_OPS", _CheckedOps())
-    rep = harness.check_star_laws(finrel.instance(), 400_000, 1, max_size=3)
+    _empty_tables(monkeypatch, _CheckedOps)
+    inst = finrel.instance()
+    rep = harness.check_star_laws(inst, 400_000, 1, max_size=3)
+    assert rep.ok, rep.failures[:3]
+    rep = harness.check_nuclear_axioms(
+        inst, finrel.FinRelNuclear(inst), 400_000, 1, max_size=2
+    )
     assert rep.ok, rep.failures[:3]
     assert 0 < len(finrel._MEMBERS) <= table_max
-    assert 0 < len(finrel._OPS) <= table_max
+    assert 0 < _op_entries() == finrel._OP_ENTRIES <= table_max
+    # every op kept results, tensor's too, though a full table was cleared
+    assert all(getattr(finrel, name).stored for name in OP_TABLES)
+
+
+def _failing_sublaws(monkeypatch, checks) -> set:
+    """The sub-laws in which the reports of `checks()` fail some case: a
+    report keeps the first 20 witnesses, the per-case hook sees all."""
+    failing = set()
+    run = harness._Runner._run
+
+    def recorded(self, name, fn, case):
+        lines = run(self, name, fn, case)
+        if lines:
+            failing.add(name)
+        return lines
+
+    monkeypatch.setattr(harness._Runner, "_run", recorded)
+    assert not all(rep.ok for rep in checks())
+    return failing
 
 
 def test_a_warm_table_hides_no_fault_in_compose(monkeypatch):
@@ -371,19 +424,60 @@ def test_a_warm_table_hides_no_fault_in_compose(monkeypatch):
         return finrel._mk(t.source, t.target, t.rows[:-1] + (0,), type(t))
 
     monkeypatch.setattr(finrel, "compose", compose)
-    # the report keeps the first 20 witnesses; the per-case hook sees all
-    failing = set()
-    run = harness._Runner._run
-
-    def recorded(self, name, fn, case):
-        lines = run(self, name, fn, case)
-        if lines:
-            failing.add(name)
-        return lines
-
-    monkeypatch.setattr(harness._Runner, "_run", recorded)
-    assert not harness.check_star_laws(inst, 400_000, 1, max_size=3).ok
+    failing = _failing_sublaws(
+        monkeypatch, lambda: [harness.check_star_laws(inst, 400_000, 1, max_size=3)]
+    )
     assert {"associativity", "unit-laws"} <= failing
+
+
+#: seeded faults in tensor, by the rows of r (x) s they clear, and the
+#: sub-laws each must fail: the braiding sends the last row of r (x) s to
+#: the last row of s (x) r, so clearing it alone is natural in the braiding
+#: and only a fault that treats the factors differently fails `symmetry`
+TENSOR_FAULTS = {
+    "last row": (lambda t, s: t.rows[:-1] + (0,),
+                 {"tensor-star", "transpose-naturality"}),
+    "last row of r": (lambda t, s: t.rows[:-s.source.size] + (0,) * s.source.size,
+                      {"tensor-star", "symmetry", "transpose-naturality"}),
+}
+
+
+@pytest.mark.parametrize("fault", TENSOR_FAULTS)
+def test_a_warm_table_hides_no_fault_in_tensor(monkeypatch, fault):
+    _forks.cpus(monkeypatch, 1)
+    inst, nuc, _ = pinj.structures()
+
+    def checks():
+        return [harness.check_star_laws(inst, 400_000, 1, max_size=3),
+                harness.check_nuclear_axioms(inst, nuc, 400_000, 1, max_size=3)]
+
+    # the first run fills the tables with every tensor the second needs
+    assert all(rep.ok for rep in checks()) and finrel._TENSOR
+    real, (cleared, must_fail) = finrel.tensor, TENSOR_FAULTS[fault]
+
+    def tensor(r, s):  # seeded fault
+        t = real(r, s)
+        if not any(t.rows):
+            return t
+        return finrel._mk(t.source, t.target, cleared(t, s), type(t))
+
+    monkeypatch.setattr(finrel, "tensor", tensor)
+    assert must_fail <= _failing_sublaws(monkeypatch, checks)
+
+
+@pytest.mark.parametrize("mod", [finrel, pinj])
+def test_mor_eq_compares_values_not_objects(mod):
+    inst = mod.instance()
+    x, y = finrel.fin_set(2), finrel.fin_set(3)
+    homs = list(inst.enum_hom(x, y))
+    for r in homs:
+        v = _validated(r)
+        assert v is not r and inst.mor_eq(r, r) and inst.mor_eq(v, r)
+        assert inst.mor_eq(r, v) and inst.mor_eq(v, _validated(r))
+        assert not any(inst.mor_eq(v, s) or inst.mor_eq(s, v)
+                       for s in homs if s is not r)
+    # equal rows between other sets are other values
+    assert not inst.mor_eq(homs[0], next(iter(inst.enum_hom(y, x))))
 
 
 # -- closed-form braiding ---------------------------------------------------
@@ -462,8 +556,7 @@ def _check_compose(r, s, cls):
 def test_kernel_matches_a_set_oracle_on_every_small_hom(monkeypatch, family):
     # empty tables: the first round builds every composite, converse and
     # transpose, and the second reads each one from the op table
-    monkeypatch.setattr(finrel, "_MEMBERS", {})
-    monkeypatch.setattr(finrel, "_OPS", {})
+    _empty_tables(monkeypatch)
     size, enum, cls = SMALL_HOMS[family]
     sets = [finrel.fin_set(n) for n in range(size + 1)]
     homs = [r for a in sets for b in sets for r in enum(a, b)]
@@ -488,9 +581,10 @@ def test_kernel_matches_a_set_oracle_on_every_small_hom(monkeypatch, family):
                 assert _is(got, finrel.product(r.source, s.source),
                            finrel.product(r.target, s.target), want, cls)
         if cold:
-            ops = dict(finrel._OPS)
-    # the warm round found every result in the table and added none
-    assert finrel._OPS == ops and len(ops) > len(homs)
+            ops = _snapshot()
+    # the warm round found every result in the tables and added none
+    assert _snapshot() == ops
+    assert all(len(ops[name]) == len(homs) for name in OP_TABLES)
     # a validated value equals the canonical one but is not it; the
     # kernel serves it from no table, and its composites are still right
     for r in homs:

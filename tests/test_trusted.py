@@ -45,7 +45,10 @@ INTERN_TABLES = (
     (finrel, "_SHAPES"),
     (finrel, "_BASE"),
     (finrel, "_MEMBERS"),
-    (finrel, "_OPS"),
+    (finrel, "_COMPOSE"),
+    (finrel, "_TENSOR"),
+    (finrel, "_CONVERSE"),
+    (finrel, "_THETA"),
     (xrel, "_MONOIDS"),
     (xrel, "_INTERNED"),
     (xrel, "_SHAPES"),
@@ -163,7 +166,10 @@ def test_validated_builders_change_no_verdict(monkeypatch):
     assert all(id(r) in made for r in memo.values())
     # the kernel's canonical relations and memoized results, which the
     # first run also filled, are all the rerun's own
-    tables = list(finrel._MEMBERS.values()) + list(finrel._OPS.values())
+    tables = list(finrel._MEMBERS.values()) + [
+        r for ops in (finrel._COMPOSE, finrel._TENSOR) for row in ops.values()
+        for r in row.values()
+    ] + list(finrel._CONVERSE.values()) + list(finrel._THETA.values())
     assert tables and all(id(r) in made for r in tables)
     # the validated rerun interned its own crossed sets and their tensors
     assert any(len(key) == 2 for key in xrel._SHAPES)

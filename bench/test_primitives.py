@@ -9,10 +9,12 @@ non-trivial action, built by the validating constructor and so not
 interned.  The three relation models run on finrel's relation kernel,
 which builds each structural isomorphism on interned sets once: the
 finrel and pinj symmetry rungs read that memo, as the harness does.
-Their identity and the transpose-of-tensor interleave (a `reindex` of
+Their identity and the transpose-of-tensor interleave (the `regroup` of
 (a (x) b) (x) (c (x) d) onto (a (x) c) (x) (b (x) d), factors of 2
 elements) are timed both ways: on interned sets (the memo) and on sets
-from the validating `FinSet` constructor (a fresh build).
+from the validating `FinSet` constructor (a fresh build).  finhilb has
+no closed-form braiding, so its symmetry rung times the generic
+`CategoryInstance.symmetry`, a `regroup` of the swap.
 The kernel keeps one canonical value per enumerated relation between
 the sets `fin_set(n)` makes, and memoizes compose, tensor, converse and
 theta on such values.  The finrel and pinj operands above are sampled
@@ -30,7 +32,8 @@ finhilb's random matrices.  Two more rungs time whole workloads of the
 verify-all report: the enumeration of the lattices of at most 5
 elements, which the cjsl suites run, and drelnum's fixture checks
 (`fixture_reports` at the pinned 201 nodes), the drel-numeric suite.
-This directory is outside the Tier-1 `testpaths`; run it with
+This directory is outside the Tier-1 `testpaths`, which run it once
+with `--benchmark-disable`; time it with
 
     PYTHONPATH=src python -m pytest bench/ --benchmark-only
 
@@ -42,7 +45,6 @@ from fractions import Fraction as F
 import pytest
 
 from nucleal import cjsl, drelnum, finhilb, finrel, finstoch, pinj, xrel
-from nucleal.core import harness
 from nucleal.core.rng import Lcg
 
 N = 4  # size of every set an operand runs between
@@ -124,14 +126,12 @@ SETS = {
 }
 
 
-def _structural(sets, op):
-    x = SETS[sets](N)
+def _structural(inst, sets, op):
     if op == "identity":
-        return (x,)
+        return inst.identity, (SETS[sets](N),), {}
     a = SETS[sets](2)  # every factor; products of interned sets are interned
-    pair = finrel.product(a, a)
-    four = finrel.product(pair, pair)
-    return four, four, harness._mixed_radix_perm((2, 2, 2, 2), (0, 2, 1, 3))
+    interleave = ((("a", "b"), ("c", "d")), (("a", "c"), ("b", "d")))
+    return inst.regroup, interleave, dict(a=a, b=a, c=a, d=a)
 
 
 @pytest.mark.parametrize("sets", SETS)
@@ -139,11 +139,16 @@ def _structural(sets, op):
 @pytest.mark.parametrize("model", ["finrel", "pinj"])
 def test_structural_iso(benchmark, model, op, sets):
     benchmark.group = f"{op} ({sets} sets)"
-    inst = MODELS[model]()[0]
-    fn = inst.identity if op == "identity" else inst.reindex
-    args = _structural(sets, op)
-    first = fn(*args)
-    assert (benchmark(fn, *args) is first) == (sets == "interned")
+    fn, args, objs = _structural(MODELS[model]()[0], sets, op)
+    first = fn(*args, **objs)
+    assert (benchmark(fn, *args, **objs) is first) == (sets == "interned")
+
+
+def test_generic_symmetry(benchmark):
+    benchmark.group = "symmetry (generic, finhilb)"
+    inst = finhilb.instance()
+    got = benchmark(inst.symmetry, N, N)
+    assert inst.mor_eq(inst.compose(got, got), inst.identity(N * N))
 
 
 MEMBERS = {

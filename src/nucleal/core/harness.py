@@ -41,9 +41,9 @@ Every stream therefore has a sampler: none is dropped without a case
 once the budget runs out.
 
 Structural isomorphisms (unit introduction, regrouping, factor
-permutations) are built here from each instance's `reindex` primitive
-using the shared row-major slot convention, so instances only supply
-raw operations.
+permutations) come from the instance's `regroup`, which takes the two
+tensor expressions over named leaves and builds the iso on the model's
+`reindex` primitive, so no law computes a slot map of its own.
 
 Nuclear factorization is decided by ideal membership alone:
 `find_nuclear_factorization` asks `is_nuclear`, and takes the factors of
@@ -52,7 +52,6 @@ a distinguished morphism from the instance's closed-form `factorize`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -219,37 +218,6 @@ class _Runner:
         if lines:
             self.failing.add(name)
         return lines
-
-
-@functools.cache
-def _mixed_radix_perm(sizes: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Slot map of the structural iso permuting tensor factors.
-
-    sizes are the source factor sizes in order; target factor j is
-    source factor perm[j].  Slots are row-major on both sides.
-    """
-    total = 1
-    for s in sizes:
-        total *= s
-    dst_sizes = [sizes[p] for p in perm]
-    out = [0] * total
-    for idx in range(total):
-        digits = []
-        r = idx
-        for s in reversed(sizes):
-            digits.append(r % s)
-            r //= s
-        digits.reverse()
-        j = 0
-        for s, p in zip(dst_sizes, perm):
-            j = j * s + digits[p]
-        out[idx] = j
-    return tuple(out)
-
-
-@functools.cache
-def _identity_map(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
 
 
 # -- stream builders --------------------------------------------------------
@@ -460,9 +428,8 @@ def check_star_laws(
         rhs = inst.compose(inst.tensor(h, f), inst.symmetry(a, c))
         if not eq(lhs, rhs):
             out.append(f"symmetry not natural for f={d(f)} h={d(h)}")
-        ab = inst.tensor_obj(a, c)
         back = inst.compose(inst.symmetry(c, a), inst.symmetry(a, c))
-        if not eq(back, inst.reindex(ab, ab, _identity_map(inst.obj_size(ab)))):
+        if not eq(back, inst.identity(inst.tensor_obj(a, c))):
             out.append(f"symmetry not involutive on {inst.describe_obj(a)},{inst.describe_obj(c)}")
         return out
 
@@ -505,6 +472,7 @@ def check_nuclear_axioms(
     nat = _streams(inst, objs, 4, [(nhom, 0, 1), (hom, 0, 2), (hom, 1, 3)])
     nuclear = _streams(inst, objs, 2, [(nhom, 0, 1)])
     indep = _streams(inst, objs, 4, [(nhom, 0, 1), (nhom, 2, 3)])
+    lam = inst.regroup("I", ("I", "I")) if theta_ok else None  # I -> I (x) I
 
     def closure_compose(h, f, g):
         # h: A -> B distinguished, f: A -> C, g: B -> D arbitrary
@@ -562,19 +530,11 @@ def check_nuclear_axioms(
         a, b = inst.source(f), inst.target(f)
         c, dd = inst.source(g), inst.target(g)
         lhs = nuc.theta(inst.tensor(f, g))
-        i = inst.unit()
-        lam = inst.reindex(i, inst.tensor_obj(i, i), [0])
         pair = inst.tensor(nuc.theta(f), nuc.theta(g))
-        sizes = [inst.obj_size(x) for x in (a, b, c, dd)]
-        src_obj = inst.tensor_obj(
-            inst.tensor_obj(inst.conj_obj(a), b),
-            inst.tensor_obj(inst.conj_obj(c), dd),
-        )
-        dst_obj = inst.tensor_obj(
-            inst.conj_obj(inst.tensor_obj(a, c)), inst.tensor_obj(b, dd)
-        )
-        interleave = inst.reindex(
-            src_obj, dst_obj, _mixed_radix_perm(tuple(sizes), (0, 2, 1, 3))
+        # (A* (x) B) (x) (C* (x) D) -> (A* (x) C*) (x) (B (x) D), and (A (x) C)* = A* (x) C*
+        interleave = inst.regroup(
+            (("a", "b"), ("c", "d")), (("a", "c"), ("b", "d")),
+            a=inst.conj_obj(a), b=b, c=inst.conj_obj(c), d=dd,
         )
         rhs = inst.compose(interleave, inst.compose(pair, lam))
         if not eq(lhs, rhs):
@@ -613,15 +573,12 @@ def check_nuclear_axioms(
     def compactness(f, g):
         # f: A -> B, g: B -> C distinguished; recover g o f from transposes
         a, b, c = inst.source(f), inst.target(f), inst.target(g)
-        na, nb, nc = inst.obj_size(a), inst.obj_size(b), inst.obj_size(c)
-        i = inst.unit()
-        intro = inst.reindex(a, inst.tensor_obj(i, a), _identity_map(na))
+        intro = inst.regroup("a", ("I", "a"), a=a)
         step1 = inst.tensor(nuc.theta(g), inst.identity(a))
-        src = inst.tensor_obj(inst.tensor_obj(inst.conj_obj(b), c), a)
-        dst = inst.tensor_obj(c, inst.tensor_obj(inst.conj_obj(b), a))
-        perm = inst.reindex(src, dst, _mixed_radix_perm((nb, nc, na), (1, 0, 2)))
+        perm = inst.regroup((("b", "c"), "a"), ("c", ("b", "a")),
+                            a=a, b=inst.conj_obj(b), c=c)
         step2 = inst.tensor(inst.identity(c), inst.star(nuc.theta(inst.star(f))))
-        elim = inst.reindex(inst.tensor_obj(c, i), c, _identity_map(nc))
+        elim = inst.regroup(("c", "I"), "c", c=c)
         chain = inst.compose(
             elim, inst.compose(step2, inst.compose(perm, inst.compose(step1, intro)))
         )
@@ -884,9 +841,8 @@ def check_param_trace_axioms(
     def vanishing_unit(f, a, b):
         if not tr.in_param_class(f, a, i_obj, b):
             return "unit-parameter class is not everything"
-        na, nb = inst.obj_size(a), inst.obj_size(b)
-        runit_b = inst.reindex(inst.tensor_obj(b, i_obj), b, _identity_map(nb))
-        runit_a = inst.reindex(a, inst.tensor_obj(a, i_obj), _identity_map(na))
+        runit_b = inst.regroup(("b", "I"), "b", b=b)
+        runit_a = inst.regroup("a", ("a", "I"), a=a)
         want = inst.compose(runit_b, inst.compose(f, runit_a))
         got = tr.param_trace(f, a, i_obj, b)
         if not eq(got, want):
@@ -903,14 +859,8 @@ def check_param_trace_axioms(
     def vanishing_tensor(f, a, u, v, b):
         uv = inst.tensor_obj(u, v)
         au, bu = inst.tensor_obj(a, u), inst.tensor_obj(b, u)
-        n_in = inst.obj_size(a) * inst.obj_size(uv)
-        n_out = inst.obj_size(b) * inst.obj_size(uv)
-        to_nested = inst.reindex(
-            inst.tensor_obj(au, v), inst.tensor_obj(a, uv), _identity_map(n_in)
-        )
-        from_nested = inst.reindex(
-            inst.tensor_obj(b, uv), inst.tensor_obj(bu, v), _identity_map(n_out)
-        )
+        to_nested = inst.regroup((("a", "u"), "v"), ("a", ("u", "v")), a=a, u=u, v=v)
+        from_nested = inst.regroup(("b", ("u", "v")), (("b", "u"), "v"), b=b, u=u, v=v)
         regrouped = inst.compose(from_nested, inst.compose(f, to_nested))
         whole = tr.in_param_class(f, a, uv, b)
         inner = tr.in_param_class(regrouped, au, v, bu)
@@ -934,18 +884,8 @@ def check_param_trace_axioms(
 
     def superposing(f, a, u, b, c, dd, g):
         ca, db = inst.tensor_obj(c, a), inst.tensor_obj(dd, b)
-        n_in = inst.obj_size(ca) * inst.obj_size(u)
-        n_out = inst.obj_size(db) * inst.obj_size(u)
-        to_nested = inst.reindex(
-            inst.tensor_obj(ca, u),
-            inst.tensor_obj(c, inst.tensor_obj(a, u)),
-            _identity_map(n_in),
-        )
-        from_nested = inst.reindex(
-            inst.tensor_obj(dd, inst.tensor_obj(b, u)),
-            inst.tensor_obj(db, u),
-            _identity_map(n_out),
-        )
+        to_nested = inst.regroup((("c", "a"), "u"), ("c", ("a", "u")), c=c, a=a, u=u)
+        from_nested = inst.regroup(("d", ("b", "u")), (("d", "b"), "u"), d=dd, b=b, u=u)
         m = inst.compose(from_nested, inst.compose(inst.tensor(g, f), to_nested))
         if not tr.in_param_class(m, ca, u, db):
             return "superposed morphism leaves the class"

@@ -5,9 +5,10 @@ as opaque values plus the operations the harness composes: composition,
 identities, tensor, symmetry, star, conjugation, and a `reindex`
 primitive that builds the structural isomorphism induced by a bijection
 of element slots.  Element slots of a tensor product are always ordered
-row-major (index of the pair (i, j) in A (x) B is i * size(B) + j), so
-the harness can compute every permutation it needs purely from factor
-sizes and hand it to `reindex`.
+row-major (index of the pair (i, j) in A (x) B is i * size(B) + j).
+`regroup` builds every regrouping and permutation of tensor factors on
+top of it from two tensor expressions over named leaves: by coherence
+(Mac Lane, 1963) such an isomorphism is fixed by where each leaf goes.
 
 Capability flags (`has_tensor`, `has_unit`, `has_identity`) let partial
 models participate: the quadrature-kernel family has none of the three,
@@ -54,6 +55,8 @@ What a model inherits, and overrides only where it differs:
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Iterable, Optional, Sequence
 
 from nucleal.core import scalars
@@ -113,17 +116,26 @@ class CategoryInstance:
         return self.identity(self.unit())
 
     def symmetry(self, a, b):
-        """Braiding A (x) B -> B (x) A, built from `reindex`."""
-        na, nb = self.obj_size(a), self.obj_size(b)
-        idx = [0] * (na * nb)
-        for i in range(na):
-            for j in range(nb):
-                idx[i * nb + j] = j * na + i
-        return self.reindex(self.tensor_obj(a, b), self.tensor_obj(b, a), idx)
+        """Braiding A (x) B -> B (x) A, built by `regroup`."""
+        return self.regroup(("a", "b"), ("b", "a"), a=a, b=b)
 
     def reindex(self, a, b, index_map: Sequence[int]):
         """Structural iso a -> b sending element slot i to index_map[i]."""
         raise UnsupportedCheck(f"{self.name}: no reindex")
+
+    def regroup(self, src, dst, /, **objs):
+        """Structural iso between tensor expressions `src` and `dst`, each a
+        leaf name bound in `objs`, "I" for the unit, or a pair (x, y) for
+        x (x) y.  Both name the same leaves once and may differ in units;
+        leaves are names because in A (x) A the swap is not the identity."""
+        sizes = tuple([(name, self.obj_size(x)) for name, x in objs.items()])
+        return self.reindex(self._expr_obj(src, objs), self._expr_obj(dst, objs),
+                            _slot_map(src, dst, sizes))
+
+    def _expr_obj(self, expr, objs):
+        if type(expr) is tuple:
+            return self.tensor_obj(self._expr_obj(expr[0], objs), self._expr_obj(expr[1], objs))
+        return self.unit() if expr == "I" else objs[expr]
 
     # -- objects ------------------------------------------------------------
 
@@ -169,6 +181,32 @@ class CategoryInstance:
 
     def count_hom(self, a, b) -> Optional[int]:
         return None
+
+
+def _leaves(expr) -> list:
+    """The leaf names of a tensor expression, left to right, units left out."""
+    if type(expr) is tuple:
+        return _leaves(expr[0]) + _leaves(expr[1])
+    return [] if expr == "I" else [expr]
+
+
+@functools.cache
+def _slot_map(src, dst, sizes: tuple) -> tuple[int, ...]:
+    """Row-major slot map of `regroup`, given (name, size) per leaf: a
+    source slot's digits, one per leaf (a unit has one slot, no digit),
+    go to the target slot with the same digit at each leaf."""
+    size = dict(sizes)
+    ins, outs = _leaves(src), _leaves(dst)
+    if sorted(ins) != sorted(outs) or len(set(ins)) != len(ins):
+        raise ValueError(f"regroup needs the same leaves once on each side: {src} -> {dst}")
+    at = [ins.index(name) for name in outs]
+    out = []
+    for digits in itertools.product(*(range(size[name]) for name in ins)):
+        j = 0
+        for name, k in zip(outs, at):
+            j = j * size[name] + digits[k]
+        out.append(j)
+    return tuple(out)
 
 
 class FactorizationResult:

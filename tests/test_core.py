@@ -1,11 +1,12 @@
 """Seeded generator, scalar-kind dispatch and the instance contracts."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from nucleal import cli
+from nucleal import cli, finrel
 from nucleal.core import scalars
 from nucleal.core.rng import Lcg
 
@@ -121,3 +122,104 @@ def test_instance_contracts_hold_on_sampled_objects(structures, seed):
         if inst.has_unit:
             state = nuc.sample_state(rng, a, b)
             assert runs(state, inst.unit(), inst.tensor_obj(inst.conj_obj(a), b))
+
+
+# -- regroup against a label oracle -------------------------------------------
+#
+# finrel's products of interned sets carry nested-tuple labels, so the
+# image of a source label is the target label made by moving its leaves;
+# the oracle shares no slot arithmetic with `regroup`.
+
+FINREL = finrel.instance()
+NAMES = "abcd"
+
+
+def _shapes(leaves):
+    """Every bracketing of the leaves, in their order."""
+    if len(leaves) == 1:
+        yield leaves[0]
+    for k in range(1, len(leaves)):
+        for left in _shapes(leaves[:k]):
+            for right in _shapes(leaves[k:]):
+                yield (left, right)
+
+
+def _parts(expr, label, into):
+    """Bind each leaf of `expr` to its part of `label`."""
+    if isinstance(expr, str):
+        into[expr] = label
+    else:
+        _parts(expr[0], label[0], into)
+        _parts(expr[1], label[1], into)
+
+
+def _label(expr, parts):
+    if expr == "I":
+        return finrel.UNIT_LABEL
+    if isinstance(expr, str):
+        return parts[expr]
+    return (_label(expr[0], parts), _label(expr[1], parts))
+
+
+def _assert_moves_leaves(src, dst, **objs):
+    r = FINREL.regroup(src, dst, **objs)
+    want = set()
+    for x in r.source.labels:
+        parts = {}
+        _parts(src, x, parts)
+        want.add((x, _label(dst, parts)))
+    assert set(r.pairs()) == want
+    assert r.count() == r.source.size == r.target.size
+    assert {y for _, y in want} == set(r.target.labels)
+    return r
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_regroup_moves_each_leaf_to_its_place(n):
+    leaves = NAMES[:n]
+    pairs = [(src, dst) for src in _shapes(leaves)
+             for order in itertools.permutations(leaves) for dst in _shapes(order)]
+    sizes = list(itertools.product(range(1, 4), repeat=n))
+    # every bracketing of the source against every bracketing of every
+    # order of the target, at every factor size up to 3; at 4 factors
+    # the 600 pairs take the 81 size tuples in turn
+    cases = itertools.product(pairs, sizes) if n < 4 else zip(pairs, itertools.cycle(sizes))
+    for (src, dst), ks in cases:
+        _assert_moves_leaves(src, dst, **{x: finrel.fin_set(k) for x, k in zip(leaves, ks)})
+
+
+def test_regroup_adds_and_drops_units_on_one_side():
+    objs = {x: finrel.fin_set(k) for x, k in zip(NAMES, (2, 3, 2))}
+    for n in range(1, 4):
+        leaves = NAMES[:n]
+        for order in itertools.permutations(leaves):
+            for at in range(n + 1):
+                padded = (*order[:at], "I", *order[at:])
+                for src in _shapes(leaves):
+                    for dst in _shapes(padded):
+                        _assert_moves_leaves(src, dst, **objs)
+                        _assert_moves_leaves(dst, src, **objs)
+    lam = _assert_moves_leaves("I", ("I", "I"))
+    assert lam.source is finrel.UNIT
+    assert _assert_moves_leaves(("I", "I"), "I") == FINREL.star(lam)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_regroup_tells_the_swap_of_a_repeated_object_from_its_identity(n):
+    a = finrel.fin_set(n)
+    swap = _assert_moves_leaves(("x", "y"), ("y", "x"), x=a, y=a)
+    same = _assert_moves_leaves(("x", "y"), ("x", "y"), x=a, y=a)
+    assert swap == finrel.symmetry(a, a)
+    assert same == finrel.identity(finrel.product(a, a))
+    assert (swap == same) == (n < 2)
+
+
+@pytest.mark.parametrize("src, dst", [
+    (("a", "b"), ("a", "c")),  # a leaf of one side missing on the other
+    (("a", "a"), ("a", "a")),  # a leaf named twice
+    ("a", ("a", "b")),
+])
+def test_regroup_refuses_unmatched_leaves(src, dst):
+    x = finrel.fin_set(2)
+    with pytest.raises(ValueError):
+        FINREL.regroup(src, dst, a=x, b=x, c=x)

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import _forks
 import _intern_counts
-from nucleal import finrel, pinj
-from nucleal.core import harness
+from nucleal import finhilb, finrel, pinj
+from nucleal.core import harness, instance
 from nucleal.core.errors import InvariantViolation, ShapeMismatch
 from nucleal.core.instance import CategoryInstance
 from nucleal.core.rng import Lcg
@@ -90,35 +90,21 @@ def test_nu_empty_set():
 
 
 def left_triangle(x):
-    """(id (x) psi) o (nu (x) id), with the unit elided via reindex."""
-    n = x.size
-    ix = finrel.product(finrel.UNIT, x)
-    xi = finrel.product(x, finrel.UNIT)
-    xx = finrel.product(x, x)
-    lift = finrel.reindex(x, ix, list(range(n)))
-    out = finrel.compose(lift, finrel.tensor(finrel.nu(x), finrel.identity(x)))
-    reassoc = finrel.reindex(
-        finrel.product(xx, x), finrel.product(x, xx), list(range(n ** 3))
-    )
-    out = finrel.compose(out, reassoc)
+    """(id (x) psi) o (nu (x) id), with the unit elided via regroup."""
+    rg = finrel.instance().regroup
+    out = finrel.compose(rg("x", ("I", "x"), x=x), finrel.tensor(finrel.nu(x), finrel.identity(x)))
+    out = finrel.compose(out, rg((("x", "y"), "z"), ("x", ("y", "z")), x=x, y=x, z=x))
     out = finrel.compose(out, finrel.tensor(finrel.identity(x), finrel.psi(x)))
-    return finrel.compose(out, finrel.reindex(xi, x, list(range(n))))
+    return finrel.compose(out, rg(("x", "I"), "x", x=x))
 
 
 def right_triangle(x):
     """(psi (x) id) o (id (x) nu), the other zigzag."""
-    n = x.size
-    xi = finrel.product(x, finrel.UNIT)
-    ix = finrel.product(finrel.UNIT, x)
-    xx = finrel.product(x, x)
-    lift = finrel.reindex(x, xi, list(range(n)))
-    out = finrel.compose(lift, finrel.tensor(finrel.identity(x), finrel.nu(x)))
-    reassoc = finrel.reindex(
-        finrel.product(x, xx), finrel.product(xx, x), list(range(n ** 3))
-    )
-    out = finrel.compose(out, reassoc)
+    rg = finrel.instance().regroup
+    out = finrel.compose(rg("x", ("x", "I"), x=x), finrel.tensor(finrel.identity(x), finrel.nu(x)))
+    out = finrel.compose(out, rg(("x", ("y", "z")), (("x", "y"), "z"), x=x, y=x, z=x))
     out = finrel.compose(out, finrel.tensor(finrel.psi(x), finrel.identity(x)))
-    return finrel.compose(out, finrel.reindex(ix, x, list(range(n))))
+    return finrel.compose(out, rg(("I", "x"), "x", x=x))
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -463,6 +449,40 @@ def test_a_warm_table_hides_no_fault_in_tensor(monkeypatch, fault):
 
     monkeypatch.setattr(finrel, "tensor", tensor)
     assert must_fail <= _failing_sublaws(monkeypatch, checks)
+
+
+def _rename(expr, names):
+    if isinstance(expr, str):
+        return names.get(expr, expr)
+    return (_rename(expr[0], names), _rename(expr[1], names))
+
+
+def test_a_regroup_that_swaps_two_target_leaves_is_caught(monkeypatch):
+    _forks.cpus(monkeypatch, 1)
+    real = instance._slot_map
+
+    def swapped(src, dst, sizes):  # seeded fault: the first two target leaves trade places
+        outs = instance._leaves(dst)
+        if len(outs) >= 2:
+            x, y = outs[:2]
+            dst = _rename(dst, {x: y, y: x})
+        return real(src, dst, sizes)
+
+    monkeypatch.setattr(instance, "_slot_map", swapped)
+    rel, rel_nuc, rel_tr = finrel.structures()
+    failing = _failing_sublaws(monkeypatch, lambda: [
+        harness.check_nuclear_axioms(rel, rel_nuc, 200, 1),
+        harness.check_param_trace_axioms(rel, rel_tr, 200, 1, max_size=2),
+    ])
+    # compactness's witnesses fall past the failure cap of its report,
+    # behind transpose-tensor's, so only the per-case hook sees them
+    assert {"transpose-tensor", "superposing", "compactness"} <= failing
+    hilb, hilb_nuc, _ = finhilb.structures()
+    failing = _failing_sublaws(monkeypatch, lambda: [
+        harness.check_nuclear_axioms(hilb, hilb_nuc, 200, 1),
+        harness.check_star_laws(hilb, 200, 1),
+    ])
+    assert {"transpose-conj", "symmetry", "compactness"} <= failing
 
 
 @pytest.mark.parametrize("mod", [finrel, pinj])

@@ -32,6 +32,10 @@ finhilb's random matrices.  Two more rungs time whole workloads of the
 verify-all report: the enumeration of the lattices of at most 5
 elements, which the cjsl suites run, and drelnum's fixture checks
 (`fixture_reports` at the pinned 201 nodes), the drel-numeric suite.
+One rung belongs to the third step of the ladder, the CLI.  It times
+one `cli.main` call, parsing included, on files written once: a
+finrel `compose` of the operands above to captured stdout, and a cjsl
+`check-nuclear` of the identity on a 3-element chain.
 This directory is outside the Tier-1 `testpaths`, which run it once
 with `--benchmark-disable`; time it with
 
@@ -40,11 +44,14 @@ with `--benchmark-disable`; time it with
 and add `--benchmark-json FILE` to keep the numbers.
 """
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
-from nucleal import cjsl, drelnum, finhilb, finrel, finstoch, pinj, xrel
+from nucleal import cjsl, cli, drelnum, finhilb, finrel, finstoch, pinj, xrel
 from nucleal.core.rng import Lcg
 
 N = 4  # size of every set an operand runs between
@@ -230,3 +237,36 @@ def test_enumerate_lattices(benchmark):
 def test_drelnum_fixture_reports(benchmark):
     benchmark.group = "fixture checks"
     assert all(r.ok for r in benchmark(drelnum.fixture_reports))
+
+
+def _manifest(tmp_path, name, category, value) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps({"schema": cli.SCHEMA, "category": category, "value": value}))
+    return str(path)
+
+
+def _cli_call(tmp_path, command):
+    """(argv, expected stdout) of one CLI call."""
+    if command == "compose":
+        inst, _, f, g, _ = _finrel()
+        argv = ["compose", _manifest(tmp_path, "f.json", "finrel", finrel.to_json(f)),
+                _manifest(tmp_path, "g.json", "finrel", finrel.to_json(g))]
+        want = {"schema": cli.SCHEMA, "category": "finrel",
+                "value": finrel.to_json(inst.compose(g, f))}
+        return argv, json.dumps(want, indent=2) + "\n"
+    ident = cjsl.supmap_to_json(cjsl.identity_sup(cjsl.chain(3)))
+    argv = ["check-nuclear", _manifest(tmp_path, "c.json", "cjsl", ident)]
+    return argv, "nuclear: yes (witness [0, 0, 1], sup-map)\n"
+
+
+@pytest.mark.parametrize("command", ["compose", "check-nuclear"])
+def test_cli_call(benchmark, tmp_path, command):
+    benchmark.group = "cli.main (one call)"
+    argv, want = _cli_call(tmp_path, command)
+
+    def call():
+        with redirect_stdout(io.StringIO()) as out:
+            code = cli.main(argv)
+        return code, out.getvalue()
+
+    assert benchmark(call) == (0, want)

@@ -10,6 +10,7 @@ operations outside the distinguished or trace class.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -502,6 +503,7 @@ def cmd_report(args) -> int:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nucleal",
@@ -561,6 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The parser is built at the first call and kept:
+    it, and the `cmd_*` functions it binds by `set_defaults`, are fixed then."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -1,14 +1,20 @@
 """Command-line interface, driven in process."""
 
+import argparse
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _forks
 import nucleal
@@ -573,3 +579,157 @@ def test_verify_all_prints_each_summary_once():
     assert all(line.startswith(("PASS", "FINDING")) for line in lines[:-2])
     assert lines[-2] == "63 reports, 0 failed, 2 documented findings"
     assert lines[-1].startswith("total time ")
+
+
+# -- the parser, built once per process -------------------------------------
+
+
+@pytest.fixture(scope="module")
+def calls(tmp_path_factory):
+    """Argv lists over every command, each a call the next one may follow:
+    flags set in one are missing in another, and the usage errors end in
+    SystemExit.  `{out}` marks the --out file, read after each call."""
+    d = tmp_path_factory.mktemp("calls")
+    f = pinj.from_map(XY, XYZ, {"x": "z"})
+    r = finrel.from_pairs(finrel.fin_set(2), finrel.fin_set(2), [(0, 1), (1, 1)])
+    half, zero = Fraction(1, 2), Fraction(0)
+    m = finstoch.joint(
+        finstoch.uniform_space(("a", "b")), finstoch.uniform_space(("a", "b")),
+        ((half, zero), (zero, half)),
+    )
+    pf = pinj_file(d, "f.json", f)
+    ph = pinj_file(d, "h.json", pinj.from_map(XY, XY, {"x": "x"}))
+    wide = pinj_file(d, "w.json", pinj.identity(XY))
+    state = pinj_file(d, "state.json", pinj.theta(f))
+    left, right = dump(d, "a.json", ["x", "y"]), dump(d, "b.json", ["x", "y", "z"])
+    fr = dump(d, "r.json", finrel.to_json(r), "finrel")
+    bare = dump(d, "bare.json", finrel.to_json(r))
+    cj = dump(d, "c.json", cjsl.supmap_to_json(cjsl.identity_sup(cjsl.chain(3))), "cjsl")
+    mf = dump(d, "m.json", finstoch.to_json(m), "finstoch")
+    unwritable = str(d / "missing" / "out.json")
+    argvs = [
+        ["compose", fr, fr],
+        ["compose", fr, fr, "--out", "{out}"],
+        ["compose", bare, bare, "--category", "finrel"],
+        ["compose", bare, bare],
+        ["compose", pf, pf],
+        ["trace", ph],
+        ["trace", fr, "--category", "pinj"],
+        ["trace", str(d / "absent.json")],
+        ["transpose", pf, "--out", "{out}"],
+        ["transpose", pf],
+        ["transpose", wide],
+        ["transpose", state, "--inverse", "--left", left, "--right", right],
+        ["transpose", state, "--inverse", "--left", left],
+        ["transpose", state, "--inverse"],
+        ["check-nuclear", pf],
+        ["check-nuclear", ph, "--category", "pinj"],
+        ["check-nuclear", cj],
+        ["disintegrate", mf, "--out", "{out}"],
+        ["disintegrate", mf],
+        ["verify", "xrel-audit", "--budget", "10", "--format", "json"],
+        ["verify", "xrel-audit", "--budget", "10"],
+        ["verify", "nonsense"],
+        ["report", "--budget", "0", "--out", unwritable],
+        ["report", "--budget", "-1"],
+        [],
+        ["frobnicate"],
+        ["compose", fr],
+        ["trace", ph, "--category", "nope"],
+        ["verify", "star-laws", "--budget", "abc"],
+        ["-h"],
+        ["transpose", "-h"],
+    ]
+    return d / "out.json", argvs
+
+
+# the times a report prints are the only output that differs between runs
+_TIMES = re.compile(r'("elapsed": |total time )[0-9.e-]+|\(\d+\.\d+s\)')
+
+
+def _outcome(argv, out: Path):
+    """(exit code or SystemExit code, stdout, stderr, --out file) of one
+    `cli.main` call, with its times masked."""
+    argv = [str(out) if a == "{out}" else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    written = out.read_text() if out.exists() else ""
+    out.unlink(missing_ok=True)
+    texts = (stdout.getvalue(), stderr.getvalue(), written)
+    return (code, *(_TIMES.sub(r"\1T", t) for t in texts))
+
+
+def _cached_and_fresh(argvs, out):
+    """The outcomes of `argvs` run in turn through the parser `cli.main`
+    keeps, and through a parser built afresh for every call."""
+    cached = [_outcome(argv, out) for argv in argvs]
+    with mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+        fresh = [_outcome(argv, out) for argv in argvs]
+    return cached, fresh
+
+
+def test_kept_parser_answers_every_call_as_a_fresh_one(calls):
+    out, argvs = calls
+    cached, fresh = _cached_and_fresh(argvs, out)
+    assert cached == fresh
+    # each call reaches the outcome it is there for
+    usage = ("SystemExit", 2)
+    assert [c[0] for c in cached] == [
+        0, 0, 0, 2, 3, 0, 2, 2, 0, 0, 5, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2,
+        usage, usage, usage, usage, usage, ("SystemExit", 0), ("SystemExit", 0),
+    ]
+    assert [i for i, c in enumerate(cached) if c[3]] == [1, 8, 17]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kept_parser_answers_any_sequence_as_a_fresh_one(calls, data):
+    out, argvs = calls
+    seq = data.draw(st.lists(st.sampled_from(argvs), min_size=1, max_size=8))
+    cached, fresh = _cached_and_fresh(seq, out)
+    assert cached == fresh
+
+
+def test_fifty_calls_build_the_parser_once(calls, monkeypatch):
+    out, argvs = calls
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.__wrapped__()
+    per_build = len(built)  # the top parser and one per command
+    built.clear()
+    cli.build_parser.cache_clear()
+    for i in range(50):
+        _outcome(argvs[i % len(argvs)], out)
+        assert len(built) == per_build
+
+
+def test_import_builds_no_parser():
+    src = str(Path(nucleal.__file__).resolve().parent.parent)
+    script = (
+        "import argparse\n"
+        "n = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    n.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import nucleal.cli\n"
+        "print(len(n))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]
+    ))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
